@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
@@ -34,12 +35,16 @@ from .presentations import abelianize
 from .words import ParseError
 
 
+# the most levels one a..b range may expand to
+MAX_RANGE = 10_000
+
+
 class InputError(Exception):
     pass
 
 
 def _parse_int_values(text):
-    """Accept '5', '3..9' (inclusive) or '3,5,7'."""
+    """Accept '5', '3..9' (inclusive, at most MAX_RANGE values) or '3,5,7'."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -51,6 +56,8 @@ def _parse_int_values(text):
                 raise InputError(f"bad range {chunk!r}") from None
             if hi < lo:
                 raise InputError(f"empty range {chunk!r}")
+            if hi - lo >= MAX_RANGE:
+                raise InputError(f"range {chunk!r} spans more than {MAX_RANGE} values")
             values.extend(range(lo, hi + 1))
         else:
             try:
@@ -60,17 +67,6 @@ def _parse_int_values(text):
     if not values or min(values) < 1:
         raise InputError(f"values must be positive: {text!r}")
     return tuple(sorted(set(values)))
-
-
-def _resolve_input(name, dir=None):
-    """Resolve a user path or bundled name to a concrete file path."""
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        return p
-    try:
-        return datasets.data_path(name, dir)
-    except FileNotFoundError:
-        raise InputError(f"no such input file or bundled dataset: {name!r}") from None
 
 
 def _table(headers, rows):
@@ -124,8 +120,8 @@ def _group_line(group):
 
 
 def _cmd_abelianize(args):
-    path = _resolve_input(args.presentation)
-    p = datasets.load_presentation(str(path))
+    path = datasets.data_path(args.presentation)
+    p = datasets.load_presentation(path)
     group = abelianize(p)
     report = _report(
         "abelianize",
@@ -139,10 +135,10 @@ def _cmd_abelianize(args):
 
 
 def _cmd_alexander(args):
-    path = _resolve_input(args.presentation)
-    map_path = _resolve_input(args.map)
-    p = datasets.load_presentation(str(path))
-    phi = datasets.load_map(str(map_path), source=p.generators)
+    path = datasets.data_path(args.presentation)
+    map_path = datasets.data_path(args.map)
+    p = datasets.load_presentation(path)
+    phi = datasets.load_map(map_path, source=p.generators)
     am = alexander_matrix(p, phi)
     delta = alexander_poly(p, phi)
     result = {
@@ -174,8 +170,8 @@ def _cmd_alexander(args):
 
 
 def _load_cover_job(args):
-    job_path = _resolve_input(args.job)
-    job = datasets.load_job(str(job_path))
+    job_path = datasets.data_path(args.job)
+    job = datasets.load_job(job_path)
     n_values = _parse_int_values(args.n) if args.n else (job["n"],)
     return job_path, job, n_values
 
@@ -234,11 +230,20 @@ def _cmd_cover_family(args, mode, command):
     return 0
 
 
-def _rhs_row(n):
-    job = datasets.standard_cover_job()
-    p = job["presentation"]
-    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
-    filled = fill(cover, FillingSpec(job["fill"]))
+def _run_tasks(fn, tasks, jobs):
+    """[fn(t) for t in tasks], spread over at most ``jobs`` worker processes."""
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _rhs_row(payload):
+    job, n = payload
+    filled = _cover_groups(job, n, "fill")["fill"]
     verdict = "yes" if filled.rank == 0 else "no"
     return {
         "n": n,
@@ -271,12 +276,8 @@ def _cmd_rhs_sweep(args):
             f"even levels {evens} need --force; the filled-cover conclusions "
             "are asserted for odd levels only"
         )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_rhs_row, n_values))
-    else:
-        results = [_rhs_row(n) for n in n_values]
-    results.sort(key=lambda r: r["n"])
+    job = datasets.standard_cover_job()
+    results = _run_tasks(_rhs_row, [(job, n) for n in n_values], args.jobs)
     rows = [
         (r["n"], r["rank"], r["torsion"], r["rational_homology_sphere"], r["flag"])
         for r in results
@@ -293,8 +294,7 @@ def _cmd_rhs_sweep(args):
 
 
 def _branched_cell(payload):
-    delta_path, n, k = payload
-    delta = datasets.load_poly(delta_path)
+    delta, n, k = payload
     count = branched_betti(delta, k, n)
     return {
         "n": n,
@@ -305,8 +305,8 @@ def _branched_cell(payload):
 
 
 def _cmd_branched(args):
-    delta_path = _resolve_input(args.delta)
-    delta = datasets.load_poly(str(delta_path))
+    delta_path = datasets.data_path(args.delta)
+    delta = datasets.load_poly(delta_path)
     if len(delta.vars) != 2:
         raise InputError("branched sweeps need a two-variable polynomial")
     n_values = _parse_int_values(args.n)
@@ -322,13 +322,8 @@ def _cmd_branched(args):
         for k in ks:
             if not (0 < k < n) or gcd(k, n) != 1:
                 raise InputError(f"k={k} is not a valid coprime residue mod n={n}")
-            cells.append((str(delta_path), n, k))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_branched_cell, cells))
-    else:
-        results = [_branched_cell(c) for c in cells]
-    results.sort(key=lambda r: (r["n"], r["k"]))
+            cells.append((delta, n, k))
+    results = _run_tasks(_branched_cell, cells, args.jobs)
     rows = [(r["n"], r["k"], r["betti"], r["flag"]) for r in results]
     table = _table(("n", "k", "betti", "flag"), rows)
     report = _report(
@@ -349,8 +344,7 @@ def _cmd_verify(args):
     except ValueError as exc:
         raise InputError(str(exc)) from None
     inputs = {}
-    for name in ("n-final", "nb", "rst", "alexander-reference", "delta_L",
-                 "map-free-abelian", "map-infinite-cyclic", "cover-job"):
+    for name in verify.INPUT_FILES:
         try:
             inputs[name] = datasets.data_path(name, dir)
         except FileNotFoundError:

@@ -1,10 +1,12 @@
 """Loaders for the bundled datasets and for user-supplied JSON files.
 
-Bundled files live in ``foxhom/data``; every loader takes an optional
-``data_dir`` so an alternate (for instance, deliberately corrupted) copy of
-the datasets can be pointed at.  Bundled names: rst, nb, amalgam, n-final,
-constants, delta_L, alexander-reference, map-free-abelian,
-map-infinite-cyclic, cover-job.
+Every input is resolved by ``data_path`` alone: a path to an existing
+``*.json`` file is used as given; any other name is looked up as
+``<dir>/<name>`` (``.json`` appended when missing), where ``dir`` defaults
+to the bundled ``foxhom/data``.  Pointing ``dir`` at a copy of the data
+(for instance, a deliberately corrupted one) swaps every bundled name at
+once.  Bundled names: rst, nb, amalgam, n-final, constants, delta_L,
+alexander-reference, map-free-abelian, map-infinite-cyclic, cover-job.
 """
 
 from __future__ import annotations
@@ -29,10 +31,17 @@ def data_dir():
 
 
 def data_path(name, dir=None):
+    """The file an input names: an existing ``*.json`` path, else a data file."""
+    name = str(name)
+    path = Path(name)
+    if path.suffix == ".json" and path.exists():
+        return path
     base = Path(dir) if dir is not None else data_dir()
     path = base / (name if name.endswith(".json") else f"{name}.json")
     if not path.exists():
-        raise FileNotFoundError(f"no data file {path}")
+        raise FileNotFoundError(
+            f"no such input file or bundled dataset: {name!r} (looked for {path})"
+        )
     return path
 
 
@@ -47,26 +56,14 @@ def file_digest(path):
 
 def load_presentation(name, dir=None):
     """A bundled presentation by name, or any presentation JSON by path."""
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        with open(p) as f:
-            return Presentation.from_json(json.load(f))
     return Presentation.from_json(_load_json(name, dir))
 
 
 def load_poly(name, dir=None):
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        with open(p) as f:
-            return LaurentPoly.from_json(json.load(f))
     return LaurentPoly.from_json(_load_json(name, dir))
 
 
 def load_map(name, source=None, dir=None):
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        with open(p) as f:
-            return AbelianizationMap.from_json(json.load(f), source=source)
     return AbelianizationMap.from_json(_load_json(name, dir), source=source)
 
 
@@ -101,31 +98,27 @@ def load_reference(dir=None):
 
 
 def load_job(name, dir=None):
-    """A cover/fill job spec: presentation, degrees, n, slopes, mode."""
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        with open(p) as f:
-            raw = json.load(f)
-        base_dir = p.parent
-    else:
-        raw = _load_json(name, dir)
-        base_dir = Path(dir) if dir is not None else data_dir()
-    pres_ref = raw["presentation"]
-    candidate = base_dir / pres_ref if not Path(pres_ref).exists() else Path(pres_ref)
-    if candidate.exists():
-        presentation = load_presentation(str(candidate))
-    else:
-        presentation = load_presentation(pres_ref, dir)
-    job = {
+    """A cover/fill job spec: presentation, degrees, n and fill slopes.
+
+    The ``presentation`` field is an existing ``*.json`` path, else such a
+    path relative to the job file, else a name resolved in ``dir``.  An
+    optional ``mode`` field is accepted and ignored.
+    """
+    path = data_path(name, dir)
+    raw = _load_json(path)
+    ref = raw["presentation"]
+    beside = path.parent / ref
+    if not Path(ref).exists() and beside.exists():
+        ref = beside
+    presentation = load_presentation(ref, dir)
+    return {
         "presentation": presentation,
         "degrees": {g: int(d) for g, d in raw["degrees"].items()},
         "n": int(raw.get("n", 1)),
-        "mode": raw.get("mode", "h1"),
         "fill": tuple(
             parse_word(text, presentation.generators) for text in raw.get("fill", ())
         ),
     }
-    return job
 
 
 def standard_cover_job(dir=None):

@@ -12,7 +12,6 @@ The matrix orientation is rows = generators, columns = relators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
@@ -83,10 +82,6 @@ class AbelianizationMap:
         if source is None:
             source = tuple(sorted(images))
         return cls(tuple(source), tuple(data["vars"]), images)
-
-    @classmethod
-    def loads(cls, text, source=None):
-        return cls.from_json(json.loads(text), source=source)
 
 
 def fox_derivative(word, gen, phi):

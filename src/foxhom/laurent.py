@@ -14,8 +14,6 @@ Text format: a sum of terms ``c*x^a*y^b`` (exponent 1 may be omitted), e.g.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def _grlex_key(exp):
     return (sum(exp), exp)
@@ -48,6 +46,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.vars, self.terms)
 
     # ---- constructors -------------------------------------------------
 
@@ -111,29 +112,10 @@ class LaurentPoly:
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def content(self):
-        """Nonnegative gcd of the coefficients."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
     def min_exponents(self):
         if not self.terms:
             return (0,) * len(self.vars)
         return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
-
-    def max_exponents(self):
-        if not self.terms:
-            return (0,) * len(self.vars)
-        return tuple(max(e[i] for e in self.terms) for i in range(len(self.vars)))
-
-    def degree_in(self, name):
-        """Span of exponents in one variable (max - min); -1 for the zero poly."""
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms) - min(e[i] for e in self.terms)
 
     def variables_used(self):
         return tuple(
@@ -141,9 +123,6 @@ class LaurentPoly:
             for i, v in enumerate(self.vars)
             if any(e[i] for e in self.terms)
         )
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def is_unit(self):
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
@@ -226,15 +205,6 @@ class LaurentPoly:
         """Equality up to multiplication by a signed monomial."""
         self._check_same_ring(other)
         return self.normal_form() == other.normal_form()
-
-    # ---- ring maps -------------------------------------------------------
-
-    def rename(self, new_vars):
-        """Reinterpret over a same-length variable list."""
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise ValueError("variable count mismatch")
-        return LaurentPoly(new_vars, self.terms)
 
     # ---- text and JSON ----------------------------------------------------
 

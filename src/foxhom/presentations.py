@@ -10,7 +10,6 @@ is carried through for bundled datasets and otherwise ignored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .abelian import cokernel
@@ -54,9 +53,6 @@ class Presentation:
         cols = [exponent_vector(r, self.generators) for r in self.relators]
         return [[col[i] for col in cols] for i in range(len(self.generators))]
 
-    def parse(self, text):
-        return parse_word(text, self.generators)
-
     def to_json(self):
         return {
             "name": self.name,
@@ -69,10 +65,6 @@ class Presentation:
         gens = tuple(data["generators"])
         relators = tuple(parse_word(text, gens) for text in data["relators"])
         return cls(data["name"], gens, relators)
-
-    @classmethod
-    def loads(cls, text):
-        return cls.from_json(json.loads(text))
 
 
 def abelianize(p):

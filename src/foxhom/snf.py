@@ -9,7 +9,6 @@ desk scale this package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -243,10 +242,3 @@ def integer_determinant(matrix):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def gcd_of_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

@@ -4,15 +4,18 @@ Each item recomputes something from first principles and compares it with
 the transcribed reference values.  ``run_items`` returns an ordered list of
 (item, passed, detail) triples; the CLI turns any failure into exit code 1.
 
-Items and their data dependencies:
+Items and the data files they read:
 
-* matrix, minors, delta, delta-inf, h1 -- n-final / alexander-reference
-* rhs -- n-final + cover-job (fillings)
+* matrix, minors, delta -- n-final, map-free-abelian, alexander-reference
+* delta-inf -- the same plus map-infinite-cyclic
+* h1 -- n-final, nb, rst
+* rhs -- cover-job (and n-final through it)
 * factorization, branched -- delta_L
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from . import datasets
@@ -25,8 +28,9 @@ from .covers import (
     reidemeister_schreier,
     sakuma_quotient,
 )
-from .fox import alexander_matrix, alexander_poly, minor_polys
+from .fox import alexander_matrix, minor_polys
 from .laurent import LaurentPoly, nu_poly, substitute_monomial
+from .polygcd import laurent_gcd
 from .presentations import abelianize
 
 ITEMS = (
@@ -40,16 +44,67 @@ ITEMS = (
     "branched",
 )
 
+# every data file some item reads, for the report's input digests
+INPUT_FILES = ("n-final", "nb", "rst", "alexander-reference", "delta_L",
+               "map-free-abelian", "map-infinite-cyclic", "cover-job")
+
 RHS_LEVELS = (3, 5, 7, 9)
 BRANCHED_PRIMES = (5, 7, 11, 13)
 FACTORIZATION_RANGE = range(2, 13)
 
 
-def _check_matrix(dir):
-    ref = datasets.load_reference(dir)
-    p = datasets.load_presentation("n-final", dir)
-    phi = datasets.load_map("map-free-abelian", source=p.generators, dir=dir)
-    am = alexander_matrix(p, phi)
+class _Inputs:
+    """What the items of one run read, each loaded or derived on first use.
+
+    A field that raises is not stored, so it fails every item that reads it
+    and no other.
+    """
+
+    def __init__(self, dir):
+        self.dir = dir
+
+    @cached_property
+    def reference(self):
+        return datasets.load_reference(self.dir)
+
+    @cached_property
+    def n_final(self):
+        return datasets.load_presentation("n-final", self.dir)
+
+    @cached_property
+    def phi(self):
+        return datasets.load_map(
+            "map-free-abelian", source=self.n_final.generators, dir=self.dir)
+
+    @cached_property
+    def cyc(self):
+        return datasets.load_map(
+            "map-infinite-cyclic", source=self.n_final.generators, dir=self.dir)
+
+    @cached_property
+    def delta_L(self):
+        return datasets.load_poly("delta_L", self.dir)
+
+    @cached_property
+    def job(self):
+        return datasets.standard_cover_job(self.dir)
+
+    @cached_property
+    def matrix(self):
+        return alexander_matrix(self.n_final, self.phi)
+
+    @cached_property
+    def minors(self):
+        return minor_polys(self.matrix)
+
+    @cached_property
+    def delta(self):
+        return laurent_gcd(self.minors.values())
+
+
+def _check_matrix(inputs):
+    ref = inputs.reference
+    am = inputs.matrix
     if am.matrix.entries == ref["matrix"].entries:
         return True, "6x5 matrix matches entrywise"
     # documented fallback: row-wise unit equivalence
@@ -71,13 +126,11 @@ def _check_matrix(dir):
     return False, f"{bad} entries differ"
 
 
-def _check_minors(dir):
-    ref = datasets.load_reference(dir)
-    p = datasets.load_presentation("n-final", dir)
-    phi = datasets.load_map("map-free-abelian", source=p.generators, dir=dir)
-    minors = minor_polys(alexander_matrix(p, phi))
+def _check_minors(inputs):
+    ref = inputs.reference
+    minors = inputs.minors
     bad = []
-    for g in p.generators:
+    for g in inputs.n_final.generators:
         expected = ref["minors"][g]
         got = minors[g]
         if expected.is_zero or got.is_zero:
@@ -90,34 +143,32 @@ def _check_minors(dir):
     return True, "all six row-deletion minors match up to unit/sign"
 
 
-def _check_delta(dir):
-    ref = datasets.load_reference(dir)
-    p = datasets.load_presentation("n-final", dir)
-    phi = datasets.load_map("map-free-abelian", source=p.generators, dir=dir)
-    delta = alexander_poly(p, phi)
+def _check_delta(inputs):
+    ref = inputs.reference
+    delta = inputs.delta
     if delta.unit_equivalent(ref["delta"]):
         return True, "gcd of minors matches the reference polynomial"
     return False, f"gcd of minors is {delta}"
 
 
-def _check_delta_inf(dir):
-    ref = datasets.load_reference(dir)
-    p = datasets.load_presentation("n-final", dir)
-    phi = datasets.load_map("map-free-abelian", source=p.generators, dir=dir)
-    cyc = datasets.load_map("map-infinite-cyclic", source=p.generators, dir=dir)
-    delta = alexander_poly(p, phi)
+def _check_delta_inf(inputs):
+    ref = inputs.reference
+    phi, cyc = inputs.phi, inputs.cyc
     images = {v: cyc.images[g] for v, g in zip(phi.vars, ("m", "s", "t"))}
-    spec = substitute_monomial(delta, images, cyc.vars)
+    spec = substitute_monomial(inputs.delta, images, cyc.vars)
     if spec.unit_equivalent(ref["delta_inf"]):
         return True, "specialized gcd matches the reference polynomial"
     return False, f"specialization is {spec}"
 
 
-def _check_h1(dir):
+def _check_h1(inputs):
     got = []
     expected = {"n-final": (3, (2,)), "nb": (3, ()), "rst": (2, ())}
     for name, (rank, torsion) in expected.items():
-        group = abelianize(datasets.load_presentation(name, dir))
+        if name == "n-final":
+            group = abelianize(inputs.n_final)
+        else:
+            group = abelianize(datasets.load_presentation(name, inputs.dir))
         if (group.rank, group.torsion) != (rank, torsion):
             got.append(f"{name}: {group}")
     if got:
@@ -125,8 +176,8 @@ def _check_h1(dir):
     return True, "abelianizations match: n-final, nb, rst"
 
 
-def _check_factorization(dir):
-    delta = datasets.load_poly("delta_L", dir)
+def _check_factorization(inputs):
+    delta = inputs.delta_L
     a, b = delta.vars
     t = LaurentPoly.variable(("t",), "t")
     for k in FACTORIZATION_RANGE:
@@ -139,8 +190,8 @@ def _check_factorization(dir):
     return True, "specializations factor through the all-ones polynomials for k in 2..12"
 
 
-def _check_rhs(dir):
-    job = datasets.standard_cover_job(dir)
+def _check_rhs(inputs):
+    job = inputs.job
     p = job["presentation"]
     spec = FillingSpec(job["fill"])
     for n in RHS_LEVELS:
@@ -158,8 +209,8 @@ def _check_rhs(dir):
     return True, f"filled covers are rational homology spheres for n in {RHS_LEVELS}"
 
 
-def _check_branched(dir):
-    delta = datasets.load_poly("delta_L", dir)
+def _check_branched(inputs):
+    delta = inputs.delta_L
     for n in BRANCHED_PRIMES:
         for k in range(1, n):
             if gcd(k, n) != 1:
@@ -191,10 +242,11 @@ def run_items(items=None, dir=None):
     for item in selected:
         if item not in _CHECKS:
             raise ValueError(f"unknown item {item!r}; choose from {ITEMS}")
+    inputs = _Inputs(dir)
     results = []
     for item in selected:
         try:
-            ok, detail = _CHECKS[item](dir)
+            ok, detail = _CHECKS[item](inputs)
         except Exception as exc:  # corrupt data must fail the item, not the run
             ok, detail = False, f"error: {exc}"
         results.append((item, ok, detail))

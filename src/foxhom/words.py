@@ -52,6 +52,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.runs,)
+
     def __eq__(self, other):
         return isinstance(other, Word) and self.runs == other.runs
 

@@ -1,7 +1,9 @@
 import json
 import shutil
 
-from foxhom import datasets
+import pytest
+
+from foxhom import cli, datasets, verify
 from foxhom.cli import main
 
 
@@ -196,6 +198,55 @@ def test_branched_single_k(capsys):
     ]
 
 
+def test_branched_deterministic_across_workers(capsys):
+    argv = ("branched", "delta_L", "--n", "5..13", "--format", "json")
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    _, parallel, _ = run(capsys, *argv, "--jobs", "2")
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("command", (("rhs-sweep",), ("branched", "delta_L", "--n", "5")))
+def test_jobs_below_one_is_exit_2(capsys, command):
+    code, out, err = run(capsys, *command, "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "--jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", ((64, 3, 3), (64, 8, 4), (2, 8, 2)))
+def test_pool_is_clamped_to_tasks_and_cpus(capsys, monkeypatch, jobs, cpus, workers):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    argv = ("branched", "delta_L", "--n", "5", "--format", "json")
+    _, serial, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, *argv, "--jobs", str(jobs))
+    assert code == 0 and out == serial
+    assert seen == [workers]  # four coprime residues mod 5
+
+
+def test_level_range_is_capped_before_expanding(capsys):
+    assert len(cli._parse_int_values(f"1..{cli.MAX_RANGE}")) == cli.MAX_RANGE
+    with pytest.raises(cli.InputError, match="spans more than"):
+        cli._parse_int_values(f"1..{cli.MAX_RANGE + 1}")
+    code, _, err = run(capsys, "branched", "delta_L", "--n", "1..1000000000000")
+    assert code == 2
+    assert "spans more than" in err
+
+
 def test_branched_rejects_noncoprime(capsys):
     code, _, err = run(capsys, "branched", "delta_L", "--n", "6", "--k", "2")
     assert code == 2
@@ -259,3 +310,47 @@ def test_verify_paper_fault_injection(capsys, tmp_path):
         "rhs": True,
         "branched": False,
     }
+
+
+def test_verify_paper_unreadable_reference(capsys, tmp_path):
+    """A truncated reference file fails exactly the items that read it."""
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    ref = alt / "alexander-reference.json"
+    ref.write_text(ref.read_text()[:100])
+
+    code, out, _ = run(
+        capsys, "verify-paper", "--data-dir", str(alt), "--format", "json"
+    )
+    assert code == 1
+    results = {r["item"]: r["pass"] for r in json.loads(out)["results"]}
+    assert results == {
+        "matrix": False,
+        "minors": False,
+        "delta": False,
+        "delta-inf": False,
+        "h1": True,
+        "factorization": True,
+        "rhs": True,
+        "branched": True,
+    }
+
+
+def test_verify_paper_derives_the_fox_chain_once_per_run(monkeypatch):
+    calls = {"alexander_matrix": 0, "minor_polys": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("alexander_matrix")
+    counted("minor_polys")
+    assert all(ok for _, ok, _ in verify.run_items())
+    assert calls == {"alexander_matrix": 1, "minor_polys": 1}
+    verify.run_items()
+    assert calls == {"alexander_matrix": 2, "minor_polys": 2}

@@ -1,9 +1,11 @@
 import json
+import pickle
 
 import pytest
 
 from foxhom import datasets
-from foxhom.words import exponent_vector
+from foxhom.laurent import parse_poly
+from foxhom.words import exponent_vector, parse_word
 
 
 def test_bundled_presentations_load():
@@ -16,6 +18,11 @@ def test_bundled_presentations_load():
 def test_missing_dataset():
     with pytest.raises(FileNotFoundError):
         datasets.load_presentation("does-not-exist")
+
+
+def test_data_path_names_the_missing_input():
+    with pytest.raises(FileNotFoundError, match="no such input"):
+        datasets.data_path("no-such-thing")
 
 
 def test_load_by_path(tmp_path):
@@ -75,3 +82,13 @@ def test_job_with_relative_presentation_path(tmp_path):
     assert loaded["presentation"].name == "n-final"
     assert loaded["n"] == 5
     assert [str(w) for w in loaded["fill"]] == ["m"]
+
+
+def test_pickle_round_trip_keeps_values_and_hashes(cover_job):
+    word = parse_word("s t^-2 s^-1 t", ["s", "t"])
+    poly = parse_poly("2*x^2*y^-1 - x + 1", ("x", "y"))
+    for value in (word, poly, cover_job["presentation"], cover_job["fill"]):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value
+        assert hash(again) == hash(value)
+    assert pickle.loads(pickle.dumps(cover_job)) == cover_job
