@@ -30,12 +30,13 @@ from .covers import (
     reidemeister_schreier,
     sakuma_quotient,
 )
-from .fox import alexander_matrix, alexander_poly, minor_polys
+from .fox import alexander_matrix, codim_one_minors, delta_from_minors, minor_polys
 from .presentations import abelianize
 from .words import ParseError
 
 
-# the most levels one a..b range may expand to
+# the most levels one a..b range may expand to, and the highest branched
+# level (one cell per coprime residue, each with a degree n - 1 polynomial)
 MAX_RANGE = 10_000
 
 
@@ -140,12 +141,7 @@ def _cmd_alexander(args):
     p = datasets.load_presentation(path)
     phi = datasets.load_map(map_path, source=p.generators)
     am = alexander_matrix(p, phi)
-    delta = alexander_poly(p, phi)
-    result = {
-        "presentation": p.name,
-        "matrix": am.matrix.to_json(),
-        "alexander_polynomial": str(delta.normal_form()),
-    }
+    result = {"presentation": p.name, "matrix": am.matrix.to_json()}
     lines = [am.matrix.table()]
     nrows, ncols = am.shape
     if args.minors:
@@ -154,9 +150,13 @@ def _cmd_alexander(args):
                 f"--minors needs a deficiency-one presentation, got {nrows}x{ncols}"
             )
         minors = minor_polys(am)
+        delta = delta_from_minors(minors.values())
         result["minors"] = {g: str(minors[g]) for g in p.generators}
         lines.append("")
         lines.extend(f"minor[{g}] = {minors[g]}" for g in p.generators)
+    else:
+        delta = delta_from_minors(codim_one_minors(am))
+    result["alexander_polynomial"] = str(delta.normal_form())
     lines.append("")
     lines.append(f"alexander polynomial = {delta.normal_form()}")
     report = _report(
@@ -310,6 +310,8 @@ def _cmd_branched(args):
     if len(delta.vars) != 2:
         raise InputError("branched sweeps need a two-variable polynomial")
     n_values = _parse_int_values(args.n)
+    if n_values[-1] > MAX_RANGE:
+        raise InputError(f"level {n_values[-1]} exceeds {MAX_RANGE}")
     cells = []
     for n in n_values:
         if args.k == "all":

@@ -77,24 +77,16 @@ def load_constants(dir=None):
 def load_reference(dir=None):
     """The transcribed reference matrix and its derived polynomials."""
     raw = _load_json("alexander-reference", dir)
-    vars = tuple(raw["vars"])
-
-    def poly(terms):
-        return LaurentPoly(vars, {tuple(t["exp"]): t["coef"] for t in terms})
-
-    matrix = LaurentMatrix(
-        tuple(raw["row_labels"]),
-        tuple(raw["col_labels"]),
-        tuple(tuple(poly(cell) for cell in row) for row in raw["entries"]),
-    )
-    minors = {g: poly(terms) for g, terms in raw["minors"].items()}
-    delta = poly(raw["delta"])
-    inf_vars = tuple(raw["delta_inf"]["vars"])
-    delta_inf = LaurentPoly(
-        inf_vars,
-        {tuple(t["exp"]): t["coef"] for t in raw["delta_inf"]["terms"]},
-    )
-    return {"matrix": matrix, "minors": minors, "delta": delta, "delta_inf": delta_inf}
+    minors = {
+        g: LaurentPoly.from_json({"vars": raw["vars"], "terms": terms})
+        for g, terms in raw["minors"].items()
+    }
+    return {
+        "matrix": LaurentMatrix.from_json(raw),
+        "minors": minors,
+        "delta": LaurentPoly.from_json({"vars": raw["vars"], "terms": raw["delta"]}),
+        "delta_inf": LaurentPoly.from_json(raw["delta_inf"]),
+    }
 
 
 def load_job(name, dir=None):

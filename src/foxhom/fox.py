@@ -13,6 +13,7 @@ The matrix orientation is rows = generators, columns = relators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .laurent import LaurentPoly
 from .polygcd import laurent_gcd
@@ -157,22 +158,40 @@ def minor_polys(am):
     return out
 
 
-def _square_minors(grid, size):
-    """All size x size minors of a LaurentMatrix (unnormalized)."""
-    from itertools import combinations
+def codim_one_minors(am):
+    """The minors of size min(#generators - 1, #relators), unnormalized.
 
-    nrows, ncols = len(grid.row_labels), len(grid.col_labels)
-    vars = grid.vars
-    for rows in combinations(range(nrows), size):
-        for cols in combinations(range(ncols), size):
-            sub = LaurentMatrix(
+    For a deficiency-one matrix these are the row-deletion minors, last row
+    deleted first.  When that size is 0 or less the one minor is the empty
+    determinant, 1.
+    """
+    grid = am.matrix
+    nrows, ncols = am.shape
+    size = min(nrows - 1, ncols)
+    if size <= 0:
+        return [LaurentPoly.constant(am.phi.vars, 1)]
+    return [
+        determinant(
+            LaurentMatrix(
                 tuple(grid.row_labels[i] for i in rows),
                 tuple(grid.col_labels[j] for j in cols),
-                tuple(
-                    tuple(grid.entries[i][j] for j in cols) for i in rows
-                ),
+                tuple(tuple(grid.entries[i][j] for j in cols) for i in rows),
             )
-            yield determinant(sub)
+        )
+        for rows in combinations(range(nrows), size)
+        for cols in combinations(range(ncols), size)
+    ]
+
+
+def delta_from_minors(minors):
+    """The gcd of the nonzero minors, or zero when every minor vanishes.
+
+    This is the one rule taking codimension-one minors to the Alexander
+    polynomial; ``minors`` must not be empty.
+    """
+    minors = list(minors)
+    nonzero = [m for m in minors if not m.is_zero]
+    return laurent_gcd(nonzero) if nonzero else minors[0]
 
 
 def alexander_poly(p, phi):
@@ -185,16 +204,4 @@ def alexander_poly(p, phi):
     Zero minors are excluded from the gcd unless all minors vanish, in which
     case the result is the zero polynomial.
     """
-    am = alexander_matrix(p, phi)
-    nrows, ncols = am.shape
-    size = min(nrows - 1, ncols)
-    if size <= 0:
-        return LaurentPoly.constant(phi.vars, 1)
-    if nrows == ncols + 1:
-        minors = list(minor_polys(am).values())
-    else:
-        minors = list(_square_minors(am.matrix, size))
-    nonzero = [m for m in minors if not m.is_zero]
-    if not nonzero:
-        return LaurentPoly.zero(phi.vars)
-    return laurent_gcd(nonzero)
+    return delta_from_minors(codim_one_minors(alexander_matrix(p, phi)))

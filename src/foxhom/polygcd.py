@@ -4,11 +4,14 @@ Division and gcd never touch floating point.  Gcd over the rationals is the
 primitive-part gcd over Z.  The multivariate gcd reduces to univariate by
 recursive content/primitive-part extraction with a primitive remainder
 sequence in the main variable; the univariate base case is the subresultant
-polynomial remainder sequence.
+polynomial remainder sequence.  Both sequences take their pseudo-remainders
+from one routine over {degree: coefficient} maps, with polynomial
+coefficients in the first and integer ones in the second.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 
 from .laurent import LaurentPoly, nu_poly
@@ -63,7 +66,7 @@ def laurent_divides(g, f):
         return False
 
 
-# ---- helpers viewing a polynomial as univariate in one position --------
+# ---- a polynomial as univariate in one position ------------------------
 
 
 def _deg_in(p, i):
@@ -72,45 +75,30 @@ def _deg_in(p, i):
     return max(e[i] for e in p.terms)
 
 
-def _coeff_of(p, i, d):
-    """Coefficient of x_i^d, as a polynomial with exponent 0 in slot i."""
-    out = {}
-    for exp, coef in p.terms.items():
-        if exp[i] == d:
-            key = exp[:i] + (0,) + exp[i + 1 :]
-            out[key] = coef
-    return LaurentPoly(p.vars, out)
+def _prem(p, q):
+    """Pseudo-remainder lc(q)^(deg p - deg q + 1) * p mod q.
 
-
-def _times_power(p, i, d):
-    return p.shift(tuple(d if j == i else 0 for j in range(len(p.vars))))
-
-
-def _pseudo_rem(f, g, i):
-    """Pseudo-remainder of f by g in variable i: lc(g)^(deg f - deg g + 1) f mod g."""
-    dg = _deg_in(g, i)
-    lc_g = _coeff_of(g, i, dg)
-    rem = f
-    steps = _deg_in(f, i) - dg + 1
-    while not rem.is_zero and _deg_in(rem, i) >= dg:
-        dr = _deg_in(rem, i)
-        lc_r = _coeff_of(rem, i, dr)
-        rem = lc_g * rem - _times_power(lc_r, i, dr - dg) * g
+    Both are {degree: nonzero coefficient} maps.  Coefficients need only
+    ``*``, ``-`` and a truth test, so ints and polynomials in the other
+    variables serve alike.
+    """
+    dq = max(q)
+    lq = q[dq]
+    r = dict(p)
+    steps = max(p) - dq + 1
+    while r and max(r) >= dq:
+        dr = max(r)
+        lr = r[dr]
+        new = {d: v * lq for d, v in r.items()}
+        for d, v in q.items():
+            k = d + dr - dq
+            new[k] = new[k] - v * lr if k in new else -(v * lr)
+        r = {d: v for d, v in new.items() if v}
         steps -= 1
-    if steps > 0:
-        # pad so the full lc(g)^(d+1) factor is present (keeps prem exact)
-        rem = rem * lc_g**steps
-    return rem
-
-
-def _content_in(p, i):
-    """Gcd of the univariate-in-x_i coefficients (a poly without x_i)."""
-    cont = LaurentPoly.zero(p.vars)
-    for d in range(_deg_in(p, i) + 1):
-        c = _coeff_of(p, i, d)
-        if not c.is_zero:
-            cont = poly_gcd(cont, c)
-    return cont
+    if steps > 0 and r:
+        scale = lq**steps
+        r = {d: v * scale for d, v in r.items()}
+    return r
 
 
 def _int_coeffs(p, i):
@@ -125,65 +113,48 @@ def _uni_subresultant_gcd(f, g, i):
     a = _int_coeffs(f, i)
     b = _int_coeffs(g, i)
 
-    def deg(p):
-        return max(p) if p else -1
-
-    def lc(p):
-        return p[deg(p)]
-
     def cont(p):
         c = 0
         for v in p.values():
             c = gcd(c, v)
         return c
 
-    def scale(p, c):
-        return {d: v * c for d, v in p.items()}
-
     def divc(p, c):
         return {d: v // c for d, v in p.items()}
 
-    def prem(p, q):
-        dq = deg(q)
-        lq = lc(q)
-        r = dict(p)
-        steps = deg(p) - dq + 1
-        while r and deg(r) >= dq:
-            dr = deg(r)
-            lr = lc(r)
-            new = {}
-            for d, v in r.items():
-                new[d] = v * lq
-            for d, v in q.items():
-                new[d + dr - dq] = new.get(d + dr - dq, 0) - v * lr
-            r = {d: v for d, v in new.items() if v}
-            steps -= 1
-        if steps > 0 and r:
-            r = scale(r, lq**steps)
-        return r
-
     ca, cb = cont(a), cont(b)
     a, b = divc(a, ca), divc(b, cb)
-    if deg(a) < deg(b):
+    if max(a) < max(b):
         a, b = b, a
     g_, h = 1, 1
     while b:
-        delta = deg(a) - deg(b)
-        r = prem(a, b)
+        delta = max(a) - max(b)
+        r = _prem(a, b)
         a, b = b, (divc(r, g_ * h**delta) if r else {})
         if b:
-            g_ = lc(a)
+            g_ = a[max(a)]
             h = g_**delta // h ** (delta - 1) if delta > 0 else h
-    result = divc(a, cont(a)) if a else {}
-    c = gcd(ca, cb)
-    result = scale(result, c) if result else ({0: c} if c else {})
-    exp0 = [0] * len(f.vars)
+    c, k = gcd(ca, cb), cont(a)
+    exp = [0] * len(f.vars)
     terms = {}
-    for d, v in result.items():
-        e = list(exp0)
-        e[i] = d
-        terms[tuple(e)] = v
+    for d, v in a.items():
+        exp[i] = d
+        terms[tuple(exp)] = v // k * c
     return LaurentPoly(f.vars, terms)
+
+
+def _poly_coeffs(p, i):
+    """p as {degree in x_i: coefficient}, each coefficient free of x_i."""
+    out = {}
+    for exp, coef in p.terms.items():
+        out.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1 :]] = coef
+    return {d: LaurentPoly(p.vars, terms) for d, terms in out.items()}
+
+
+def _primitive(coeffs):
+    """(content, primitive part) of a {degree: polynomial} map."""
+    cont = reduce(poly_gcd, (coeffs[d] for d in sorted(coeffs)))
+    return cont, {d: poly_divexact(v, cont) for d, v in coeffs.items()}
 
 
 def poly_gcd(f, g):
@@ -210,20 +181,18 @@ def poly_gcd(f, g):
         return _uni_subresultant_gcd(f, g, used[0])
 
     i = used[-1]
-    cf = _content_in(f, i)
-    cg = _content_in(g, i)
-    a = poly_divexact(f, cf)
-    b = poly_divexact(g, cg)
-    if _deg_in(a, i) < _deg_in(b, i):
+    cf, a = _primitive(_poly_coeffs(f, i))
+    cg, b = _primitive(_poly_coeffs(g, i))
+    if max(a) < max(b):
         a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_rem(a, b, i)
-        if r.is_zero:
-            a, b = b, r
-        else:
-            a, b = b, poly_divexact(r, _content_in(r, i))
-    a = poly_divexact(a, _content_in(a, i))
-    result = poly_gcd(cf, cg) * a
+    while b:
+        r = _prem(a, b)
+        a, b = b, (_primitive(r)[1] if r else {})
+    terms = {}
+    for d, c in a.items():  # primitive: every remainder kept was made so
+        for exp, coef in c.terms.items():
+            terms[exp[:i] + (d,) + exp[i + 1 :]] = coef
+    result = poly_gcd(cf, cg) * LaurentPoly(f.vars, terms)
     if result.lead()[1] < 0:
         result = -result
     return result

@@ -2,8 +2,8 @@
 
 Determinants clear each row to ordinary polynomials by a monomial unit,
 run fraction-free elimination there, and multiply the unit back in, so the
-result is the exact determinant (not just an associate).  Cofactor
-expansion handles sizes below 4; Bareiss handles the rest.
+result is the exact determinant (not just an associate).  Every size
+runs Bareiss elimination, whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -116,24 +116,6 @@ class LaurentMatrix:
         return "\n".join(lines)
 
 
-def _det_cofactor(rows, vars):
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.constant(vars, 1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LaurentPoly.zero(vars)
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor, vars)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def _det_bareiss(rows, vars):
     n = len(rows)
     m = [list(r) for r in rows]
@@ -186,8 +168,4 @@ def determinant(matrix):
         cleared.append(tuple(e.shift(tuple(-m for m in mins)) for e in row))
         for i, v in enumerate(mins):
             unit_exp[i] += v
-    if nrows < 4:
-        det = _det_cofactor(cleared, vars)
-    else:
-        det = _det_bareiss(cleared, vars)
-    return det.shift(tuple(unit_exp))
+    return _det_bareiss(cleared, vars).shift(tuple(unit_exp))

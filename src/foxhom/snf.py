@@ -219,26 +219,3 @@ def lattice_contains(hnf, vector):
 
 def lattice_equal(rows_a, rows_b):
     return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)
-
-
-def integer_determinant(matrix):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [[int(v) for v in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -28,9 +28,8 @@ from .covers import (
     reidemeister_schreier,
     sakuma_quotient,
 )
-from .fox import alexander_matrix, minor_polys
+from .fox import alexander_matrix, delta_from_minors, minor_polys
 from .laurent import LaurentPoly, nu_poly, substitute_monomial
-from .polygcd import laurent_gcd
 from .presentations import abelianize
 
 ITEMS = (
@@ -99,7 +98,7 @@ class _Inputs:
 
     @cached_property
     def delta(self):
-        return laurent_gcd(self.minors.values())
+        return delta_from_minors(self.minors.values())
 
 
 def _check_matrix(inputs):

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from foxhom import cli, datasets, verify
+from foxhom import cli, datasets, fox, verify
 from foxhom.cli import main
 
 
@@ -111,6 +111,27 @@ def test_alexander_minors_shape_guard(capsys, tmp_path):
     )
     assert code == 2
     assert "deficiency-one" in err
+
+
+@pytest.mark.parametrize("flags", ((), ("--minors",)))
+def test_alexander_builds_matrix_and_minors_once(capsys, monkeypatch, flags):
+    calls = {"alexander_matrix": 0, "determinant": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "alexander_matrix")
+    counted(fox, "alexander_matrix")
+    counted(fox, "determinant")
+    code, _, _ = run(capsys, "alexander", "n-final", "--map", "map-free-abelian", *flags)
+    assert code == 0
+    assert calls == {"alexander_matrix": 1, "determinant": 6}
 
 
 # ---- cover / fill / sakuma ---------------------------------------------------
@@ -245,6 +266,17 @@ def test_level_range_is_capped_before_expanding(capsys):
     code, _, err = run(capsys, "branched", "delta_L", "--n", "1..1000000000000")
     assert code == 2
     assert "spans more than" in err
+
+
+@pytest.mark.parametrize("k", ("all", "1"))
+def test_branched_level_is_capped_before_any_cell(capsys, monkeypatch, k):
+    calls = []
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: calls.append(tasks) or [])
+    monkeypatch.setattr(cli, "branched_betti", lambda *args: calls.append(args))
+    code, _, err = run(capsys, "branched", "delta_L", "--n", str(cli.MAX_RANGE + 1), "--k", k)
+    assert code == 2
+    assert f"level {cli.MAX_RANGE + 1} exceeds" in err
+    assert calls == []
 
 
 def test_branched_rejects_noncoprime(capsys):

@@ -220,20 +220,21 @@ def test_gcd_divides_inputs():
 
 def test_gcd_against_sympy_oracle():
     rng = random.Random(17)
-    for _ in range(40):
-        shared = random_poly(rng, XY, max_terms=3, span=1, coef=2)
-        a = random_poly(rng, XY, max_terms=3, span=1, coef=2)
-        b = random_poly(rng, XY, max_terms=3, span=1, coef=2)
-        p, q = shared * a, shared * b
-        if p.is_zero and q.is_zero:
-            continue
-        ours = laurent_gcd([p, q])
-        sym = sp.gcd(to_sympy(p.normal_form()), to_sympy(q.normal_form()))
-        # compare up to unit: sympy may normalize differently
-        sym_poly = sp.Poly(sp.expand(sym), *sp.symbols(XY))
-        terms = {tuple(int(v) for v in mon): int(c) for mon, c in sym_poly.terms()}
-        theirs = LaurentPoly(XY, terms).normal_form()
-        assert ours == theirs or ours == (-1 * theirs).normal_form()
+    for vars in (XY, XYZ):
+        for _ in range(40):
+            shared = random_poly(rng, vars, max_terms=3, span=1, coef=2)
+            a = random_poly(rng, vars, max_terms=3, span=1, coef=2)
+            b = random_poly(rng, vars, max_terms=3, span=1, coef=2)
+            p, q = shared * a, shared * b
+            if p.is_zero and q.is_zero:
+                continue
+            ours = laurent_gcd([p, q])
+            sym = sp.gcd(to_sympy(p.normal_form()), to_sympy(q.normal_form()))
+            # compare up to unit: sympy may normalize differently
+            sym_poly = sp.Poly(sp.expand(sym), *sp.symbols(vars))
+            terms = {tuple(int(v) for v in mon): int(c) for mon, c in sym_poly.terms()}
+            theirs = LaurentPoly(vars, terms).normal_form()
+            assert ours == theirs or ours == (-1 * theirs).normal_form()
 
 
 # ---- shared roots ----------------------------------------------------------
@@ -349,16 +350,27 @@ def lmat_random(rng, n):
     )
 
 
-def test_bareiss_agrees_with_cofactor():
-    # sizes >= 4 take the Bareiss path; check it against plain expansion
-    from foxhom.polymat import _det_cofactor
+def _det_cofactor(rows, vars):
+    """Reference determinant by expansion along the first row."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.constant(vars, 1)
+    acc = LaurentPoly.zero(vars)
+    for j in range(n):
+        if rows[0][j].is_zero:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _det_cofactor(minor, vars)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
+
+def test_bareiss_agrees_with_cofactor():
     rng = random.Random(31)
-    for _ in range(10):
-        m = lmat_random(rng, 4)
-        assert determinant(m) == _det_cofactor(
-            [list(r) for r in m.entries], m.vars
-        )
+    for n in range(1, 6):
+        for _ in range(10):
+            m = lmat_random(rng, n)
+            assert determinant(m) == _det_cofactor(m.entries, m.vars)
 
 
 def test_matrix_validation():

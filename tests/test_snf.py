@@ -5,7 +5,6 @@ from math import gcd
 
 from foxhom.snf import (
     hermite_normal_form,
-    integer_determinant,
     lattice_contains,
     lattice_equal,
     smith_normal_form,
@@ -117,15 +116,6 @@ def test_snf_handles_entry_growth():
     assert len(f.divisors) <= 30
     for a, b in zip(f.divisors, f.divisors[1:]):
         assert b % a == 0
-
-
-def test_integer_determinant():
-    assert integer_determinant([[2, 0], [1, 3]]) == 6
-    rng = random.Random(41)
-    for _ in range(60):
-        n = rng.randrange(1, 6)
-        m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert integer_determinant(m) == det_oracle(m)
 
 
 def test_hermite_examples():
