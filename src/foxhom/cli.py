@@ -38,6 +38,9 @@ from .words import ParseError
 # the most levels one a..b range may expand to, and the highest branched
 # level (one cell per coprime residue, each with a degree n - 1 polynomial)
 MAX_RANGE = 10_000
+# the highest cover level: the kernel relator matrix is dense, about (6n)^2
+# entries for the bundled job (rhs-sweep at n = 499 peaks at 136 MB RSS)
+MAX_COVER_LEVEL = 500
 
 
 class InputError(Exception):
@@ -68,6 +71,13 @@ def _parse_int_values(text):
     if not values or min(values) < 1:
         raise InputError(f"values must be positive: {text!r}")
     return tuple(sorted(set(values)))
+
+
+def _cap_levels(n_values, limit):
+    """Exit 2 before any work when the highest level is above ``limit``."""
+    if max(n_values) > limit:
+        raise InputError(f"level {max(n_values)} exceeds {limit}")
+    return n_values
 
 
 def _table(headers, rows):
@@ -173,7 +183,7 @@ def _load_cover_job(args):
     job_path = datasets.data_path(args.job)
     job = datasets.load_job(job_path)
     n_values = _parse_int_values(args.n) if args.n else (job["n"],)
-    return job_path, job, n_values
+    return job_path, job, _cap_levels(n_values, MAX_COVER_LEVEL)
 
 
 def _cover_groups(job, n, mode):
@@ -269,7 +279,7 @@ def _parse_sweep_levels(text):
 
 
 def _cmd_rhs_sweep(args):
-    n_values = _parse_sweep_levels(args.n)
+    n_values = _cap_levels(_parse_sweep_levels(args.n), MAX_COVER_LEVEL)
     evens = [n for n in n_values if n % 2 == 0]
     if evens and not args.force:
         raise InputError(
@@ -309,9 +319,7 @@ def _cmd_branched(args):
     delta = datasets.load_poly(delta_path)
     if len(delta.vars) != 2:
         raise InputError("branched sweeps need a two-variable polynomial")
-    n_values = _parse_int_values(args.n)
-    if n_values[-1] > MAX_RANGE:
-        raise InputError(f"level {n_values[-1]} exceeds {MAX_RANGE}")
+    n_values = _cap_levels(_parse_int_values(args.n), MAX_RANGE)
     cells = []
     for n in n_values:
         if args.k == "all":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import cokernel
-from .words import Word, exponent_vector, parse_word
+from .words import Word, parse_word
 
 
 def _check_name(name):
@@ -50,8 +50,12 @@ class Presentation:
 
     def relator_matrix(self):
         """Exponent-sum matrix, generators as rows and relators as columns."""
-        cols = [exponent_vector(r, self.generators) for r in self.relators]
-        return [[col[i] for col in cols] for i in range(len(self.generators))]
+        index = {g: i for i, g in enumerate(self.generators)}
+        matrix = [[0] * len(self.relators) for _ in self.generators]
+        for j, r in enumerate(self.relators):
+            for g, e in r.runs:
+                matrix[index[g]][j] += e
+        return matrix
 
     def to_json(self):
         return {

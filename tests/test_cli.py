@@ -279,6 +279,35 @@ def test_branched_level_is_capped_before_any_cell(capsys, monkeypatch, k):
     assert calls == []
 
 
+def _refuse_covers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cover was built")
+
+    monkeypatch.setattr(cli, "reidemeister_schreier", refuse)
+
+
+@pytest.mark.parametrize("command", (
+    ("cover", "cover-job"), ("fill", "cover-job"), ("sakuma", "cover-job"), ("rhs-sweep",),
+), ids=lambda command: command[0])
+def test_cover_level_is_capped_before_any_cover(capsys, monkeypatch, command):
+    _refuse_covers(monkeypatch)
+    level = cli.MAX_COVER_LEVEL + 1
+    code, out, err = run(capsys, *command, "--n", f"3,{level}")
+    assert code == 2 and out == ""
+    assert f"level {level} exceeds {cli.MAX_COVER_LEVEL}" in err
+
+
+def test_cover_job_default_level_is_capped(capsys, monkeypatch, tmp_path):
+    _refuse_covers(monkeypatch)
+    job = json.loads(datasets.data_path("cover-job").read_text())
+    job["n"] = 20_000_000
+    path = tmp_path / "big-job.json"
+    path.write_text(json.dumps(job))
+    code, _, err = run(capsys, "cover", str(path))
+    assert code == 2
+    assert f"level 20000000 exceeds {cli.MAX_COVER_LEVEL}" in err
+
+
 def test_branched_rejects_noncoprime(capsys):
     code, _, err = run(capsys, "branched", "delta_L", "--n", "6", "--k", "2")
     assert code == 2

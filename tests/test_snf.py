@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from foxhom import abelian, cli
 from foxhom.snf import (
     hermite_normal_form,
     lattice_contains,
@@ -51,6 +52,73 @@ def determinantal_divisors(matrix):
     return tuple(chain)
 
 
+def dense_smith_divisors(matrix):
+    """Dense Smith form, divisors only: the reference for the sparse engine.
+
+    Pivots on the smallest entry of the whole trailing block, reduces its row
+    and column with symmetric remainders, and restores the divisor chain by
+    adding an offending row to the pivot row.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    m = [[int(v) for v in row] for row in matrix]
+
+    def quotient(a, p):
+        q, r = divmod(a, p)
+        return q + 1 if 2 * r > p else q
+
+    t = 0
+    while t < rows and t < cols:
+        while True:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    v = m[i][j]
+                    if v and (pivot is None or abs(v) < abs(pivot[2])):
+                        pivot = (i, j, v)
+            if pivot is None:
+                break
+            m[t], m[pivot[0]] = m[pivot[0]], m[t]
+            for row in m:
+                row[t], row[pivot[1]] = row[pivot[1]], row[t]
+            if m[t][t] < 0:
+                m[t] = [-v for v in m[t]]
+            p = m[t][t]
+            progress = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = quotient(m[i][t], p)
+                    m[i] = [d - q * s for d, s in zip(m[i], m[t])]
+                    progress = progress or bool(m[i][t])
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = quotient(m[t][j], p)
+                    for row in m:
+                        row[j] -= q * row[t]
+                    progress = progress or bool(m[t][j])
+            if progress:
+                continue
+            offender = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if m[i][j] % p),
+                None,
+            )
+            if offender is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], m[offender])]
+        if pivot is None:
+            break
+        t += 1
+    return tuple(m[i][i] for i in range(min(rows, cols)) if m[i][i])
+
+
+def sparse_matrix(rng, rows, cols, density):
+    return [
+        [rng.choice((-3, -2, -1, 1, 1, 2, 5)) if rng.random() < density else 0
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
 # ---- examples ---------------------------------------------------------
 
 
@@ -84,29 +152,6 @@ def test_snf_matches_determinantal_divisor_oracle():
         assert smith_normal_form(m).divisors == determinantal_divisors(m)
 
 
-def test_snf_transforms_diagonalize():
-    rng = random.Random(23)
-    for _ in range(60):
-        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-        m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        f = smith_normal_form(m, transforms=True)
-        u, v = [list(r) for r in f.U], [list(r) for r in f.V]
-        assert abs(det_oracle(u)) == 1
-        assert abs(det_oracle(v)) == 1
-        um = [
-            [sum(u[i][k] * m[k][j] for k in range(rows)) for j in range(cols)]
-            for i in range(rows)
-        ]
-        umv = [
-            [sum(um[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
-            for i in range(rows)
-        ]
-        expected = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(f.divisors):
-            expected[i][i] = d
-        assert umv == expected
-
-
 def test_snf_handles_entry_growth():
     # dense structured matrix of the kind produced by filled covers
     rng = random.Random(31)
@@ -116,6 +161,36 @@ def test_snf_handles_entry_growth():
     assert len(f.divisors) <= 30
     for a, b in zip(f.divisors, f.divisors[1:]):
         assert b % a == 0
+
+
+def test_sparse_matches_dense_on_random_sparse_matrices():
+    rng = random.Random(59)
+    cases = [[], [[]], [[0, 0, 0]], [[0], [0]], [[0] * 4 for _ in range(3)]]
+    for k in range(1, 7):
+        cases.append([[rng.randrange(-6, 7) for _ in range(k)]])
+        cases.append([[rng.randrange(-6, 7)] for _ in range(k)])
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 13), rng.randrange(1, 13)
+        cases.append(sparse_matrix(rng, rows, cols, rng.choice((0.1, 0.25, 0.5))))
+    for m in cases:
+        assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
+
+
+def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
+    # every matrix the cover, fill and sakuma commands hand to the engine
+    matrices = []
+
+    def record(matrix):
+        matrices.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+    for n in range(1, 16):
+        for mode in ("h1", "fill", "sakuma"):
+            cli._cover_groups(cover_job, n, mode)
+    assert len(matrices) == 15 * 4
+    for m in matrices:
+        assert smith_normal_form(m).divisors == dense_smith_divisors(m)
 
 
 def test_hermite_examples():
