@@ -14,10 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .laurent import LaurentPoly
 from .polygcd import laurent_gcd
 from .polymat import LaurentMatrix, determinant
+
+# Cap on C(g, s)·C(r, s), the number of codimension-one minors of size s.
+# Each is one Bareiss determinant, about 2 ms at size 6 in one variable, so
+# 10 000 of them take tens of seconds.  A 24-generator, 12-relator
+# presentation has C(24, 12) ≈ 2.7·10^6 minors of size 12, about 11 ms each:
+# over eight hours.
+MAX_MINORS = 10_000
 
 
 @dataclass(frozen=True)
@@ -163,13 +171,17 @@ def codim_one_minors(am):
 
     For a deficiency-one matrix these are the row-deletion minors, last row
     deleted first.  When that size is 0 or less the one minor is the empty
-    determinant, 1.
+    determinant, 1.  More than ``MAX_MINORS`` minors raise ``ValueError``
+    before any determinant is taken.
     """
     grid = am.matrix
     nrows, ncols = am.shape
     size = min(nrows - 1, ncols)
     if size <= 0:
         return [LaurentPoly.constant(am.phi.vars, 1)]
+    count = comb(nrows, size) * comb(ncols, size)
+    if count > MAX_MINORS:
+        raise ValueError(f"{count} codimension-one minors exceed {MAX_MINORS}")
     return [
         determinant(
             LaurentMatrix(

@@ -14,6 +14,14 @@ Only the divisors are computed, no transforms.  See Havas, Holt and Rees,
 "Recognizing badly presented Z-modules" (1993), and Dumas, Saunders and
 Villard, "On efficient sparse integer matrix Smith normal form
 computations" (2001).
+
+The pivot search does not rescan the matrix.  Each live column caches the
+key of its best entry, and a step takes the least cached key.  A step
+writes only to the columns of its pivot row, so only those are rescanned.
+The absolute value in every cached key is therefore current, and the pivot
+is always an entry of smallest absolute value.  The row nnz in the Markowitz
+count of an untouched column may be stale; it only breaks ties, and pivot
+order cannot change the divisors.
 """
 
 from __future__ import annotations
@@ -66,12 +74,21 @@ def smith_normal_form(matrix):
                 columns.setdefault(j, {})[i] = int(v)
                 in_row[i].add(j)
     pivots = []
+    keys = {}  # live column -> key of its best entry
+    stale = list(columns)
     while columns:
-        _, _, r, c = min(
-            (abs(v), (len(col) - 1) * (len(in_row[i]) - 1), i, j)
-            for j, col in columns.items()
-            for i, v in col.items()
-        )
+        for j in stale:
+            col = columns.get(j)
+            if col is None:
+                del keys[j]
+                continue
+            m = len(col) - 1
+            keys[j] = min(
+                (abs(v), m * (len(in_row[i]) - 1), i, j) for i, v in col.items()
+            )
+        _, _, r, c = min(keys.values())
+        # this step writes only to the columns of row r, c among them
+        stale = list(in_row[r])
         pivot_col = columns[c]
         if pivot_col[r] < 0:
             for i in pivot_col:

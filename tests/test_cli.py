@@ -134,6 +134,26 @@ def test_alexander_builds_matrix_and_minors_once(capsys, monkeypatch, flags):
     assert calls == {"alexander_matrix": 1, "determinant": 6}
 
 
+def test_alexander_minor_count_is_capped_before_any_determinant(
+    capsys, monkeypatch, tmp_path
+):
+    gens = [f"a{i}" for i in range(24)]
+    rels = [f"a{i} a{i + 12} a{i}^-1 a{i + 1}^-1" for i in range(12)]
+    pres = tmp_path / "wide.json"
+    pres.write_text(json.dumps({"name": "wide", "generators": gens, "relators": rels}))
+    map_file = tmp_path / "map.json"
+    images = {g: {"sign": 1, "exp": [1]} for g in gens}
+    map_file.write_text(json.dumps({"vars": ["x"], "images": images}))
+
+    def no_determinant(*args):
+        raise AssertionError("a determinant ran")
+
+    monkeypatch.setattr(fox, "determinant", no_determinant)
+    code, _, err = run(capsys, "alexander", str(pres), "--map", str(map_file))
+    assert code == 2
+    assert "2704156 codimension-one minors exceed 10000" in err
+
+
 # ---- cover / fill / sakuma ---------------------------------------------------
 
 

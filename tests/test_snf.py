@@ -193,6 +193,46 @@ def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
         assert smith_normal_form(m).divisors == dense_smith_divisors(m)
 
 
+def shuffled(rng, matrix):
+    rows = [row[:] for row in matrix]
+    rng.shuffle(rows)
+    perm = list(range(len(matrix[0])))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in rows]
+
+
+def test_cover_matrices_keep_their_divisors_under_shuffles(monkeypatch, cover_job):
+    # row and column order steer the pivot path through the cached keys
+    matrices = []
+
+    def record(matrix):
+        matrices.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+    for n in range(1, 16):
+        for mode in ("h1", "fill", "sakuma"):
+            cli._cover_groups(cover_job, n, mode)
+    rng = random.Random(67)
+    for m in matrices:
+        expected = dense_smith_divisors(m)
+        for _ in range(2):
+            assert smith_normal_form(shuffled(rng, m)).divisors == expected
+
+
+def test_sparse_matches_dense_on_larger_sparse_matrices():
+    # stale row counts only build up over many steps
+    rng = random.Random(71)
+    for _ in range(36):
+        rows, cols = rng.randrange(20, 41), rng.randrange(20, 41)
+        m = [
+            [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.1 else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
+
+
 def test_hermite_examples():
     assert hermite_normal_form([[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
     assert hermite_normal_form([[0, 0]]) == []
