@@ -53,19 +53,19 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(matrix, nrows=None):
+def cokernel(matrix):
     """Cokernel of an integer matrix viewed as a map Z^cols -> Z^rows.
 
-    ``nrows`` disambiguates matrices with zero columns.
+    The matrix is a list of rows, so a matrix with no columns still has
+    ``len(matrix)`` rows.
 
-    >>> print(cokernel([[1, 1, 1]], nrows=1))
+    >>> print(cokernel([[1, 1, 1]]))
     0
-    >>> print(cokernel([[1], [1], [1]], nrows=3))
+    >>> print(cokernel([[1], [1], [1]]))
+    Z^2
+    >>> print(cokernel([[], []]))
     Z^2
     """
-    if nrows is None:
-        nrows = len(matrix)
     form = smith_normal_form(matrix)
-    rank = nrows - len(form.divisors)
     torsion = tuple(d for d in form.divisors if d > 1)
-    return AbelianGroup(rank, torsion)
+    return AbelianGroup(form.cokernel_rank, torsion)

@@ -32,14 +32,14 @@ from .covers import (
 )
 from .fox import alexander_matrix, codim_one_minors, delta_from_minors, minor_polys
 from .presentations import abelianize
-from .words import ParseError
 
 
 # the most levels one a..b range may expand to, and the highest branched
 # level (one cell per coprime residue, each with a degree n - 1 polynomial)
 MAX_RANGE = 10_000
 # the highest cover level: the kernel relator matrix is dense, about (6n)^2
-# entries for the bundled job (rhs-sweep at n = 499 peaks at 136 MB RSS)
+# entries for the bundled job (rhs-sweep at n = 499 peaks at 161 MB RSS and
+# takes 72 s in a fresh process on a 2-CPU host, Python 3.11)
 MAX_COVER_LEVEL = 500
 
 
@@ -186,50 +186,49 @@ def _load_cover_job(args):
     return job_path, job, _cap_levels(n_values, MAX_COVER_LEVEL)
 
 
-def _cover_groups(job, n, mode):
+# table headers of the per-level rows, by mode
+_COVER_HEADERS = {
+    "h1": ("n", "rank", "torsion"),
+    "fill": ("n", "rank", "torsion"),
+    "rhs": ("n", "rank", "torsion", "RHS", "flag"),
+    "sakuma": ("n", "transfer quotient", "transfer module", "order ratio"),
+}
+
+
+def _cover_level(task):
+    """One level of a cover command: (json entry, table row).
+
+    ``task`` is (job, n, mode); mode is h1, fill, sakuma, or rhs (the fill
+    with its rational-homology-sphere verdict).
+    """
+    job, n, mode = task
     p = job["presentation"]
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
-    if mode == "h1":
-        return {"h1": abelianize(cover.kernel_presentation())}
-    if mode == "fill":
-        if not job["fill"]:
-            raise InputError("job spec has no fill slopes")
-        return {"fill": fill(cover, FillingSpec(job["fill"]))}
     if mode == "sakuma":
-        sak = sakuma_quotient(cover)
-        hn = h_n_module(cover)
-        return {"sakuma": sak, "hn": hn}
-    raise InputError(f"unknown mode {mode!r}")
+        sak, hn = sakuma_quotient(cover), h_n_module(cover)
+        entry = {"n": n, "sakuma": _group_fields(sak), "hn": _group_fields(hn)}
+        if sak.is_finite and hn.is_finite:
+            entry["order_ratio"] = sak.order // hn.order
+        return entry, (n, _group_line(sak), _group_line(hn), entry.get("order_ratio", "-"))
+    if mode == "h1":
+        group = abelianize(cover.kernel_presentation())
+    elif job["fill"]:
+        group = fill(cover, FillingSpec(job["fill"]))
+    else:
+        raise InputError("job spec has no fill slopes")
+    entry = {"n": n, **_group_fields(group)}
+    row = (n, group.rank, list(group.torsion))
+    if mode == "rhs":
+        entry["rational_homology_sphere"] = "yes" if group.rank == 0 else "no"
+        entry["flag"] = "" if n % 2 else "even-n"
+        row += (entry["rational_homology_sphere"], entry["flag"])
+    return entry, row
 
 
 def _cmd_cover_family(args, mode, command):
     job_path, job, n_values = _load_cover_job(args)
-    rows = []
-    results = []
-    for n in n_values:
-        groups = _cover_groups(job, n, mode)
-        entry = {"n": n}
-        if mode == "sakuma":
-            for key, group in groups.items():
-                entry[key] = _group_fields(group)
-            sak, hn = groups["sakuma"], groups["hn"]
-            if sak.is_finite and hn.is_finite:
-                entry["order_ratio"] = sak.order // hn.order
-        else:
-            entry.update(_group_fields(next(iter(groups.values()))))
-        results.append(entry)
-        if mode == "sakuma":
-            rows.append(
-                (n, _group_line(groups["sakuma"]), _group_line(groups["hn"]),
-                 entry.get("order_ratio", "-"))
-            )
-        else:
-            group = next(iter(groups.values()))
-            rows.append((n, group.rank, list(group.torsion)))
-    if mode == "sakuma":
-        table = _table(("n", "transfer quotient", "transfer module", "order ratio"), rows)
-    else:
-        table = _table(("n", "rank", "torsion"), rows)
+    results, rows = zip(*(_cover_level((job, n, mode)) for n in n_values))
+    table = _table(_COVER_HEADERS[mode], rows)
     report = _report(
         command,
         {"job": job_path},
@@ -249,19 +248,6 @@ def _run_tasks(fn, tasks, jobs):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
-
-
-def _rhs_row(payload):
-    job, n = payload
-    filled = _cover_groups(job, n, "fill")["fill"]
-    verdict = "yes" if filled.rank == 0 else "no"
-    return {
-        "n": n,
-        "rank": filled.rank,
-        "torsion": list(filled.torsion),
-        "rational_homology_sphere": verdict,
-        "flag": "" if n % 2 else "even-n",
-    }
 
 
 def _parse_sweep_levels(text):
@@ -287,12 +273,9 @@ def _cmd_rhs_sweep(args):
             "are asserted for odd levels only"
         )
     job = datasets.standard_cover_job()
-    results = _run_tasks(_rhs_row, [(job, n) for n in n_values], args.jobs)
-    rows = [
-        (r["n"], r["rank"], r["torsion"], r["rational_homology_sphere"], r["flag"])
-        for r in results
-    ]
-    table = _table(("n", "rank", "torsion", "RHS", "flag"), rows)
+    tasks = [(job, n, "rhs") for n in n_values]
+    results, rows = zip(*_run_tasks(_cover_level, tasks, args.jobs))
+    table = _table(_COVER_HEADERS["rhs"], rows)
     report = _report(
         "rhs-sweep",
         {"job": datasets.data_path("cover-job")},
@@ -435,10 +418,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

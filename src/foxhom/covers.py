@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import cokernel
 from .laurent import LaurentPoly, substitute_monomial
-from .polygcd import RootCount, shared_root_count
+from .polygcd import shared_root_count
 from .presentations import Presentation, abelianize
 from .words import Word, exponent_vector
 
@@ -98,39 +97,35 @@ class CoverPresentation:
 
     def rewrite(self, word, start=0):
         """Rewrite a base word into cover generators, starting at a coset."""
-        n = self.n
-        degrees = self.quotient.degrees
-        coset = start % n
-        runs = []
-        for g, step in word.single_letters():
-            if step > 0:
-                runs.append((cover_gen(g, coset), 1))
-                coset = (coset + degrees[g]) % n
-            else:
-                coset = (coset - degrees[g]) % n
-                runs.append((cover_gen(g, coset), -1))
-        return Word(runs)
+        return _rewrite(self.quotient, word, start)
 
-    def kernel_presentation(self):
-        """The Schreier presentation with transversal symbols trivialized."""
-        extra = tuple(Word([(g, 1)]) for g in self.trivial_generators)
+    def kernel_presentation(self, extra=()):
+        """The Schreier presentation with transversal symbols trivialized.
+
+        ``extra`` relator words in the cover generators are appended after
+        the trivializing ones, so their relator-matrix columns come last.
+        """
+        trivial = tuple(Word([(g, 1)]) for g in self.trivial_generators)
         return Presentation(
             self.presentation.name,
             self.presentation.generators,
-            self.presentation.relators + extra,
+            self.presentation.relators + trivial + tuple(extra),
         )
 
-    def deck_shift(self, vector, steps=1):
-        """Push an abelianized chain vector through the coset shift c -> c+1."""
-        gens = self.presentation.generators
-        index = {g: i for i, g in enumerate(gens)}
-        out = [0] * len(gens)
-        for g in self.base.generators:
-            for c in range(self.n):
-                src = index[cover_gen(g, c)]
-                dst = index[cover_gen(g, (c + steps) % self.n)]
-                out[dst] += vector[src]
-        return out
+
+def _rewrite(q, word, start):
+    """Rewrite a base word into cover generators of q, starting at a coset."""
+    n = q.n
+    coset = start % n
+    runs = []
+    for g, step in word.single_letters():
+        if step > 0:
+            runs.append((cover_gen(g, coset), 1))
+            coset = (coset + q.degrees[g]) % n
+        else:
+            coset = (coset - q.degrees[g]) % n
+            runs.append((cover_gen(g, coset), -1))
+    return Word(runs)
 
 
 def reidemeister_schreier(p, q):
@@ -159,15 +154,7 @@ def reidemeister_schreier(p, q):
     d = q.degrees[section]
     trivial = tuple(cover_gen(section, (j * d) % n) for j in range(n - 1))
 
-    shell = CoverPresentation(
-        q,
-        section,
-        Presentation(f"{p.name}~{n}fold", gens, ()),
-        trivial,
-    )
-    relators = tuple(
-        shell.rewrite(r, start=c) for r in p.relators for c in range(n)
-    )
+    relators = tuple(_rewrite(q, r, c) for r in p.relators for c in range(n))
     return CoverPresentation(
         q,
         section,
@@ -248,13 +235,10 @@ def filled_relators(cover, spec):
     return out
 
 
-def _quotient_by_rows(cover, extra_rows):
-    kernel = cover.kernel_presentation()
-    matrix = kernel.relator_matrix()
-    for row in extra_rows:
-        for i, v in enumerate(row):
-            matrix[i].append(v)
-    return cokernel(matrix, nrows=len(kernel.generators))
+def _transfer_relator(cover, word, k=1):
+    """k times the transfer of a base word, written as a relator word."""
+    vec = transfer(cover, word)
+    return Word((g, k * v) for g, v in zip(cover.presentation.generators, vec))
 
 
 def fill(cover, spec):
@@ -263,11 +247,7 @@ def fill(cover, spec):
     Each filled relator imposes its class as a relation; the result is the
     abelianization of the augmented kernel presentation.
     """
-    gens = cover.presentation.generators
-    rows = [
-        exponent_vector(r, gens) for r in filled_relators(cover, spec)
-    ]
-    return _quotient_by_rows(cover, rows)
+    return abelianize(cover.kernel_presentation(filled_relators(cover, spec)))
 
 
 def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
@@ -280,10 +260,9 @@ def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
     for g in (meridian, *doubled):
         if g not in cover.base.generators:
             raise ValueError(f"no base generator named {g!r}")
-    rows = [transfer(cover, Word([(meridian, 1)]))]
-    for g in doubled:
-        rows.append([2 * v for v in transfer(cover, Word([(g, 1)]))])
-    return _quotient_by_rows(cover, rows)
+    extra = [_transfer_relator(cover, Word([(meridian, 1)]))]
+    extra.extend(_transfer_relator(cover, Word([(g, 1)]), 2) for g in doubled)
+    return abelianize(cover.kernel_presentation(extra))
 
 
 def h_n_module(cover):
@@ -291,8 +270,8 @@ def h_n_module(cover):
 
     For n = 1 the transfers generate everything and the result is trivial.
     """
-    rows = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators]
-    return _quotient_by_rows(cover, rows)
+    extra = [_transfer_relator(cover, Word([(g, 1)])) for g in cover.base.generators]
+    return abelianize(cover.kernel_presentation(extra))
 
 
 def branched_betti(delta, k, n):
@@ -311,10 +290,7 @@ def branched_betti(delta, k, n):
     a, b = delta.vars
     spec = substitute_monomial(delta, {a: (1, (k,)), b: (1, (1,))}, ("t",))
     t = LaurentPoly.variable(("t",), "t")
-    poly = (t - 1) * spec
-    if poly.is_zero:
-        return RootCount(n - 1, all_roots=True)
-    return shared_root_count(poly, n)
+    return shared_root_count((t - 1) * spec, n)
 
 
 def mutation_invariance_check(delta_a, delta_b):

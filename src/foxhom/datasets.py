@@ -45,9 +45,19 @@ def data_path(name, dir=None):
     return path
 
 
-def _load_json(name, dir=None):
-    with open(data_path(name, dir)) as f:
-        return json.load(f)
+def _load(name, decode, dir=None):
+    """``decode`` applied to the JSON an input names.
+
+    This is the one place where a file of the wrong shape (a missing field,
+    a list where an object belongs) becomes a ``ValueError`` naming the file.
+    """
+    path = data_path(name, dir)
+    with open(path) as f:
+        raw = json.load(f)
+    try:
+        return decode(raw)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
 
 
 def file_digest(path):
@@ -56,27 +66,28 @@ def file_digest(path):
 
 def load_presentation(name, dir=None):
     """A bundled presentation by name, or any presentation JSON by path."""
-    return Presentation.from_json(_load_json(name, dir))
+    return _load(name, Presentation.from_json, dir)
 
 
 def load_poly(name, dir=None):
-    return LaurentPoly.from_json(_load_json(name, dir))
+    return _load(name, LaurentPoly.from_json, dir)
 
 
 def load_map(name, source=None, dir=None):
-    return AbelianizationMap.from_json(_load_json(name, dir), source=source)
+    return _load(name, lambda raw: AbelianizationMap.from_json(raw, source=source), dir)
 
 
 def load_constants(dir=None):
     """The peripheral words, parsed over the generators that occur in them."""
-    raw = _load_json("constants", dir)["words"]
     alphabet = ("f4", "g1", "g2", "m", "m1", "m2", "s", "t", "u")
-    return {name: parse_word(text, alphabet) for name, text in raw.items()}
+    return _load(
+        "constants",
+        lambda raw: {name: parse_word(text, alphabet) for name, text in raw["words"].items()},
+        dir,
+    )
 
 
-def load_reference(dir=None):
-    """The transcribed reference matrix and its derived polynomials."""
-    raw = _load_json("alexander-reference", dir)
+def _decode_reference(raw):
     minors = {
         g: LaurentPoly.from_json({"vars": raw["vars"], "terms": terms})
         for g, terms in raw["minors"].items()
@@ -89,6 +100,11 @@ def load_reference(dir=None):
     }
 
 
+def load_reference(dir=None):
+    """The transcribed reference matrix and its derived polynomials."""
+    return _load("alexander-reference", _decode_reference, dir)
+
+
 def load_job(name, dir=None):
     """A cover/fill job spec: presentation, degrees, n and fill slopes.
 
@@ -97,20 +113,23 @@ def load_job(name, dir=None):
     optional ``mode`` field is accepted and ignored.
     """
     path = data_path(name, dir)
-    raw = _load_json(path)
-    ref = raw["presentation"]
-    beside = path.parent / ref
-    if not Path(ref).exists() and beside.exists():
-        ref = beside
-    presentation = load_presentation(ref, dir)
-    return {
-        "presentation": presentation,
-        "degrees": {g: int(d) for g, d in raw["degrees"].items()},
-        "n": int(raw.get("n", 1)),
-        "fill": tuple(
-            parse_word(text, presentation.generators) for text in raw.get("fill", ())
-        ),
-    }
+
+    def decode(raw):
+        ref = raw["presentation"]
+        beside = path.parent / ref
+        if not Path(ref).exists() and beside.exists():
+            ref = beside
+        presentation = load_presentation(ref, dir)
+        return {
+            "presentation": presentation,
+            "degrees": {g: int(d) for g, d in raw["degrees"].items()},
+            "n": int(raw.get("n", 1)),
+            "fill": tuple(
+                parse_word(text, presentation.generators) for text in raw.get("fill", ())
+            ),
+        }
+
+    return _load(path, decode)
 
 
 def standard_cover_job(dir=None):

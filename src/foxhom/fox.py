@@ -160,10 +160,9 @@ def minor_polys(am):
     nrows, ncols = am.shape
     if nrows != ncols + 1:
         raise ValueError(f"need rows = cols + 1, got {nrows}x{ncols}")
-    out = {}
-    for g in am.matrix.row_labels:
-        out[g] = determinant(am.matrix.delete_row(g)).normal_form()
-    return out
+    # codim_one_minors deletes the last row first
+    minors = reversed(codim_one_minors(am))
+    return {g: m.normal_form() for g, m in zip(am.matrix.row_labels, minors)}
 
 
 def codim_one_minors(am):

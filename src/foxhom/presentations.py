@@ -76,7 +76,7 @@ def abelianize(p):
 
     A presentation with no relators abelianizes to Z^(number of generators).
     """
-    return cokernel(p.relator_matrix(), nrows=len(p.generators))
+    return cokernel(p.relator_matrix())
 
 
 def tietze_add_generator(p, name, definition):

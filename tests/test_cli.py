@@ -52,6 +52,21 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "token 0" in err
 
 
+@pytest.mark.parametrize("argv, data", (
+    (("abelianize",), {"name": "p", "generators": ["a"]}),
+    (("branched", "--n", "5"), {"vars": ["x", "y"], "terms": "x - 1"}),
+    (("fill",), [{"presentation": "n-final"}]),
+    (("cover",), {"presentation": "n-final", "n": 3, "fill": ["m"]}),
+), ids=("no-relators", "text-terms", "top-level-list", "no-degrees"))
+def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
+    # valid JSON of the wrong shape
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"malformed input {path}" in err
+
+
 # ---- alexander --------------------------------------------------------------
 
 

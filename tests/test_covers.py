@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from foxhom import datasets
-from foxhom.abelian import AbelianGroup
+from foxhom.abelian import AbelianGroup, cokernel
 from foxhom.covers import (
     CyclicQuotientMap,
     FillingSpec,
@@ -155,12 +155,20 @@ def test_transfer_level_one_is_identity(paper_cover):
 
 
 def test_transfer_of_generator_sums_lifts(paper_cover):
-    _, covers = paper_cover
+    job, covers = paper_cover
     cover = covers[3]
     vec = transfer(cover, Word([("s", 1)]))
     gens = cover.presentation.generators
     for g, v in zip(gens, vec):
         assert v == (1 if g.startswith("s@") else 0)
+    # each generator's block of lifts is constant, so the deck shift fixes it
+    cover = covers[7]
+    base = job["presentation"].generators
+    for text in ("m", "s", "t", "u", "m s t"):
+        w = parse_word(text, base)
+        vec = transfer(cover, w)
+        blocks = [vec[i : i + 7] for i in range(0, len(vec), 7)]
+        assert blocks == [[e] * 7 for e in exponent_vector(w, base)]
 
 
 def test_transfer_equals_full_preimage_cycle(paper_cover):
@@ -180,14 +188,6 @@ def test_transfer_additive_in_homology(paper_cover):
     u = parse_word("s t s^-1 t", p.generators)
     doubled = [2 * v for v in transfer(cover, Word([("t", 1)]))]
     assert transfer(cover, u) == doubled
-
-
-def test_transfer_fixed_by_deck_action(paper_cover):
-    job, covers = paper_cover
-    cover = covers[7]
-    for text in ("m", "s", "t", "u", "m s t"):
-        vec = transfer(cover, parse_word(text, job["presentation"].generators))
-        assert cover.deck_shift(vec) == vec
 
 
 # ---- fillings -------------------------------------------------------------------
@@ -249,9 +249,7 @@ def test_fill_independent_of_orbit_representative(paper_cover):
         for row in rows:
             for i, v in enumerate(row):
                 matrix[i].append(v)
-        from foxhom.abelian import cokernel
-
-        assert cokernel(matrix, nrows=len(gens)) == base
+        assert cokernel(matrix) == base
 
 
 # ---- transfer quotients -----------------------------------------------------------
@@ -286,6 +284,38 @@ def test_transfer_quotient_extension_bound(paper_cover, n):
     assert hn.rank == 0
     assert sak.order % hn.order == 0
     assert 8 % (sak.order // hn.order) == 0
+
+
+# ---- one relator matrix against the former column-append route --------------
+
+
+def dense_quotient(cover, rows):
+    """Cokernel of the kernel relator matrix with ``rows`` appended as columns."""
+    matrix = cover.kernel_presentation().relator_matrix()
+    for row in rows:
+        for i, v in enumerate(row):
+            matrix[i].append(v)
+    return cokernel(matrix)
+
+
+def test_extra_relators_match_dense_columns(cover_job):
+    p = cover_job["presentation"]
+    spec = FillingSpec(cover_job["fill"])
+    for n in range(1, 16):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+        gens = cover.presentation.generators
+
+        def tr(g, k=1):
+            return [k * v for v in transfer(cover, Word([(g, 1)]))]
+
+        fill_rows = [exponent_vector(r, gens) for r in filled_relators(cover, spec)]
+        assert fill(cover, spec) == dense_quotient(cover, fill_rows), n
+        assert sakuma_quotient(cover) == dense_quotient(
+            cover, [tr("m"), tr("s", 2), tr("t", 2)]), n
+        assert sakuma_quotient(cover, meridian="s", doubled=("m", "t")) == dense_quotient(
+            cover, [tr("s"), tr("m", 2), tr("t", 2)]), n
+        assert h_n_module(cover) == dense_quotient(
+            cover, [tr(g) for g in p.generators]), n
 
 
 # ---- filling classes generate the same subgroup as the transfers -------------

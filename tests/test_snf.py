@@ -187,7 +187,7 @@ def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
     monkeypatch.setattr(abelian, "smith_normal_form", record)
     for n in range(1, 16):
         for mode in ("h1", "fill", "sakuma"):
-            cli._cover_groups(cover_job, n, mode)
+            cli._cover_level((cover_job, n, mode))
     assert len(matrices) == 15 * 4
     for m in matrices:
         assert smith_normal_form(m).divisors == dense_smith_divisors(m)
@@ -212,7 +212,7 @@ def test_cover_matrices_keep_their_divisors_under_shuffles(monkeypatch, cover_jo
     monkeypatch.setattr(abelian, "smith_normal_form", record)
     for n in range(1, 16):
         for mode in ("h1", "fill", "sakuma"):
-            cli._cover_groups(cover_job, n, mode)
+            cli._cover_level((cover_job, n, mode))
     rng = random.Random(67)
     for m in matrices:
         expected = dense_smith_divisors(m)
