@@ -155,20 +155,32 @@ def test_transfer_level_one_is_identity(paper_cover):
 
 
 def test_transfer_of_generator_sums_lifts(paper_cover):
-    job, covers = paper_cover
+    _, covers = paper_cover
     cover = covers[3]
     vec = transfer(cover, Word([("s", 1)]))
     gens = cover.presentation.generators
     for g, v in zip(gens, vec):
         assert v == (1 if g.startswith("s@") else 0)
-    # each generator's block of lifts is constant, so the deck shift fixes it
+
+
+def _deck_shift(cover, vector, steps=1):
+    """Push a chain vector on the ``g@c`` generators through c -> c + steps."""
+    gens = cover.presentation.generators
+    index = {g: i for i, g in enumerate(gens)}
+    out = [0] * len(gens)
+    for g, v in zip(gens, vector):
+        name, c = g.rsplit("@", 1)
+        out[index[f"{name}@{(int(c) + steps) % cover.n}"]] += v
+    return out
+
+
+def test_transfer_fixed_by_deck_action(paper_cover):
+    job, covers = paper_cover
     cover = covers[7]
-    base = job["presentation"].generators
     for text in ("m", "s", "t", "u", "m s t"):
-        w = parse_word(text, base)
-        vec = transfer(cover, w)
-        blocks = [vec[i : i + 7] for i in range(0, len(vec), 7)]
-        assert blocks == [[e] * 7 for e in exponent_vector(w, base)]
+        vec = transfer(cover, parse_word(text, job["presentation"].generators))
+        assert _deck_shift(cover, vec) == vec
+        assert _deck_shift(cover, vec, steps=3) == vec
 
 
 def test_transfer_equals_full_preimage_cycle(paper_cover):
