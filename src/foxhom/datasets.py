@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .fox import AbelianizationMap
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, json_int, json_list
 from .polymat import LaurentMatrix
 from .presentations import Presentation
 from .words import parse_word
@@ -122,10 +122,11 @@ def load_job(name, dir=None):
         presentation = load_presentation(ref, dir)
         return {
             "presentation": presentation,
-            "degrees": {g: int(d) for g, d in raw["degrees"].items()},
-            "n": int(raw.get("n", 1)),
+            "degrees": {g: json_int(d) for g, d in raw["degrees"].items()},
+            "n": json_int(raw.get("n", 1)),
             "fill": tuple(
-                parse_word(text, presentation.generators) for text in raw.get("fill", ())
+                parse_word(text, presentation.generators)
+                for text in json_list(raw.get("fill", []))
             ),
         }
 

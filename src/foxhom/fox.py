@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, json_int, json_ints, json_list
 from .polygcd import laurent_gcd
 from .polymat import LaurentMatrix, determinant
 
@@ -85,12 +85,12 @@ class AbelianizationMap:
     @classmethod
     def from_json(cls, data, source=None):
         images = {
-            g: (entry["sign"], tuple(entry["exp"]))
+            g: (json_int(entry["sign"]), json_ints(entry["exp"]))
             for g, entry in data["images"].items()
         }
         if source is None:
             source = tuple(sorted(images))
-        return cls(tuple(source), tuple(data["vars"]), images)
+        return cls(tuple(source), tuple(json_list(data["vars"])), images)
 
 
 def fox_derivative(word, gen, phi):

@@ -244,9 +244,32 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls(
-            tuple(data["vars"]),
-            {tuple(t["exp"]): t["coef"] for t in data["terms"]},
+            tuple(json_list(data["vars"])),
+            {json_ints(t["exp"]): json_int(t["coef"]) for t in json_list(data["terms"])},
         )
+
+
+def json_list(value):
+    """``value`` if it is a JSON list; TypeError for a string or anything else.
+
+    Decoders check JSON types here, not in constructors: ``LaurentPoly``
+    coerces with ``int()`` and sits on the hot path of every computation.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def json_int(value):
+    """``value`` if it is a JSON integer; TypeError for a float, a bool or other."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_ints(values):
+    """A JSON list of integers, as a tuple."""
+    return tuple(json_int(v) for v in json_list(values))
 
 
 def parse_poly(text, vars):

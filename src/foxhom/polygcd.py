@@ -3,8 +3,11 @@
 Division and gcd never touch floating point.  Gcd over the rationals is the
 primitive-part gcd over Z.  The multivariate gcd reduces to univariate by
 recursive content/primitive-part extraction with a primitive remainder
-sequence in the main variable; the univariate base case is the subresultant
-polynomial remainder sequence.  Both sequences take their pseudo-remainders
+sequence in the main variable.  The univariate base case is the heuristic
+gcd first, subresultant sequence as fallback: GCDHEU reads the gcd off the
+integer gcd of two evaluations and keeps it only if it divides both inputs;
+when six evaluation points fail, the subresultant polynomial remainder
+sequence decides.  Both remainder sequences take their pseudo-remainders
 from one routine over {degree: coefficient} maps, with polynomial
 coefficients in the first and integer ones in the second.
 """
@@ -108,39 +111,107 @@ def _int_coeffs(p, i):
     return out
 
 
-def _uni_subresultant_gcd(f, g, i):
-    """Subresultant PRS gcd for genuinely univariate integer polynomials."""
+def _cont(p):
+    c = 0
+    for v in p.values():
+        c = gcd(c, v)
+    return c
+
+
+def _divc(p, c):
+    return {d: v // c for d, v in p.items()}
+
+
+def _divides(q, p):
+    """Whether q divides p over Z, by long division of {degree: int} maps."""
+    dq, dp = max(q), max(p)
+    if dp < dq:
+        return False
+    lq = q[dq]
+    lower = [(dq - d, v) for d, v in q.items() if d != dq]
+    r = [0] * (dp + 1)
+    for d, v in p.items():
+        r[d] = v
+    for top in range(dp, dq - 1, -1):
+        if r[top]:
+            c, m = divmod(r[top], lq)
+            if m:
+                return False
+            for off, v in lower:
+                r[top - off] -= c * v
+    return not any(r[:dq])
+
+
+def _horner(p, x):
+    v = 0
+    for d in range(max(p), -1, -1):
+        v = v * x + p.get(d, 0)
+    return v
+
+
+def _heu_gcd(a, b):
+    """Gcd of two primitive {degree: int} maps by GCDHEU, or None.
+
+    Evaluate both at an integer xi, take the integer gcd and read its
+    symmetric xi-adic digits back as a polynomial.  Char, Geddes and Gonnet
+    ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+    computation", JSC 1989) prove that once xi >= 2 * min(|a|, |b|) + 2,
+    with |p| the largest absolute coefficient of p, a primitive part that
+    divides both a and b is their gcd.  None after six rejected evaluation
+    points leaves the gcd to the remainder sequence.
+    """
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(6):
+        gamma = gcd(_horner(a, xi), _horner(b, xi))
+        cand = {}
+        d, half = 0, xi // 2
+        while gamma:
+            c = gamma % xi
+            if c > half:
+                c -= xi
+            if c:
+                cand[d] = c
+            gamma = (gamma - c) // xi
+            d += 1
+        if cand:
+            cand = _divc(cand, _cont(cand))
+            # a common divisor read off at such a xi is the gcd (Char,
+            # Geddes and Gonnet 1989), so this test makes the answer exact
+            if _divides(cand, a) and _divides(cand, b):
+                return cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _uni_gcd(f, g, i):
+    """Gcd of genuinely univariate integer polynomials: GCDHEU, else the PRS."""
     a = _int_coeffs(f, i)
     b = _int_coeffs(g, i)
-
-    def cont(p):
-        c = 0
-        for v in p.values():
-            c = gcd(c, v)
-        return c
-
-    def divc(p, c):
-        return {d: v // c for d, v in p.items()}
-
-    ca, cb = cont(a), cont(b)
-    a, b = divc(a, ca), divc(b, cb)
-    if max(a) < max(b):
-        a, b = b, a
-    g_, h = 1, 1
-    while b:
-        delta = max(a) - max(b)
-        r = _prem(a, b)
-        a, b = b, (divc(r, g_ * h**delta) if r else {})
-        if b:
-            g_ = a[max(a)]
-            h = g_**delta // h ** (delta - 1) if delta > 0 else h
-    c, k = gcd(ca, cb), cont(a)
+    ca, cb = _cont(a), _cont(b)
+    a, b = _divc(a, ca), _divc(b, cb)
+    a = _heu_gcd(a, b) or _subresultant_prs(a, b)
+    c, k = gcd(ca, cb), _cont(a)
     exp = [0] * len(f.vars)
     terms = {}
     for d, v in a.items():
         exp[i] = d
         terms[tuple(exp)] = v // k * c
     return LaurentPoly(f.vars, terms)
+
+
+def _subresultant_prs(a, b):
+    """Last nonzero remainder of the subresultant PRS of two primitive maps."""
+    if max(a) < max(b):
+        a, b = b, a
+    g_, h = 1, 1
+    while b:
+        delta = max(a) - max(b)
+        r = _prem(a, b)
+        a, b = b, (_divc(r, g_ * h**delta) if r else {})
+        if b:
+            g_ = a[max(a)]
+            h = g_**delta // h ** (delta - 1) if delta > 0 else h
+    return a
 
 
 def _poly_coeffs(p, i):
@@ -162,13 +233,20 @@ def poly_gcd(f, g):
 
     The result has a positive graded-lex leading coefficient.
     """
-    if f.is_zero and g.is_zero:
-        return f
-    if f.is_zero:
-        return g if g.lead()[1] > 0 else -g
     if g.is_zero:
-        return f if f.lead()[1] > 0 else -f
-    f._check_same_ring(g)
+        result = f
+    elif f.is_zero:
+        result = g
+    else:
+        f._check_same_ring(g)
+        result = _nonzero_gcd(f, g)
+    if result and result.lead()[1] < 0:
+        result = -result
+    return result
+
+
+def _nonzero_gcd(f, g):
+    """Gcd of two nonzero polynomials, up to sign."""
     used = [
         i
         for i in range(len(f.vars))
@@ -178,7 +256,7 @@ def poly_gcd(f, g):
         c = gcd(next(iter(f.terms.values())), next(iter(g.terms.values())))
         return LaurentPoly.constant(f.vars, c)
     if len(used) == 1:
-        return _uni_subresultant_gcd(f, g, used[0])
+        return _uni_gcd(f, g, used[0])
 
     i = used[-1]
     cf, a = _primitive(_poly_coeffs(f, i))
@@ -192,10 +270,7 @@ def poly_gcd(f, g):
     for d, c in a.items():  # primitive: every remainder kept was made so
         for exp, coef in c.terms.items():
             terms[exp[:i] + (d,) + exp[i + 1 :]] = coef
-    result = poly_gcd(cf, cg) * LaurentPoly(f.vars, terms)
-    if result.lead()[1] < 0:
-        result = -result
-    return result
+    return poly_gcd(cf, cg) * LaurentPoly(f.vars, terms)
 
 
 def laurent_gcd(ps):

@@ -88,15 +88,10 @@ class LaurentMatrix:
 
     @classmethod
     def from_json(cls, data):
-        vars = tuple(data["vars"])
-        rows = []
-        for row in data["entries"]:
-            rows.append(
-                tuple(
-                    LaurentPoly(vars, {tuple(t["exp"]): t["coef"] for t in terms})
-                    for terms in row
-                )
-            )
+        rows = [
+            tuple(LaurentPoly.from_json({"vars": data["vars"], "terms": t}) for t in row)
+            for row in data["entries"]
+        ]
         return cls(tuple(data["row_labels"]), tuple(data["col_labels"]), rows)
 
     def table(self):

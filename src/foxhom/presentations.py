@@ -66,8 +66,11 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data):
-        gens = tuple(data["generators"])
-        relators = tuple(parse_word(text, gens) for text in data["relators"])
+        gens, texts = data["generators"], data["relators"]
+        if not (isinstance(gens, list) and isinstance(texts, list)):
+            raise TypeError("generators and relators must be JSON lists")
+        gens = tuple(gens)
+        relators = tuple(parse_word(text, gens) for text in texts)
         return cls(data["name"], gens, relators)
 
 

@@ -52,14 +52,40 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "token 0" in err
 
 
+def _bundled(name, **changes):
+    data = json.loads(datasets.data_path(name).read_text())
+    data.update(changes)
+    return data
+
+
+def _float_coefficient_delta():
+    data = _bundled("delta_L")
+    data["terms"][0]["coef"] = 1.5
+    return data
+
+
+def _float_degree_job():
+    data = _bundled("cover-job")
+    data["degrees"]["s"] = 1.7
+    return data
+
+
 @pytest.mark.parametrize("argv, data", (
     (("abelianize",), {"name": "p", "generators": ["a"]}),
     (("branched", "--n", "5"), {"vars": ["x", "y"], "terms": "x - 1"}),
     (("fill",), [{"presentation": "n-final"}]),
     (("cover",), {"presentation": "n-final", "n": 3, "fill": ["m"]}),
-), ids=("no-relators", "text-terms", "top-level-list", "no-degrees"))
+    (("abelianize",), {"name": "p", "generators": "ab", "relators": []}),
+    (("branched", "--n", "5"), _float_coefficient_delta()),
+    (("cover",), _float_degree_job()),
+    (("cover",), _bundled("cover-job", n=2.5)),
+), ids=(
+    "no-relators", "text-terms", "top-level-list", "no-degrees",
+    "string-generators", "float-coefficient", "float-degree", "float-n",
+))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
-    # valid JSON of the wrong shape
+    # valid JSON of the wrong shape, or a mistyped field that int() or
+    # tuple() would otherwise coerce
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])

@@ -1,10 +1,11 @@
 import json
 import random
+from math import gcd
 
 import pytest
 import sympy as sp
 
-from foxhom import datasets
+from foxhom import datasets, polygcd
 from foxhom.laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from foxhom.polygcd import (
     ExactDivisionError,
@@ -13,6 +14,7 @@ from foxhom.polygcd import (
     laurent_divides,
     laurent_gcd,
     poly_divexact,
+    poly_gcd,
     shared_root_count,
 )
 from foxhom.polymat import LaurentMatrix, determinant
@@ -237,6 +239,107 @@ def test_gcd_against_sympy_oracle():
             assert ours == theirs or ours == (-1 * theirs).normal_form()
 
 
+def test_poly_gcd_lead_is_positive(monkeypatch):
+    x2 = poly("x^2 - 1", ("x",))
+    sq = poly("x^2 - 2*x + 1", ("x",))
+    assert poly_gcd(sq, x2) == poly("x - 1", ("x",))
+    assert poly_gcd(poly("x*y - y"), poly("x^2*y - y")) == poly("x*y - y")
+    # the remainder sequence alone, as when the heuristic gives up
+    monkeypatch.setattr(polygcd, "_heu_gcd", lambda a, b: None)
+    assert poly_gcd(sq, x2) == poly("x - 1", ("x",))
+    rng = random.Random(41)
+    for _ in range(40):
+        shared, a, b = (random_factor(rng, 5) for _ in range(3))
+        assert poly_gcd(-(shared * a), shared * b).lead()[1] > 0
+
+
+# ---- heuristic gcd (GCDHEU) against the subresultant sequence ---------------
+
+
+def primitive(m):
+    k = 0
+    for c in m.values():
+        k = gcd(k, c)
+    return {d: c // k for d, c in m.items()}
+
+
+def heuristic_and_oracle(p, q):
+    """GCDHEU and the subresultant sequence on the primitive parts of p, q in t."""
+    a, b = (primitive({e[0]: c for e, c in f.terms.items()}) for f in (p, q))
+    return polygcd._heu_gcd(a, b), primitive(polygcd._subresultant_prs(a, b))
+
+
+def same_up_to_sign(h, oracle):
+    return h == oracle or h == {d: -c for d, c in oracle.items()}
+
+
+def delta_specialization(delta, k, n):
+    spec = substitute_monomial(delta, {"x": (1, (k,)), "y": (1, (1,))}, ("t",))
+    return (spec * poly("t - 1", ("t",))).normal_form()
+
+
+def test_heuristic_gcd_on_branched_cells():
+    # the coprime (n, k) cells of delta_L for n = 5..61, every third k past
+    # n = 31 so that the subresultant oracle stays near a second; k = 1 is
+    # the zero specialization, which never reaches a gcd
+    delta = datasets.load_poly("delta_L")
+    for n in range(5, 62):
+        for k in range(2, n, 1 if n <= 31 else 3):
+            if gcd(k, n) == 1:
+                h, oracle = heuristic_and_oracle(delta_specialization(delta, k, n), nu_poly(n))
+                assert h is not None and same_up_to_sign(h, oracle), (n, k)
+
+
+def cyclotomic(d):
+    coeffs = sp.Poly(sp.cyclotomic_poly(d, sp.Symbol("t"))).all_coeffs()
+    return LaurentPoly(("t",), {(len(coeffs) - 1 - i,): int(c) for i, c in enumerate(coeffs)})
+
+
+def cyclotomic_product(rng):
+    out = poly("1", ("t",))
+    for _ in range(rng.randrange(1, 5)):
+        out = out * cyclotomic(rng.randrange(2, 40))
+    return out
+
+
+def random_factor(rng, coef):
+    """A polynomial in t of degree 1..6 with a nonzero constant term."""
+    degree = rng.randrange(1, 7)
+    terms = {(d,): rng.randint(-coef, coef) for d in range(1, degree)}
+    terms[(0,)] = rng.choice((-1, 1)) * rng.randint(1, coef)
+    terms[(degree,)] = rng.choice((-1, 1)) * rng.randint(1, coef)
+    return LaurentPoly(("t",), terms)
+
+
+def test_heuristic_gcd_on_random_products():
+    rng = random.Random(43)
+    accepted = 0
+    for trial in range(120):
+        if trial % 2:
+            # coefficients up to 10^6 in absolute value
+            shared, a, b = (random_factor(rng, 10**6) for _ in range(3))
+        else:
+            # products of cyclotomic polynomials, many roots on the unit circle
+            shared, a, b = (cyclotomic_product(rng) for _ in range(3))
+        h, oracle = heuristic_and_oracle(shared * a, shared * b)
+        if h is not None:  # None is a fallback to the oracle itself
+            assert same_up_to_sign(h, oracle)
+            accepted += 1
+    assert accepted >= 110
+
+
+def test_poly_gcd_without_heuristic_agrees(monkeypatch):
+    rng = random.Random(47)
+    cases = []
+    for _ in range(30):
+        shared = cyclotomic_product(rng)
+        a, b = random_factor(rng, 10**6), nu_poly(rng.randrange(2, 30))
+        cases.append((shared * a, shared * b))
+    fast = [poly_gcd(p, q) for p, q in cases]
+    monkeypatch.setattr(polygcd, "_heu_gcd", lambda a, b: None)
+    assert [poly_gcd(p, q) for p, q in cases] == fast
+
+
 # ---- shared roots ----------------------------------------------------------
 
 
@@ -266,6 +369,12 @@ def test_shared_root_count_against_sympy():
         nu = sum(t**i for i in range(n))
         g = sp.gcd(sp.Poly(to_sympy(p.normal_form()), t), sp.Poly(nu, t))
         assert int(ours) == sp.Poly(g, t).degree()
+    delta = datasets.load_poly("delta_L")
+    for n, k in ((31, 7), (37, 36), (45, 2), (53, 20), (61, 60)):
+        p = delta_specialization(delta, k, n)
+        nu = sum(t**i for i in range(n))
+        g = sp.gcd(sp.Poly(to_sympy(p), t), sp.Poly(nu, t))
+        assert int(shared_root_count(p, n)) == sp.Poly(g, t).degree()
 
 
 # ---- determinants -----------------------------------------------------------
