@@ -24,7 +24,7 @@ class AbelianGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion divisors must be >= 2")

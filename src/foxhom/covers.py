@@ -42,7 +42,7 @@ class CyclicQuotientMap:
         for g in self.base.generators:
             if g not in self.degrees:
                 raise ValueError(f"no degree for generator {g!r}")
-            degs[g] = int(self.degrees[g]) % self.n
+            degs[g] = self.degrees[g] % self.n
         object.__setattr__(self, "degrees", degs)
         span = gcd(self.n, *degs.values()) if degs else self.n
         if span != 1:
@@ -205,33 +205,22 @@ class FillingSpec:
                 raise ValueError("empty slope word")
 
 
-def transversal_word(cover, coset):
-    """The transversal representative of a coset: a power of the section."""
-    d = cover.quotient.degrees[cover.section]
-    n = cover.n
-    j = next(j for j in range(n) if (j * d) % n == coset % n)
-    return Word([(cover.section, j)]) if j else Word()
-
 def filled_relators(cover, spec):
-    """Filling relators: one rewritten conjugate of w^o per shift orbit.
+    """Filling relators: one rewritten lift of w^o per shift orbit.
 
     For a slope w of degree d, o is the order of d in Z/n, and the orbits of
     the shift c -> c + d are the residues mod n/o.  The relator at orbit
-    representative c is the rewrite of  t_c w^o t_c^-1  from coset 0, where
-    t_c is the transversal representative.
+    representative c is the rewrite of w^o from coset c.  Its column is that
+    of t_c w^o t_c^-1 rewritten from coset 0, t_c the transversal
+    representative, since the letters of t_c and t_c^-1 cancel.
     """
     if not isinstance(spec, FillingSpec):
         spec = FillingSpec(tuple(spec))
-    n = cover.n
     out = []
     for w in spec.slopes:
-        d = cover.quotient.word_degree(w)
-        orbits = gcd(n, d)
-        order = n // orbits
-        power = w**order
-        for c in range(orbits):
-            t = transversal_word(cover, c)
-            out.append(cover.rewrite(t * power * ~t, start=0))
+        orbits = gcd(cover.n, cover.quotient.word_degree(w))
+        power = w ** (cover.n // orbits)
+        out.extend(cover.rewrite(power, start=c) for c in range(orbits))
     return out
 
 

@@ -45,19 +45,26 @@ def data_path(name, dir=None):
     return path
 
 
+class MalformedInput(ValueError):
+    """An input file that is not JSON, or JSON its decoder rejects."""
+
+
 def _load(name, decode, dir=None):
     """``decode`` applied to the JSON an input names.
 
-    This is the one place where a file of the wrong shape (a missing field,
-    a list where an object belongs) becomes a ``ValueError`` naming the file.
+    This is the one place where a malformed file (not JSON, a missing field,
+    a list where an object belongs, a value the decoder rejects) becomes a
+    ``MalformedInput`` naming the file.  A file loaded inside ``decode``
+    names itself, so its error passes through unwrapped.
     """
     path = data_path(name, dir)
-    with open(path) as f:
-        raw = json.load(f)
     try:
-        return decode(raw)
-    except (AttributeError, IndexError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
+        with open(path) as f:
+            return decode(json.load(f))
+    except MalformedInput:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
 
 
 def file_digest(path):

@@ -49,7 +49,7 @@ class AbelianizationMap:
             sign, exp = self.images[g]
             if sign not in (1, -1):
                 raise ValueError("images must be units: sign +-1")
-            images[g] = (sign, tuple(int(e) for e in exp))
+            images[g] = (sign, tuple(exp))
             if len(images[g][1]) != len(self.vars):
                 raise ValueError("image exponent length does not match variables")
         object.__setattr__(self, "images", images)

@@ -22,6 +22,9 @@ def _grlex_key(exp):
 class LaurentPoly:
     """An exact Laurent polynomial over a fixed ordered variable list.
 
+    The constructor trusts its input: exponents are tuples of ``len(vars)``
+    ints and coefficients are ints.  ``from_json`` checks file data.
+
     >>> x, y = LaurentPoly.variables(("x", "y"))
     >>> print((x - 1) * (x + 1))
     x^2 - 1
@@ -31,18 +34,9 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars, terms=()):
+    def __init__(self, vars, terms=None):
         object.__setattr__(self, "vars", tuple(vars))
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
-        clean = {}
-        for exp, coef in data.items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(self.vars):
-                raise ValueError("exponent vector length does not match variables")
-            coef = int(coef)
-            if coef:
-                clean[exp] = coef
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {e: c for e, c in (terms or {}).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -58,7 +52,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, vars, c):
-        return cls(vars, {(0,) * len(tuple(vars)): int(c)})
+        return cls(vars, {(0,) * len(tuple(vars)): c})
 
     @classmethod
     def monomial(cls, vars, exp, coef=1):
@@ -243,17 +237,18 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            tuple(json_list(data["vars"])),
-            {json_ints(t["exp"]): json_int(t["coef"]) for t in json_list(data["terms"])},
-        )
+        vars = tuple(json_list(data["vars"]))
+        terms = {json_ints(t["exp"]): json_int(t["coef"]) for t in json_list(data["terms"])}
+        if any(len(exp) != len(vars) for exp in terms):
+            raise ValueError("exponent vector length does not match variables")
+        return cls(vars, terms)
 
 
 def json_list(value):
     """``value`` if it is a JSON list; TypeError for a string or anything else.
 
-    Decoders check JSON types here, not in constructors: ``LaurentPoly``
-    coerces with ``int()`` and sits on the hot path of every computation.
+    The decoders here are the only check that file data holds exact
+    integers; constructors such as ``LaurentPoly`` trust the ints they get.
     """
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
@@ -344,10 +339,9 @@ def substitute_monomial(p, images, new_vars):
     for i, v in enumerate(p.vars):
         if v not in images:
             raise ValueError(f"no image given for variable {v!r}")
-        sign, exp = images[v]
-        if sign not in (1, -1):
+        if images[v][0] not in (1, -1):
             raise ValueError("image sign must be +1 or -1")
-        table[i] = (sign, tuple(int(e) for e in exp))
+        table[i] = images[v]
     out = {}
     for exp, coef in p.terms.items():
         new_exp = [0] * len(new_vars)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd
 
-from .laurent import LaurentPoly, nu_poly
+from .laurent import LaurentPoly, _grlex_key, nu_poly
 
 
 class ExactDivisionError(ArithmeticError):
@@ -27,25 +27,31 @@ class ExactDivisionError(ArithmeticError):
 def poly_divexact(f, g):
     """Exact division of polynomials with nonnegative exponents.
 
-    Raises ExactDivisionError when g does not divide f.
+    Raises ExactDivisionError when g does not divide f.  Each step takes
+    c * x^e * g from one remainder map in place; its graded-lex lead falls.
     """
     if g.is_zero:
         raise ExactDivisionError("division by zero polynomial")
     if f.is_zero:
         return f
-    vars = f.vars
+    f._check_same_ring(g)
     quotient = {}
     g_lead_exp, g_lead_coef = g.lead()
-    rem = f
+    rem = dict(f.terms)
     while rem:
-        r_exp, r_coef = rem.lead()
+        r_exp = max(rem, key=_grlex_key)
+        r_coef = rem[r_exp]
         exp = tuple(a - b for a, b in zip(r_exp, g_lead_exp))
         if any(e < 0 for e in exp) or r_coef % g_lead_coef:
             raise ExactDivisionError("not exactly divisible")
         c = r_coef // g_lead_coef
-        quotient[exp] = quotient.get(exp, 0) + c
-        rem = rem - g.shift(exp, c)
-    return LaurentPoly(vars, quotient)
+        quotient[exp] = c
+        for e, v in g.terms.items():
+            k = tuple(a + b for a, b in zip(e, exp))
+            v = rem.pop(k, 0) - c * v
+            if v:
+                rem[k] = v
+    return LaurentPoly(f.vars, quotient)
 
 
 def laurent_divexact(f, g):

@@ -71,7 +71,7 @@ def smith_normal_form(matrix):
     for i, row in enumerate(matrix):
         for j, v in enumerate(row):
             if v:
-                columns.setdefault(j, {})[i] = int(v)
+                columns.setdefault(j, {})[i] = v
                 in_row[i].add(j)
     pivots = []
     keys = {}  # live column -> key of its best entry

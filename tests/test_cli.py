@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -70,6 +71,18 @@ def _float_degree_job():
     return data
 
 
+def _long_exponent_delta():
+    data = _bundled("delta_L")
+    data["terms"][0]["exp"] = data["terms"][0]["exp"] + [0]
+    return data
+
+
+def _duplicate_generator_presentation():
+    data = _bundled("n-final")
+    data["generators"] = data["generators"] + ["m"]
+    return data
+
+
 @pytest.mark.parametrize("argv, data", (
     (("abelianize",), {"name": "p", "generators": ["a"]}),
     (("branched", "--n", "5"), {"vars": ["x", "y"], "terms": "x - 1"}),
@@ -79,18 +92,33 @@ def _float_degree_job():
     (("branched", "--n", "5"), _float_coefficient_delta()),
     (("cover",), _float_degree_job()),
     (("cover",), _bundled("cover-job", n=2.5)),
+    (("abelianize",), "generators: m, s, t"),
+    (("branched", "--n", "5"), _long_exponent_delta()),
+    (("abelianize",), _duplicate_generator_presentation()),
 ), ids=(
     "no-relators", "text-terms", "top-level-list", "no-degrees",
     "string-generators", "float-coefficient", "float-degree", "float-n",
+    "not-json", "long-exponent", "duplicate-generator",
 ))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
-    # valid JSON of the wrong shape, or a mistyped field that int() or
-    # tuple() would otherwise coerce
+    # not JSON, valid JSON of the wrong shape, a mistyped field that int()
+    # or tuple() would otherwise coerce, or a value the decoder rejects
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
     assert f"malformed input {path}" in err
+
+
+def test_malformed_job_presentation_is_named_once(capsys, tmp_path):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(_duplicate_generator_presentation()))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(_bundled("cover-job", presentation=str(pres))))
+    code, out, err = run(capsys, "cover", str(job), "--n", "3")
+    assert code == 2 and out == ""
+    assert err.count("malformed input") == 1
+    assert f"malformed input {pres}" in err and str(job) not in err
 
 
 # ---- alexander --------------------------------------------------------------
@@ -386,6 +414,37 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0 and out == ""
     report = json.loads(target.read_text())
     assert report["command"] == "abelianize"
+
+
+def test_unwritable_output_is_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "abelianize", "n-final", "--output", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+# sha256 of the table-format stdout; a table body holds only input digests
+# and results, so it is the same on every machine
+PINNED_TABLE_BODIES = (
+    (("verify-paper",),
+     "3f80956b9d312192c539d23c196ca78d54164c7a6b2f2a746de3bcf9eab5a88b"),
+    (("alexander", "n-final", "--map", "map-free-abelian", "--minors"),
+     "1b05cd650d76eaadbf332b6101f33177f6212db63240c8475a84d704a1b57a53"),
+    (("rhs-sweep", "--n", "3..37"),
+     "48de310626ce56101f27a5495e902012139ae0fb0e28bd80859c211d8930b5f0"),
+    (("sakuma", "cover-job", "--n", "3..15"),
+     "dcab6bba65ce2754dca13f69f670d0bd90345dc0df9466fcf3b2eb7b5ffdc975"),
+    (("branched", "delta_L", "--n", "5..41", "--k", "all"),
+     "36e43fbd06aad33907eb01f69b56bc7384286f071393b112bf9f42c8e1eb6689"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_TABLE_BODIES, ids=[a[0] for a, _ in PINNED_TABLE_BODIES]
+)
+def test_table_body_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---- verify-paper ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from foxhom.covers import (
     reidemeister_schreier,
     sakuma_quotient,
     transfer,
-    transversal_word,
 )
 from foxhom.laurent import LaurentPoly, parse_poly
 from foxhom.presentations import Presentation, abelianize
@@ -244,6 +243,29 @@ def test_filled_relator_count_and_orbits(cover_job):
         assert chain == expected
 
 
+def _transversal_word(cover, coset):
+    """The transversal representative of a coset: a power of the section."""
+    d = cover.quotient.degrees[cover.section]
+    j = next(j for j in range(cover.n) if (j * d) % cover.n == coset % cover.n)
+    return Word([(cover.section, j)]) if j else Word()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_filled_relators_match_conjugated_rewrite(cover_job, n):
+    """Each filling column is that of t_c w^o t_c^-1 rewritten from coset 0."""
+    p = cover_job["presentation"]
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+    gens = cover.presentation.generators
+    expected = []
+    for w in cover_job["fill"]:
+        orbits = gcd(n, cover.quotient.word_degree(w))
+        for c in range(orbits):
+            t = _transversal_word(cover, c)
+            expected.append(exponent_vector(cover.rewrite(t * w ** (n // orbits) * ~t), gens))
+    got = filled_relators(cover, FillingSpec(cover_job["fill"]))
+    assert [exponent_vector(r, gens) for r in got] == expected
+
+
 def test_fill_independent_of_orbit_representative(paper_cover):
     """Conjugating the filled slope by any transversal word fixes the result."""
     job, covers = paper_cover
@@ -255,7 +277,7 @@ def test_fill_independent_of_orbit_representative(paper_cover):
         rows = []
         for w in job["fill"]:
             o = cover.n // gcd(cover.n, cover.quotient.word_degree(w))
-            t = transversal_word(cover, c)
+            t = _transversal_word(cover, c)
             rows.append(exponent_vector(cover.rewrite(t * w**o * ~t, 0), gens))
         matrix = kernel.relator_matrix()
         for row in rows:

@@ -131,6 +131,13 @@ def test_json_roundtrip():
         assert LaurentPoly.from_json(data) == p
 
 
+def test_from_json_checks_exponent_length():
+    data = poly("x*y - 1").to_json()
+    data["terms"][0]["exp"].append(0)
+    with pytest.raises(ValueError, match="exponent vector length"):
+        LaurentPoly.from_json(data)
+
+
 # ---- substitution ---------------------------------------------------------
 
 
@@ -194,6 +201,76 @@ def test_divexact():
     assert laurent_divexact(f.shift((-1, 2)), g.shift((4, 0))) == poly("x + y").shift(
         (-5, 2)
     )
+
+
+def _divexact_by_polynomials(f, g):
+    """Oracle: the division loop that subtracts whole polynomials c * x^e * g."""
+    if g.is_zero:
+        raise ExactDivisionError("division by zero polynomial")
+    if f.is_zero:
+        return f
+    quotient = {}
+    g_lead_exp, g_lead_coef = g.lead()
+    rem = f
+    while rem:
+        r_exp, r_coef = rem.lead()
+        exp = tuple(a - b for a, b in zip(r_exp, g_lead_exp))
+        if any(e < 0 for e in exp) or r_coef % g_lead_coef:
+            raise ExactDivisionError("not exactly divisible")
+        c = r_coef // g_lead_coef
+        quotient[exp] = quotient.get(exp, 0) + c
+        rem = rem - g.shift(exp, c)
+    return LaurentPoly(f.vars, quotient)
+
+
+def _both_divisions(f, g):
+    """Both routes' quotients, or "raises" for each route that raises."""
+    out = []
+    for divide in (poly_divexact, _divexact_by_polynomials):
+        try:
+            out.append(divide(f, g))
+        except ExactDivisionError:
+            out.append("raises")
+    return out
+
+
+def test_divexact_of_products_against_oracle():
+    rng = random.Random(31)
+    for vars in (("x",), XY, XYZ):
+        for _ in range(60):
+            a = random_poly(rng, vars, max_terms=5, span=2, coef=6).normal_form()
+            b = random_poly(rng, vars, max_terms=4, span=2, coef=6).normal_form()
+            if b.is_zero:
+                continue
+            assert _both_divisions(a * b, b) == [a, a]
+
+
+@pytest.mark.parametrize("f, g", (
+    ("3*x^2 + x", "2*x + 1"),  # lead coefficient does not divide
+    ("x^2 + y", "x*y + 1"),  # leading exponent goes negative
+    ("x^2 + 1", "x + 1"),  # remainder 2 left over
+    ("x^2*y - y^2 + 3", "x - y"),
+), ids=("coefficient", "exponent", "remainder", "mixed"))
+def test_divexact_rejects_non_divisors(f, g):
+    assert _both_divisions(poly(f), poly(g)) == ["raises", "raises"]
+
+
+def test_divexact_of_perturbed_products_against_oracle():
+    rng = random.Random(32)
+    raised = divided = 0
+    for vars in (("x",), XY, XYZ):
+        for _ in range(60):
+            a = random_poly(rng, vars, max_terms=4, span=2, coef=4).normal_form()
+            b = random_poly(rng, vars, max_terms=3, span=2, coef=4).normal_form()
+            r = random_poly(rng, vars, max_terms=2, span=1, coef=3).normal_form()
+            if b.is_zero:
+                continue
+            ours, oracle = _both_divisions(a * b + r, b)
+            assert ours == oracle
+            raised += ours == "raises"
+            divided += ours != "raises"
+    # both outcomes are exercised
+    assert raised > 40 and divided > 40
 
 
 def test_gcd_examples():
