@@ -341,6 +341,11 @@ def substitute_monomial(p, images, new_vars):
             raise ValueError(f"no image given for variable {v!r}")
         if images[v][0] not in (1, -1):
             raise ValueError("image sign must be +1 or -1")
+        if len(images[v][1]) != len(new_vars):
+            raise ValueError(
+                f"image of {v!r} has {len(images[v][1])} exponents, "
+                f"expected {len(new_vars)}"
+            )
         table[i] = images[v]
     out = {}
     for exp, coef in p.terms.items():

@@ -6,22 +6,21 @@ Z^cols -> Z^rows.  Arbitrary precision comes for free.
 The Smith form is computed sparsely, because cover relator matrices are
 large, very sparse and full of +-1 entries.  The matrix is stored once as
 columns of ``{row: value}`` dicts plus, per row, the set of its nonzero
-columns.  Each step pivots on the entry of smallest absolute value, ties
-going to the lowest Markowitz count (column nnz - 1) * (row nnz - 1), which
-keeps both entry growth and fill-in tame.  Finished pivots are dropped with
-their row and column; the divisor chain is built from them afterwards.
-Only the divisors are computed, no transforms.  See Havas, Holt and Rees,
-"Recognizing badly presented Z-modules" (1993), and Dumas, Saunders and
-Villard, "On efficient sparse integer matrix Smith normal form
-computations" (2001).
+columns.  Each step pivots on an entry of smallest absolute value, which
+keeps entry growth tame.  Finished pivots are dropped with their row and
+column; the divisor chain is built from them afterwards.  Only the divisors
+are computed, no transforms.  See Havas, Holt and Rees, "Recognizing badly
+presented Z-modules" (1993), and Dumas, Saunders and Villard, "On efficient
+sparse integer matrix Smith normal form computations" (2001).
 
-The pivot search does not rescan the matrix.  Each live column caches the
-key of its best entry, and a step takes the least cached key.  A step
-writes only to the columns of its pivot row, so only those are rescanned.
-The absolute value in every cached key is therefore current, and the pivot
-is always an entry of smallest absolute value.  The row nnz in the Markowitz
-count of an untouched column may be stale; it only breaks ties, and pivot
-order cannot change the divisors.
+The pivot search keeps fill-in low without rescanning the matrix.  Each
+live column caches the key (least |entry|, nnz, index), which depends on
+that column's entries alone.  A step writes only to the columns of its
+pivot row, so rescanning those keeps every cached key exact.  The least key
+names the pivot column and value; the pivot row is then chosen among that
+column's entries of that value, fewest row nonzeros first and lowest index
+on ties, counted when the step runs.  The pivot row is what a step adds
+into the other rows of the pivot column, so a short one keeps fill-in low.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def smith_normal_form(matrix):
                 columns.setdefault(j, {})[i] = v
                 in_row[i].add(j)
     pivots = []
-    keys = {}  # live column -> key of its best entry
+    keys = {}  # live column -> (least |entry|, nnz, column)
     stale = list(columns)
     while columns:
         for j in stale:
@@ -82,14 +81,12 @@ def smith_normal_form(matrix):
             if col is None:
                 del keys[j]
                 continue
-            m = len(col) - 1
-            keys[j] = min(
-                (abs(v), m * (len(in_row[i]) - 1), i, j) for i, v in col.items()
-            )
-        _, _, r, c = min(keys.values())
+            keys[j] = (min(map(abs, col.values())), len(col), j)
+        a, _, c = min(keys.values())
+        pivot_col = columns[c]
+        _, r = min((len(in_row[i]), i) for i, v in pivot_col.items() if abs(v) == a)
         # this step writes only to the columns of row r, c among them
         stale = list(in_row[r])
-        pivot_col = columns[c]
         if pivot_col[r] < 0:
             for i in pivot_col:
                 pivot_col[i] = -pivot_col[i]

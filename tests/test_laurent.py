@@ -159,6 +159,14 @@ def test_substitute_is_multiplicative():
         assert lhs == rhs
 
 
+def test_substitute_rejects_image_of_wrong_length():
+    p = poly("x*y - 1")
+    with pytest.raises(ValueError, match="image of 'x' has 0 exponents, expected 1"):
+        substitute_monomial(p, {"x": (1, ()), "y": (1, (1,))}, ("t",))
+    with pytest.raises(ValueError, match="image of 'y' has 2 exponents, expected 1"):
+        substitute_monomial(p, {"x": (1, (1,)), "y": (1, (1, 0))}, ("t",))
+
+
 def test_factorization_of_bundled_specializations():
     """The k-fold specialization factors exactly through all-ones polynomials."""
     delta = datasets.load_poly("delta_L")

@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 from foxhom import abelian, cli
 from foxhom.snf import (
@@ -221,7 +224,7 @@ def test_cover_matrices_keep_their_divisors_under_shuffles(monkeypatch, cover_jo
 
 
 def test_sparse_matches_dense_on_larger_sparse_matrices():
-    # stale row counts only build up over many steps
+    # long pivot paths, where fill-in and the cached column keys build up
     rng = random.Random(71)
     for _ in range(36):
         rows, cols = rng.randrange(20, 41), rng.randrange(20, 41)
@@ -231,6 +234,40 @@ def test_sparse_matches_dense_on_larger_sparse_matrices():
             for _ in range(rows)
         ]
         assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
+
+
+def test_sparse_matches_dense_on_tie_heavy_matrices():
+    # no unit entries and many equal |entries|: the pivot row is picked among
+    # ties by row count, and every step runs the non-unit Euclid loop
+    rng = random.Random(73)
+    for _ in range(150):
+        rows, cols = rng.randrange(2, 16), rng.randrange(2, 16)
+        density = rng.choice((0.2, 0.4, 0.7))
+        m = [
+            [rng.choice((-6, -3, -2, 2, 3, 6)) if rng.random() < density else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
+
+
+# sha256 of the table-format stdout at single levels past the benchmark's;
+# the bodies were recorded with the earlier Markowitz pivot rule
+PINNED_LARGE_LEVELS = (
+    (("rhs-sweep", "--n", "101"),
+     "e0ea012d3072c6e07e10b98597f0aa06929ff4283db6816ff00a6a90ea75954d"),
+    (("sakuma", "cover-job", "--n", "61"),
+     "a5705841ce09ced4814a38099e101cc94cabea11166fa8b08b55fcff0749ac8b"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_LARGE_LEVELS, ids=[a[0] for a, _ in PINNED_LARGE_LEVELS]
+)
+def test_large_level_table_body_is_pinned(capsys, argv, digest):
+    assert cli.main([*argv, "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hermite_examples():
