@@ -31,7 +31,7 @@ from .laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from .polygcd import RootCount, laurent_divexact, laurent_divides, laurent_gcd, shared_root_count
 from .polymat import LaurentMatrix, determinant
 from .presentations import Presentation, abelianize, tietze_add_generator, tietze_eliminate
-from .snf import hermite_normal_form, smith_normal_form
+from .snf import smith_normal_form
 from .words import ParseError, Word, exponent_vector, parse_word
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "fox_derivative",
     "h1_cover",
     "h_n_module",
-    "hermite_normal_form",
     "laurent_divexact",
     "laurent_divides",
     "laurent_gcd",

@@ -37,9 +37,13 @@ from .presentations import abelianize
 # the most levels one a..b range may expand to, and the highest branched
 # level (one cell per coprime residue, each with a degree n - 1 polynomial)
 MAX_RANGE = 10_000
+# the most (n, k) cells one branched sweep may hold: --n 1..256 --k all is
+# 19 947 cells, 11.3 s and 47 MB peak RSS at --jobs 1 in a fresh process on
+# a 2-CPU host, Python 3.11.7
+MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix is dense, about (6n)^2
-# entries for the bundled job (rhs-sweep at n = 499 peaks at 161 MB RSS and
-# takes 72 s in a fresh process on a 2-CPU host, Python 3.11)
+# entries for the bundled job (rhs-sweep at n = 499 peaks at 122 MB RSS and
+# takes 7.6 s in a fresh process on a 2-CPU host, Python 3.11.7)
 MAX_COVER_LEVEL = 500
 
 
@@ -316,6 +320,8 @@ def _cmd_branched(args):
             if not (0 < k < n) or gcd(k, n) != 1:
                 raise InputError(f"k={k} is not a valid coprime residue mod n={n}")
             cells.append((delta, n, k))
+        if len(cells) > MAX_CELLS:
+            raise InputError(f"more than {MAX_CELLS} (n, k) cells")
     results = _run_tasks(_branched_cell, cells, args.jobs)
     rows = [(r["n"], r["k"], r["betti"], r["flag"]) for r in results]
     table = _table(("n", "k", "betti", "flag"), rows)

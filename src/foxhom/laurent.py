@@ -238,9 +238,12 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         vars = tuple(json_list(data["vars"]))
-        terms = {json_ints(t["exp"]): json_int(t["coef"]) for t in json_list(data["terms"])}
+        pairs = [(json_ints(t["exp"]), json_int(t["coef"])) for t in json_list(data["terms"])]
+        terms = dict(pairs)
         if any(len(exp) != len(vars) for exp in terms):
             raise ValueError("exponent vector length does not match variables")
+        if len(terms) != len(pairs):
+            raise ValueError("an exponent vector is listed twice")
         return cls(vars, terms)
 
 

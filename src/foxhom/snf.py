@@ -1,4 +1,4 @@
-"""Exact integer matrix normal forms: Smith and Hermite.
+"""Exact integer Smith normal form.
 
 Matrices are plain lists of lists of Python ints, viewed as maps
 Z^cols -> Z^rows.  Arbitrary precision comes for free.
@@ -127,75 +127,3 @@ def smith_normal_form(matrix):
             g = gcd(chain[a], chain[b])
             chain[a], chain[b] = g, chain[a] * chain[b] // g
     return SmithForm(rows, cols, (1,) * ones + tuple(chain))
-
-
-def hermite_normal_form(rows):
-    """Canonical row Hermite form of the lattice spanned by ``rows``.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows are dropped.  Two row sets span the same lattice
-    iff their Hermite forms are equal.
-
-    >>> hermite_normal_form([[2, 4], [6, 8]])
-    [[2, 0], [0, 4]]
-    """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    result = []
-    col = 0
-    r = 0
-    while col < ncols and r < len(work):
-        # euclidean elimination in this column below row r
-        while True:
-            nonzero = [i for i in range(r, len(work)) if work[i][col]]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: abs(work[i][col]))
-            work[r], work[i0] = work[i0], work[r]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][col]:
-                    q = work[i][col] // work[r][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][col]:
-                        done = False
-            if done:
-                break
-        if any(work[i][col] for i in range(r, len(work))):
-            if work[r][col] < 0:
-                work[r] = [-v for v in work[r]]
-            r += 1
-        col += 1
-    work = work[:r]
-    # reduce entries above each pivot; ascending pivot columns so a later
-    # reduction never disturbs an already-reduced column
-    pivots = []
-    for row in work:
-        j = next(k for k, v in enumerate(row) if v)
-        pivots.append(j)
-    for k in range(len(work)):
-        for i in range(k + 1, len(work)):
-            j = pivots[i]
-            q = work[k][j] // work[i][j]
-            if q:
-                work[k] = [a - q * b for a, b in zip(work[k], work[i])]
-    result = [row for row in work if any(row)]
-    return result
-
-
-def lattice_contains(hnf, vector):
-    """Whether ``vector`` lies in the row lattice given by its Hermite form."""
-    v = list(map(int, vector))
-    for row in hnf:
-        j = next(k for k, val in enumerate(row) if val)
-        if v[j] % row[j]:
-            return False
-        q = v[j] // row[j]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def lattice_equal(rows_a, rows_b):
-    return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)

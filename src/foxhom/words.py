@@ -75,12 +75,8 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __pow__(self, n):
-        if n < 0:
-            return (~self) ** (-n)
-        result = Word()
-        for _ in range(n):
-            result = result * self
-        return result
+        # the reduction stack cancels across every seam of the concatenation
+        return Word((self if n >= 0 else ~self).runs * abs(n))
 
     def __repr__(self):
         return f"Word({str(self)!r})"

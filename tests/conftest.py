@@ -1,6 +1,7 @@
 import pytest
 
 from foxhom import datasets
+from foxhom.snf import smith_normal_form
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,19 @@ def reference():
 @pytest.fixture(scope="session")
 def cover_job():
     return datasets.standard_cover_job()
+
+
+@pytest.fixture(scope="session")
+def same_row_lattice():
+    """Whether the rows of ``a`` and the rows of ``b`` span one lattice in Z^m.
+
+    L(a) lies in L(a + b), so Z^m/L(a) maps onto Z^m/L(a + b).  Equal Smith
+    divisors make the two groups isomorphic, and a finitely generated abelian
+    group is Hopfian, so that surjection is injective: L(a) = L(a + b).  The
+    same holds for b, hence L(a) = L(b).
+    """
+
+    def same(a, b):
+        return len({smith_normal_form(rows).divisors for rows in (a, a + b, b)}) == 1
+
+    return same

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from math import gcd
 
 import pytest
 
@@ -77,6 +78,12 @@ def _long_exponent_delta():
     return data
 
 
+def _duplicate_exponent_delta():
+    data = _bundled("delta_L")
+    data["terms"].append({"exp": data["terms"][0]["exp"], "coef": 5})
+    return data
+
+
 def _duplicate_generator_presentation():
     data = _bundled("n-final")
     data["generators"] = data["generators"] + ["m"]
@@ -95,10 +102,11 @@ def _duplicate_generator_presentation():
     (("abelianize",), "generators: m, s, t"),
     (("branched", "--n", "5"), _long_exponent_delta()),
     (("abelianize",), _duplicate_generator_presentation()),
+    (("branched", "--n", "5"), _duplicate_exponent_delta()),
 ), ids=(
     "no-relators", "text-terms", "top-level-list", "no-degrees",
     "string-generators", "float-coefficient", "float-degree", "float-n",
-    "not-json", "long-exponent", "duplicate-generator",
+    "not-json", "long-exponent", "duplicate-generator", "duplicate-exponent",
 ))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
     # not JSON, valid JSON of the wrong shape, a mistyped field that int()
@@ -365,6 +373,18 @@ def test_branched_level_is_capped_before_any_cell(capsys, monkeypatch, k):
     code, _, err = run(capsys, "branched", "delta_L", "--n", str(cli.MAX_RANGE + 1), "--k", k)
     assert code == 2
     assert f"level {cli.MAX_RANGE + 1} exceeds" in err
+    assert calls == []
+
+
+def test_branched_cell_count_is_capped_before_any_cell(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: calls.append(tasks) or [])
+    monkeypatch.setattr(cli, "branched_betti", lambda *args: calls.append(args))
+    # a sweep just past the cap, so that a missing cap costs little here
+    assert sum(gcd(k, n) == 1 for n in range(1, 301) for k in range(1, n)) > cli.MAX_CELLS
+    code, _, err = run(capsys, "branched", "delta_L", "--n", "1..300", "--k", "all")
+    assert code == 2
+    assert f"more than {cli.MAX_CELLS} (n, k) cells" in err
     assert calls == []
 
 

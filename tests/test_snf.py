@@ -7,12 +7,7 @@ from math import gcd
 import pytest
 
 from foxhom import abelian, cli
-from foxhom.snf import (
-    hermite_normal_form,
-    lattice_contains,
-    lattice_equal,
-    smith_normal_form,
-)
+from foxhom.snf import smith_normal_form
 
 # ---- independent oracles (kept free of the code under test) ----------
 
@@ -270,34 +265,20 @@ def test_large_level_table_body_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_hermite_examples():
-    assert hermite_normal_form([[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
-    assert hermite_normal_form([[0, 0]]) == []
-
-
-def test_hermite_canonical_under_row_operations():
+def test_row_lattice_equality_from_smith_divisors(same_row_lattice):
     rng = random.Random(43)
     for _ in range(80):
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        rows = cols = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        h = hermite_normal_form(m)
         shuffled = [row[:] for row in m]
         rng.shuffle(shuffled)
         if len(shuffled) > 1:
-            shuffled[0] = [
-                a + 3 * b for a, b in zip(shuffled[0], shuffled[1])
-            ]
-        assert hermite_normal_form(shuffled) == h
-        assert lattice_equal(m, shuffled)
-
-
-def test_lattice_membership():
-    h = hermite_normal_form([[2, 0], [0, 3]])
-    assert lattice_contains(h, [4, 3])
-    assert not lattice_contains(h, [1, 0])
-    assert lattice_contains(h, [0, 0])
-
-
-def test_lattice_equal_detects_difference():
-    assert not lattice_equal([[2, 0]], [[1, 0]])
-    assert lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
+            shuffled[0] = [a + 3 * b for a, b in zip(shuffled[0], shuffled[1])]
+        assert same_row_lattice(m, shuffled)
+        if det_oracle(m):
+            # doubling a row doubles the index of a full-rank lattice
+            assert not same_row_lattice(m, [[2 * v for v in m[0]]] + m[1:])
+    assert not same_row_lattice([[2, 0]], [[1, 0]])
+    # equal divisors, different lattices: only the union tells them apart
+    assert not same_row_lattice([[2, 0]], [[0, 2]])
+    assert same_row_lattice([[1, 1], [0, 2]], [[1, -1], [0, 2]])

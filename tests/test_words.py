@@ -66,6 +66,19 @@ def test_power():
     assert w**2 == parse_word("a b a b", ABC)
     assert w**-1 == ~w
     assert parse_word("a", ABC) ** 3 == Word([("a", 3)])
+    # not cyclically reduced: the seams cancel
+    assert parse_word("a b a^-1", ABC) ** 3 == parse_word("a b^3 a^-1", ABC)
+    # seeded differential against repeated multiplication
+    rng = random.Random(11)
+    words = [parse_word(text, ABC) for text in ("a b a^-1", "a^-2 b c^2 b^-1 a^2", "a b a")]
+    words += [random_word(rng) for _ in range(300)]
+    for w in words:
+        for n in range(-6, 13):
+            base = w if n >= 0 else ~w
+            want = Word()
+            for _ in range(abs(n)):
+                want = want * base
+            assert w**n == want, (w, n)
 
 
 def test_substitute():
