@@ -19,13 +19,13 @@ from foxhom import (
 p = datasets.load_presentation("n-final")
 phi = datasets.load_map("map-free-abelian", source=p.generators)
 
-am = alexander_matrix(p, phi)
+grid = alexander_matrix(p, phi)
 print("Fox-derivative matrix (rows = generators, columns = relators):")
-print(am.matrix.table())
+print(grid.table())
 
 print()
 print("row-deletion minors, in normal form:")
-minors = minor_polys(am)
+minors = minor_polys(grid)
 for g in p.generators:
     print(f"  delete {g:>3}: {minors[g]}")
 

@@ -21,14 +21,13 @@ from .covers import (
 )
 from .fox import (
     AbelianizationMap,
-    AlexanderMatrix,
     alexander_matrix,
     alexander_poly,
     fox_derivative,
     minor_polys,
 )
 from .laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
-from .polygcd import RootCount, laurent_divexact, laurent_divides, laurent_gcd, shared_root_count
+from .polygcd import RootCount, laurent_divexact, laurent_gcd, shared_root_count
 from .polymat import LaurentMatrix, determinant
 from .presentations import Presentation, abelianize, tietze_add_generator, tietze_eliminate
 from .snf import smith_normal_form
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "AbelianizationMap",
-    "AlexanderMatrix",
     "CoverPresentation",
     "CyclicQuotientMap",
     "FillingSpec",
@@ -61,7 +59,6 @@ __all__ = [
     "h1_cover",
     "h_n_module",
     "laurent_divexact",
-    "laurent_divides",
     "laurent_gcd",
     "minor_polys",
     "mutation_invariance_check",

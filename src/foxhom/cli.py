@@ -154,22 +154,17 @@ def _cmd_alexander(args):
     map_path = datasets.data_path(args.map)
     p = datasets.load_presentation(path)
     phi = datasets.load_map(map_path, source=p.generators)
-    am = alexander_matrix(p, phi)
-    result = {"presentation": p.name, "matrix": am.matrix.to_json()}
-    lines = [am.matrix.table()]
-    nrows, ncols = am.shape
+    grid = alexander_matrix(p, phi)
+    result = {"presentation": p.name, "matrix": grid.to_json()}
+    lines = [grid.table()]
     if args.minors:
-        if nrows != ncols + 1:
-            raise InputError(
-                f"--minors needs a deficiency-one presentation, got {nrows}x{ncols}"
-            )
-        minors = minor_polys(am)
+        minors = minor_polys(grid)
         delta = delta_from_minors(minors.values())
         result["minors"] = {g: str(minors[g]) for g in p.generators}
         lines.append("")
         lines.extend(f"minor[{g}] = {minors[g]}" for g in p.generators)
     else:
-        delta = delta_from_minors(codim_one_minors(am))
+        delta = delta_from_minors(codim_one_minors(grid))
     result["alexander_polynomial"] = str(delta.normal_form())
     lines.append("")
     lines.append(f"alexander polynomial = {delta.normal_form()}")

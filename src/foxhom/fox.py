@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .laurent import LaurentPoly, json_int, json_ints, json_list
+from .laurent import LaurentPoly, json_int, json_ints, json_vars
 from .polygcd import laurent_gcd
 from .polymat import LaurentMatrix, determinant
 
@@ -59,10 +59,6 @@ class AbelianizationMap:
         s = sign if power % 2 else 1
         return (s, tuple(power * e for e in exp))
 
-    def image_poly(self, gen, power=1):
-        s, exp = self.image_monomial(gen, power)
-        return LaurentPoly.monomial(self.vars, exp, s)
-
     def word_image(self, word):
         """(sign, exponent vector) of a word's image."""
         sign = 1
@@ -74,14 +70,6 @@ class AbelianizationMap:
                 exp[i] += v
         return sign, tuple(exp)
 
-    def to_json(self):
-        return {
-            "vars": list(self.vars),
-            "images": {
-                g: {"sign": s, "exp": list(e)} for g, (s, e) in self.images.items()
-            },
-        }
-
     @classmethod
     def from_json(cls, data, source=None):
         images = {
@@ -90,7 +78,7 @@ class AbelianizationMap:
         }
         if source is None:
             source = tuple(sorted(images))
-        return cls(tuple(source), tuple(json_list(data["vars"])), images)
+        return cls(tuple(source), json_vars(data["vars"]), images)
 
 
 def fox_derivative(word, gen, phi):
@@ -123,24 +111,12 @@ def fox_derivative(word, gen, phi):
     return LaurentPoly(phi.vars, terms)
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Fox-derivative matrix of a presentation relative to a map.
+def alexander_matrix(p, phi):
+    """Generators x relators grid of Fox derivatives pushed through phi.
 
     Rows follow the presentation's generator order; column j is relator j.
+    The grid is over ``phi.vars`` even when it has no entries.
     """
-
-    matrix: LaurentMatrix
-    phi: AbelianizationMap
-    presentation_name: str
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def alexander_matrix(p, phi):
-    """Generators x relators grid of Fox derivatives pushed through phi."""
     missing = set(p.generators) - set(phi.images)
     if missing:
         raise ValueError(f"map lacks images for generators {sorted(missing)}")
@@ -148,24 +124,23 @@ def alexander_matrix(p, phi):
     entries = [
         tuple(fox_derivative(r, g, phi) for r in p.relators) for g in p.generators
     ]
-    grid = LaurentMatrix(p.generators, col_labels, entries)
-    return AlexanderMatrix(grid, phi, p.name)
+    return LaurentMatrix(phi.vars, p.generators, col_labels, entries)
 
 
-def minor_polys(am):
+def minor_polys(grid):
     """Row-deletion minors of a deficiency-one Alexander matrix, in normal form.
 
     For each generator g, the determinant of the matrix with row g deleted.
     """
-    nrows, ncols = am.shape
+    nrows, ncols = grid.shape
     if nrows != ncols + 1:
-        raise ValueError(f"need rows = cols + 1, got {nrows}x{ncols}")
+        raise ValueError(f"minors need a deficiency-one matrix, got {nrows}x{ncols}")
     # codim_one_minors deletes the last row first
-    minors = reversed(codim_one_minors(am))
-    return {g: m.normal_form() for g, m in zip(am.matrix.row_labels, minors)}
+    minors = reversed(codim_one_minors(grid))
+    return {g: m.normal_form() for g, m in zip(grid.row_labels, minors)}
 
 
-def codim_one_minors(am):
+def codim_one_minors(grid):
     """The minors of size min(#generators - 1, #relators), unnormalized.
 
     For a deficiency-one matrix these are the row-deletion minors, last row
@@ -173,17 +148,17 @@ def codim_one_minors(am):
     determinant, 1.  More than ``MAX_MINORS`` minors raise ``ValueError``
     before any determinant is taken.
     """
-    grid = am.matrix
-    nrows, ncols = am.shape
+    nrows, ncols = grid.shape
     size = min(nrows - 1, ncols)
     if size <= 0:
-        return [LaurentPoly.constant(am.phi.vars, 1)]
+        return [LaurentPoly.constant(grid.vars, 1)]
     count = comb(nrows, size) * comb(ncols, size)
     if count > MAX_MINORS:
         raise ValueError(f"{count} codimension-one minors exceed {MAX_MINORS}")
     return [
         determinant(
             LaurentMatrix(
+                grid.vars,
                 tuple(grid.row_labels[i] for i in rows),
                 tuple(grid.col_labels[j] for j in cols),
                 tuple(tuple(grid.entries[i][j] for j in cols) for i in rows),

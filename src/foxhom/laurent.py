@@ -237,7 +237,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data):
-        vars = tuple(json_list(data["vars"]))
+        vars = json_vars(data["vars"])
         pairs = [(json_ints(t["exp"]), json_int(t["coef"])) for t in json_list(data["terms"])]
         terms = dict(pairs)
         if any(len(exp) != len(vars) for exp in terms):
@@ -268,6 +268,14 @@ def json_int(value):
 def json_ints(values):
     """A JSON list of integers, as a tuple."""
     return tuple(json_int(v) for v in json_list(values))
+
+
+def json_vars(value):
+    """A JSON list of variable names, as a tuple; ValueError if one repeats."""
+    vars = tuple(json_list(value))
+    if len(set(vars)) != len(vars):
+        raise ValueError("a variable is listed twice")
+    return vars
 
 
 def parse_poly(text, vars):

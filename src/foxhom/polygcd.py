@@ -66,15 +66,6 @@ def laurent_divexact(f, g):
     return q.shift(tuple(a - b for a, b in zip(mf, mg)))
 
 
-def laurent_divides(g, f):
-    """Whether g divides f with a Laurent-polynomial quotient."""
-    try:
-        laurent_divexact(f, g)
-        return True
-    except ExactDivisionError:
-        return False
-
-
 # ---- a polynomial as univariate in one position ------------------------
 
 

@@ -10,19 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, json_vars
 from .polygcd import poly_divexact
 
 
 @dataclass(frozen=True)
 class LaurentMatrix:
-    """A rectangular grid of Laurent polynomials over one variable list."""
+    """A rectangular grid of Laurent polynomials over the ring ``vars``.
 
+    Every entry must lie in that ring; a grid with no entries keeps it too.
+    """
+
+    vars: tuple
     row_labels: tuple
     col_labels: tuple
     entries: tuple  # tuple of row tuples of LaurentPoly
 
     def __post_init__(self):
+        object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         object.__setattr__(
@@ -33,50 +38,12 @@ class LaurentMatrix:
         for row in self.entries:
             if len(row) != len(self.col_labels):
                 raise ValueError("ragged matrix")
-        vars = self.vars
-        for row in self.entries:
-            for e in row:
-                if e.vars != vars:
-                    raise ValueError("entries over different variable lists")
-
-    @property
-    def vars(self):
-        if self.entries and self.entries[0]:
-            return self.entries[0][0].vars
-        return ()
+            if any(e.vars != self.vars for e in row):
+                raise ValueError(f"an entry is not over the variables {self.vars}")
 
     @property
     def shape(self):
         return len(self.row_labels), len(self.col_labels)
-
-    def entry(self, row_label, col_label):
-        return self.entries[self.row_labels.index(row_label)][
-            self.col_labels.index(col_label)
-        ]
-
-    def delete_row(self, label):
-        i = self.row_labels.index(label)
-        return LaurentMatrix(
-            self.row_labels[:i] + self.row_labels[i + 1 :],
-            self.col_labels,
-            self.entries[:i] + self.entries[i + 1 :],
-        )
-
-    def __matmul__(self, other):
-        if len(self.col_labels) != len(other.row_labels):
-            raise ValueError("shape mismatch")
-        vars = self.vars or other.vars
-        zero = LaurentPoly.zero(vars)
-        rows = []
-        for i in range(len(self.row_labels)):
-            row = []
-            for j in range(len(other.col_labels)):
-                acc = zero
-                for k in range(len(self.col_labels)):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return LaurentMatrix(self.row_labels, other.col_labels, rows)
 
     def to_json(self):
         return {
@@ -88,11 +55,12 @@ class LaurentMatrix:
 
     @classmethod
     def from_json(cls, data):
+        vars = json_vars(data["vars"])
         rows = [
             tuple(LaurentPoly.from_json({"vars": data["vars"], "terms": t}) for t in row)
             for row in data["entries"]
         ]
-        return cls(tuple(data["row_labels"]), tuple(data["col_labels"]), rows)
+        return cls(vars, tuple(data["row_labels"]), tuple(data["col_labels"]), rows)
 
     def table(self):
         """Aligned plain-text rendering."""
@@ -139,7 +107,7 @@ def determinant(matrix):
 
     >>> from .laurent import parse_poly
     >>> p = lambda s: parse_poly(s, ("x",))
-    >>> m = LaurentMatrix(("a", "b"), ("c", "d"),
+    >>> m = LaurentMatrix(("x",), ("a", "b"), ("c", "d"),
     ...                   ((p("x"), p("1")), (p("1"), p("x"))))
     >>> print(determinant(m))
     x^2 - 1

@@ -102,26 +102,25 @@ class _Inputs:
 
 
 def _check_matrix(inputs):
-    ref = inputs.reference
-    am = inputs.matrix
-    if am.matrix.entries == ref["matrix"].entries:
-        return True, "6x5 matrix matches entrywise"
-    # documented fallback: row-wise unit equivalence
-    rows_ok = all(
-        all(
-            a.unit_equivalent(b)
-            for a, b in zip(row_a, row_b)
-        )
-        for row_a, row_b in zip(am.matrix.entries, ref["matrix"].entries)
-    )
-    if rows_ok:
-        return False, "entries agree only up to units (lift convention mismatch)"
-    bad = sum(
-        1
-        for row_a, row_b in zip(am.matrix.entries, ref["matrix"].entries)
+    got = inputs.matrix
+    ref = inputs.reference["matrix"]
+    if got == ref:
+        return True, "{}x{} matrix matches entrywise".format(*got.shape)
+    if got.shape != ref.shape:
+        return False, "shape {}x{}, reference {}x{}".format(*got.shape, *ref.shape)
+    if (got.vars, got.row_labels, got.col_labels) != (
+        ref.vars, ref.row_labels, ref.col_labels
+    ):
+        return False, "variables or labels differ from the reference"
+    pairs = [
+        (a, b)
+        for row_a, row_b in zip(got.entries, ref.entries)
         for a, b in zip(row_a, row_b)
-        if a != b
-    )
+    ]
+    # documented fallback: entrywise unit equivalence
+    if all(a.unit_equivalent(b) for a, b in pairs):
+        return False, "entries agree only up to units (lift convention mismatch)"
+    bad = sum(1 for a, b in pairs if a != b)
     return False, f"{bad} entries differ"
 
 

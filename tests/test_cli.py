@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import foxhom
 from foxhom import cli, datasets, fox, verify
 from foxhom.cli import main
 
@@ -84,6 +85,12 @@ def _duplicate_exponent_delta():
     return data
 
 
+def _repeated_variable_map():
+    data = _bundled("map-free-abelian")
+    data["vars"][1] = data["vars"][0]
+    return data
+
+
 def _duplicate_generator_presentation():
     data = _bundled("n-final")
     data["generators"] = data["generators"] + ["m"]
@@ -91,29 +98,33 @@ def _duplicate_generator_presentation():
 
 
 @pytest.mark.parametrize("argv, data", (
-    (("abelianize",), {"name": "p", "generators": ["a"]}),
-    (("branched", "--n", "5"), {"vars": ["x", "y"], "terms": "x - 1"}),
-    (("fill",), [{"presentation": "n-final"}]),
-    (("cover",), {"presentation": "n-final", "n": 3, "fill": ["m"]}),
-    (("abelianize",), {"name": "p", "generators": "ab", "relators": []}),
-    (("branched", "--n", "5"), _float_coefficient_delta()),
-    (("cover",), _float_degree_job()),
-    (("cover",), _bundled("cover-job", n=2.5)),
-    (("abelianize",), "generators: m, s, t"),
-    (("branched", "--n", "5"), _long_exponent_delta()),
-    (("abelianize",), _duplicate_generator_presentation()),
-    (("branched", "--n", "5"), _duplicate_exponent_delta()),
+    (("abelianize", "{}"), {"name": "p", "generators": ["a"]}),
+    (("branched", "{}", "--n", "5"), {"vars": ["x", "y"], "terms": "x - 1"}),
+    (("fill", "{}"), [{"presentation": "n-final"}]),
+    (("cover", "{}"), {"presentation": "n-final", "n": 3, "fill": ["m"]}),
+    (("abelianize", "{}"), {"name": "p", "generators": "ab", "relators": []}),
+    (("branched", "{}", "--n", "5"), _float_coefficient_delta()),
+    (("cover", "{}"), _float_degree_job()),
+    (("cover", "{}"), _bundled("cover-job", n=2.5)),
+    (("abelianize", "{}"), "generators: m, s, t"),
+    (("branched", "{}", "--n", "5"), _long_exponent_delta()),
+    (("abelianize", "{}"), _duplicate_generator_presentation()),
+    (("branched", "{}", "--n", "5"), _duplicate_exponent_delta()),
+    (("branched", "{}", "--n", "5", "--k", "all"), _bundled("delta_L", vars=["x", "x"])),
+    (("alexander", "n-final", "--map", "{}"), _repeated_variable_map()),
 ), ids=(
     "no-relators", "text-terms", "top-level-list", "no-degrees",
     "string-generators", "float-coefficient", "float-degree", "float-n",
     "not-json", "long-exponent", "duplicate-generator", "duplicate-exponent",
+    "repeated-variable-poly", "repeated-variable-map",
 ))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
     # not JSON, valid JSON of the wrong shape, a mistyped field that int()
-    # or tuple() would otherwise coerce, or a value the decoder rejects
+    # or tuple() would otherwise coerce, or a value the decoder rejects;
+    # the file goes where argv says "{}"
     path = tmp_path / "input.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
     assert code == 2 and out == ""
     assert f"malformed input {path}" in err
 
@@ -169,6 +180,27 @@ def test_alexander_free_presentation(capsys, tmp_path):
     code, out, _ = run(capsys, "alexander", "rst", "--map", str(map_file))
     assert code == 0
     assert "alexander polynomial = 1" in out
+
+
+def test_alexander_free_presentation_keeps_the_map_ring(capsys, tmp_path):
+    pres = tmp_path / "free.json"
+    pres.write_text(json.dumps({"name": "free", "generators": ["a", "b"], "relators": []}))
+    map_file = tmp_path / "map.json"
+    map_file.write_text(
+        json.dumps(
+            {
+                "vars": ["x", "y"],
+                "images": {"a": {"sign": 1, "exp": [1, 0]}, "b": {"sign": 1, "exp": [0, 1]}},
+            }
+        )
+    )
+    code, out, _ = run(
+        capsys, "alexander", str(pres), "--map", str(map_file), "--format", "json"
+    )
+    assert code == 0
+    [result] = json.loads(out)["results"]
+    assert result["matrix"]["vars"] == ["x", "y"]
+    assert result["matrix"]["entries"] == [[], []]
 
 
 def test_alexander_minors_shape_guard(capsys, tmp_path):
@@ -513,6 +545,38 @@ def test_verify_paper_fault_injection(capsys, tmp_path):
     }
 
 
+def _drop_u_row(raw):
+    i = raw["row_labels"].index("u")
+    del raw["row_labels"][i], raw["entries"][i]
+
+
+def _rename_u_row(raw):
+    raw["row_labels"][raw["row_labels"].index("u")] = "v"
+
+
+@pytest.mark.parametrize("edit, detail", (
+    (_drop_u_row, "shape 6x5, reference 5x5"),
+    (_rename_u_row, "variables or labels differ from the reference"),
+), ids=("row-dropped", "row-renamed"))
+def test_verify_paper_matrix_compares_shape_and_labels_first(capsys, tmp_path, edit, detail):
+    """A reference row missing or renamed fails on that, not on units."""
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    ref = alt / "alexander-reference.json"
+    raw = json.loads(ref.read_text())
+    edit(raw)
+    ref.write_text(json.dumps(raw))
+
+    code, out, _ = run(
+        capsys, "verify-paper", "--data-dir", str(alt), "--item", "matrix",
+        "--format", "json",
+    )
+    assert code == 1
+    [result] = json.loads(out)["results"]
+    assert result["pass"] is False
+    assert result["detail"] == detail
+
+
 def test_verify_paper_unreadable_reference(capsys, tmp_path):
     """A truncated reference file fails exactly the items that read it."""
     alt = tmp_path / "data"
@@ -555,3 +619,23 @@ def test_verify_paper_derives_the_fox_chain_once_per_run(monkeypatch):
     assert calls == {"alexander_matrix": 1, "minor_polys": 1}
     verify.run_items()
     assert calls == {"alexander_matrix": 2, "minor_polys": 2}
+
+
+# ---- the public surface -------------------------------------------------------
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    assert sorted(foxhom.__all__) == [
+        "AbelianGroup", "AbelianizationMap", "CoverPresentation",
+        "CyclicQuotientMap", "FillingSpec", "LaurentMatrix", "LaurentPoly",
+        "ParseError", "Presentation", "RootCount", "Word", "abelianize",
+        "alexander_matrix", "alexander_poly", "branched_betti", "cokernel",
+        "determinant", "exponent_vector", "fill", "fox_derivative", "h1_cover",
+        "h_n_module", "laurent_divexact", "laurent_gcd", "minor_polys",
+        "mutation_invariance_check", "nu_poly", "parse_poly", "parse_word",
+        "reidemeister_schreier", "sakuma_quotient", "shared_root_count",
+        "smith_normal_form", "substitute_monomial", "tietze_add_generator",
+        "tietze_eliminate", "transfer",
+    ]
+    assert all(hasattr(foxhom, name) for name in foxhom.__all__)
