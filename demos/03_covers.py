@@ -10,9 +10,9 @@ Run with:  python demos/03_covers.py
 from foxhom import (
     CyclicQuotientMap,
     FillingSpec,
-    abelianize,
     datasets,
     fill,
+    h1_cover,
     h_n_module,
     reidemeister_schreier,
     sakuma_quotient,
@@ -30,7 +30,7 @@ rows = []
 for n in (1, 3, 5, 7, 9):
     q = CyclicQuotientMap(p, n, job["degrees"])
     cover = reidemeister_schreier(p, q)
-    h1 = abelianize(cover.kernel_presentation())
+    h1 = h1_cover(cover)
     filled = fill(cover, slopes)
     sak = sakuma_quotient(cover)
     hn = h_n_module(cover)

@@ -26,6 +26,7 @@ from .covers import (
     FillingSpec,
     branched_betti,
     fill,
+    h1_cover,
     h_n_module,
     reidemeister_schreier,
     sakuma_quotient,
@@ -178,13 +179,6 @@ def _cmd_alexander(args):
     return 0
 
 
-def _load_cover_job(args):
-    job_path = datasets.data_path(args.job)
-    job = datasets.load_job(job_path)
-    n_values = _parse_int_values(args.n) if args.n else (job["n"],)
-    return job_path, job, _cap_levels(n_values, MAX_COVER_LEVEL)
-
-
 # table headers of the per-level rows, by mode
 _COVER_HEADERS = {
     "h1": ("n", "rank", "torsion"),
@@ -210,7 +204,7 @@ def _cover_level(task):
             entry["order_ratio"] = sak.order // hn.order
         return entry, (n, _group_line(sak), _group_line(hn), entry.get("order_ratio", "-"))
     if mode == "h1":
-        group = abelianize(cover.kernel_presentation())
+        group = h1_cover(cover)
     elif job["fill"]:
         group = fill(cover, FillingSpec(job["fill"]))
     else:
@@ -224,20 +218,6 @@ def _cover_level(task):
     return entry, row
 
 
-def _cmd_cover_family(args, mode, command):
-    job_path, job, n_values = _load_cover_job(args)
-    results, rows = zip(*(_cover_level((job, n, mode)) for n in n_values))
-    table = _table(_COVER_HEADERS[mode], rows)
-    report = _report(
-        command,
-        {"job": job_path},
-        {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode},
-        results,
-    )
-    _emit(report, args.format, table, args.output)
-    return 0
-
-
 def _run_tasks(fn, tasks, jobs):
     """[fn(t) for t in tasks], spread over at most ``jobs`` worker processes."""
     if jobs < 1:
@@ -247,6 +227,25 @@ def _run_tasks(fn, tasks, jobs):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _sweep(args, command, inputs, parameters, headers, fn, tasks, jobs=1):
+    """Report fn's (json entry, table row) pairs over ``tasks``, in task order."""
+    pairs = _run_tasks(fn, tasks, jobs)
+    results = [entry for entry, _ in pairs]
+    table = _table(headers, [row for _, row in pairs])
+    _emit(_report(command, inputs, parameters, results), args.format, table, args.output)
+    return 0
+
+
+def _cmd_cover_family(args, mode, command):
+    job_path = datasets.data_path(args.job)
+    job = datasets.load_job(job_path)
+    n_values = _cap_levels(_parse_int_values(args.n) if args.n else (job["n"],), MAX_COVER_LEVEL)
+    parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
+    tasks = [(job, n, mode) for n in n_values]
+    return _sweep(args, command, {"job": job_path}, parameters,
+                  _COVER_HEADERS[mode], _cover_level, tasks)
 
 
 def _parse_sweep_levels(text):
@@ -273,27 +272,17 @@ def _cmd_rhs_sweep(args):
         )
     job = datasets.standard_cover_job()
     tasks = [(job, n, "rhs") for n in n_values]
-    results, rows = zip(*_run_tasks(_cover_level, tasks, args.jobs))
-    table = _table(_COVER_HEADERS["rhs"], rows)
-    report = _report(
-        "rhs-sweep",
-        {"job": datasets.data_path("cover-job")},
-        {"n": list(n_values), "force": bool(args.force)},
-        results,
-    )
-    _emit(report, args.format, table, args.output)
-    return 0
+    return _sweep(args, "rhs-sweep", {"job": datasets.data_path("cover-job")},
+                  {"n": list(n_values), "force": bool(args.force)},
+                  _COVER_HEADERS["rhs"], _cover_level, tasks, args.jobs)
 
 
 def _branched_cell(payload):
+    """One (n, k) cell of a branched sweep: (json entry, table row)."""
     delta, n, k = payload
     count = branched_betti(delta, k, n)
-    return {
-        "n": n,
-        "k": k,
-        "betti": int(count),
-        "flag": "zero-polynomial" if count.all_roots else "",
-    }
+    betti, flag = int(count), "zero-polynomial" if count.all_roots else ""
+    return {"n": n, "k": k, "betti": betti, "flag": flag}, (n, k, betti, flag)
 
 
 def _cmd_branched(args):
@@ -317,17 +306,8 @@ def _cmd_branched(args):
             cells.append((delta, n, k))
         if len(cells) > MAX_CELLS:
             raise InputError(f"more than {MAX_CELLS} (n, k) cells")
-    results = _run_tasks(_branched_cell, cells, args.jobs)
-    rows = [(r["n"], r["k"], r["betti"], r["flag"]) for r in results]
-    table = _table(("n", "k", "betti", "flag"), rows)
-    report = _report(
-        "branched",
-        {"delta": delta_path},
-        {"n": list(n_values), "k": args.k},
-        results,
-    )
-    _emit(report, args.format, table, args.output)
-    return 0
+    return _sweep(args, "branched", {"delta": delta_path}, {"n": list(n_values), "k": args.k},
+                  ("n", "k", "betti", "flag"), _branched_cell, cells, args.jobs)
 
 
 def _cmd_verify(args):

@@ -5,10 +5,12 @@ is its graded exponent sum.  The cover's coset space is Z/n itself, the
 Schreier transversal is the powers of a fixed section generator whose degree
 is coprime to n, and the deck action is the coset shift c -> c + 1.
 
-Cover generators are named ``g@c`` for base generator g at coset c.  The raw
-Schreier presentation keeps all n * (base generators) symbols and
-n * (base relators) rewritten relators; ``kernel_presentation`` appends the
-n - 1 relators that trivialize the transversal symbols.
+Cover generators are named ``g@c`` for base generator g at coset c.  The
+kernel presentation keeps all n * (base generators) symbols; its relators are
+the n * (base relators) rewritten ones, then the n - 1 one-letter relators
+that trivialize the transversal symbols.  Fillings and transfers enter as
+extra relators after those, so every cover group is the abelianization of
+one presentation.
 """
 
 from __future__ import annotations
@@ -73,19 +75,17 @@ def cover_gen(g, c):
 
 @dataclass(frozen=True)
 class CoverPresentation:
-    """Bookkeeping for an n-fold cyclic cover.
+    """An n-fold cyclic cover and its kernel presentation.
 
-    ``presentation`` is the raw Schreier presentation: one generator per
-    (base generator, coset) pair and one relator per (base relator, coset)
-    pair.  ``trivial_generators`` are the n - 1 transversal symbols that
-    freely reduce to the identity; they are killed by
-    ``kernel_presentation`` before any homology is computed.
+    ``presentation`` presents the cover's group: one generator per (base
+    generator, coset) pair, one rewritten relator per (base relator, coset)
+    pair, then one relator per transversal symbol that freely reduces to
+    the identity.
     """
 
     quotient: CyclicQuotientMap
     section: str
     presentation: Presentation
-    trivial_generators: tuple
 
     @property
     def base(self):
@@ -98,19 +98,6 @@ class CoverPresentation:
     def rewrite(self, word, start=0):
         """Rewrite a base word into cover generators, starting at a coset."""
         return _rewrite(self.quotient, word, start)
-
-    def kernel_presentation(self, extra=()):
-        """The Schreier presentation with transversal symbols trivialized.
-
-        ``extra`` relator words in the cover generators are appended after
-        the trivializing ones, so their relator-matrix columns come last.
-        """
-        trivial = tuple(Word([(g, 1)]) for g in self.trivial_generators)
-        return Presentation(
-            self.presentation.name,
-            self.presentation.generators,
-            self.presentation.relators + trivial + tuple(extra),
-        )
 
 
 def _rewrite(q, word, start):
@@ -132,14 +119,14 @@ def reidemeister_schreier(p, q):
     """Present the kernel of a cyclic quotient map.
 
     The cover of a (g generators, r relators) presentation has n*g Schreier
-    generators and n*r rewritten relators; the transversal is the powers of
-    the section generator, which trivializes n - 1 of the section symbols.
+    generators and n*r + n - 1 relators: the rewritten base relators, then
+    the n - 1 section symbols that the transversal (the powers of the
+    section generator) trivializes.
 
-    >>> from .words import parse_word
     >>> free = Presentation("free", ("a",), ())
     >>> cover = reidemeister_schreier(free, CyclicQuotientMap(free, 3, {"a": 1}))
-    >>> len(cover.presentation.generators), cover.trivial_generators
-    (3, ('a@0', 'a@1'))
+    >>> [str(r) for r in cover.presentation.relators]
+    ['a@0', 'a@1']
     """
     if not isinstance(q, CyclicQuotientMap):
         raise TypeError("need a CyclicQuotientMap")
@@ -148,30 +135,32 @@ def reidemeister_schreier(p, q):
     n = q.n
     section = q.section_generator()
     gens = tuple(cover_gen(g, c) for g in p.generators for c in range(n))
+    relators = tuple(_rewrite(q, r, c) for r in p.relators for c in range(n))
 
     # the transversal rep of coset c is section^j with j*deg(section) = c;
     # section symbols at cosets j*deg for j = 0..n-2 reduce to the identity
     d = q.degrees[section]
-    trivial = tuple(cover_gen(section, (j * d) % n) for j in range(n - 1))
-
-    relators = tuple(_rewrite(q, r, c) for r in p.relators for c in range(n))
+    trivial = tuple(Word([(cover_gen(section, (j * d) % n), 1)]) for j in range(n - 1))
     return CoverPresentation(
-        q,
-        section,
-        Presentation(f"{p.name}~{n}fold", gens, relators),
-        trivial,
+        q, section, Presentation(f"{p.name}~{n}fold", gens, relators + trivial)
     )
 
 
-def h1_cover(p, q):
+def _quotient(cover, extra):
+    """Abelianization of the kernel presentation with ``extra`` relators appended."""
+    p = cover.presentation
+    return abelianize(Presentation(p.name, p.generators, p.relators + tuple(extra)))
+
+
+def h1_cover(cover):
     """First homology of the n-fold cyclic cover.
 
-    >>> from .words import parse_word
     >>> free = Presentation("free", ("a", "b"), ())
-    >>> print(h1_cover(free, CyclicQuotientMap(free, 2, {"a": 1, "b": 0})))
+    >>> q = CyclicQuotientMap(free, 2, {"a": 1, "b": 0})
+    >>> print(h1_cover(reidemeister_schreier(free, q)))
     Z^3
     """
-    return abelianize(reidemeister_schreier(p, q).kernel_presentation())
+    return abelianize(cover.presentation)
 
 
 def transfer(cover, word):
@@ -236,7 +225,7 @@ def fill(cover, spec):
     Each filled relator imposes its class as a relation; the result is the
     abelianization of the augmented kernel presentation.
     """
-    return abelianize(cover.kernel_presentation(filled_relators(cover, spec)))
+    return _quotient(cover, filled_relators(cover, spec))
 
 
 def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
@@ -251,7 +240,7 @@ def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
             raise ValueError(f"no base generator named {g!r}")
     extra = [_transfer_relator(cover, Word([(meridian, 1)]))]
     extra.extend(_transfer_relator(cover, Word([(g, 1)]), 2) for g in doubled)
-    return abelianize(cover.kernel_presentation(extra))
+    return _quotient(cover, extra)
 
 
 def h_n_module(cover):
@@ -260,7 +249,7 @@ def h_n_module(cover):
     For n = 1 the transfers generate everything and the result is trivial.
     """
     extra = [_transfer_relator(cover, Word([(g, 1)])) for g in cover.base.generators]
-    return abelianize(cover.kernel_presentation(extra))
+    return _quotient(cover, extra)
 
 
 def branched_betti(delta, k, n):

@@ -80,8 +80,9 @@ def load_poly(name, dir=None):
     return _load(name, LaurentPoly.from_json, dir)
 
 
-def load_map(name, source=None, dir=None):
-    return _load(name, lambda raw: AbelianizationMap.from_json(raw, source=source), dir)
+def load_map(name, source, dir=None):
+    """An abelianization map, its images read for the generators ``source``."""
+    return _load(name, lambda raw: AbelianizationMap.from_json(raw, source), dir)
 
 
 def load_constants(dir=None):

@@ -71,14 +71,12 @@ class AbelianizationMap:
         return sign, tuple(exp)
 
     @classmethod
-    def from_json(cls, data, source=None):
+    def from_json(cls, data, source):
         images = {
             g: (json_int(entry["sign"]), json_ints(entry["exp"]))
             for g, entry in data["images"].items()
         }
-        if source is None:
-            source = tuple(sorted(images))
-        return cls(tuple(source), json_vars(data["vars"]), images)
+        return cls(source, json_vars(data["vars"]), images)
 
 
 def fox_derivative(word, gen, phi):

@@ -312,11 +312,11 @@ class RootCount(int):
         return f"RootCount({int(self)}, all_roots={self.all_roots})"
 
 
-def _as_univariate(p, var):
+def _as_univariate(p):
     used = p.variables_used()
     if len(used) > 1:
         raise ValueError("polynomial is not univariate")
-    name = used[0] if used else var
+    name = used[0] if used else "t"
     i = p.vars.index(name) if name in p.vars else None
     terms = {}
     for exp, coef in p.terms.items():
@@ -325,7 +325,7 @@ def _as_univariate(p, var):
     return LaurentPoly((name,), terms)
 
 
-def shared_root_count(p, n, var="t"):
+def shared_root_count(p, n):
     """Number of distinct complex roots shared by p and nu_n = t^(n-1)+...+1.
 
     Computed as the degree of gcd(normal_form(p), nu_n) over the rationals;
@@ -339,7 +339,7 @@ def shared_root_count(p, n, var="t"):
         raise ValueError("modulus must be at least 2")
     if p.is_zero:
         return RootCount(n - 1, all_roots=True)
-    q = _as_univariate(p, var).normal_form()
+    q = _as_univariate(p).normal_form()
     nu = nu_poly(n, q.vars[0])
     g = poly_gcd(q, nu)
     return RootCount(_deg_in(g, 0))

@@ -96,10 +96,12 @@ def smith_normal_form(matrix):
             q = _symmetric_quotient(pivot_col[i], p)
             for j in in_row[r]:
                 col = columns[j]
-                v = col.get(i, 0) - q * col[r]
+                old = col.get(i, 0)
+                v = old - q * col[r]
                 if v:
                     col[i] = v
-                    in_row[i].add(j)
+                    if not old:
+                        in_row[i].add(j)
                 else:
                     col.pop(i, None)
                     in_row[i].discard(j)

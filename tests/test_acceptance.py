@@ -155,7 +155,8 @@ def test_08_rank_identity_two_pipelines(n_final, free_abelian_map, cover_job):
     )
     ok = True
     for n in range(3, 16, 2):
-        rank = h1_cover(n_final, CyclicQuotientMap(n_final, n, cover_job["degrees"])).rank
+        q = CyclicQuotientMap(n_final, n, cover_job["degrees"])
+        rank = h1_cover(reidemeister_schreier(n_final, q)).rank
         count = int(shared_root_count(delta_inf, n))
         ok = ok and rank == 3 + count == 3
     report("8 rank identity across pipelines", ok, time.time() - start, 60.0)
@@ -238,7 +239,7 @@ def _transfer_filling_suite(cover_job, same_row_lattice):
     for n in (1, 3, 5, 7, 9):
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
         gens = cover.presentation.generators
-        matrix = cover.kernel_presentation().relator_matrix()
+        matrix = cover.presentation.relator_matrix()
         base_rows = [
             [matrix[i][j] for i in range(len(gens))]
             for j in range(len(matrix[0]) if matrix else 0)

@@ -477,21 +477,30 @@ def test_unwritable_output_is_exit_2(capsys, tmp_path):
 # sha256 of the table-format stdout; a table body holds only input digests
 # and results, so it is the same on every machine
 PINNED_TABLE_BODIES = (
-    (("verify-paper",),
+    ("verify-paper", ("verify-paper",),
      "3f80956b9d312192c539d23c196ca78d54164c7a6b2f2a746de3bcf9eab5a88b"),
-    (("alexander", "n-final", "--map", "map-free-abelian", "--minors"),
+    ("alexander", ("alexander", "n-final", "--map", "map-free-abelian", "--minors"),
      "1b05cd650d76eaadbf332b6101f33177f6212db63240c8475a84d704a1b57a53"),
-    (("rhs-sweep", "--n", "3..37"),
+    ("rhs-sweep", ("rhs-sweep", "--n", "3..37"),
      "48de310626ce56101f27a5495e902012139ae0fb0e28bd80859c211d8930b5f0"),
-    (("sakuma", "cover-job", "--n", "3..15"),
+    ("sakuma", ("sakuma", "cover-job", "--n", "3..15"),
      "dcab6bba65ce2754dca13f69f670d0bd90345dc0df9466fcf3b2eb7b5ffdc975"),
-    (("branched", "delta_L", "--n", "5..41", "--k", "all"),
+    ("branched", ("branched", "delta_L", "--n", "5..41", "--k", "all"),
      "36e43fbd06aad33907eb01f69b56bc7384286f071393b112bf9f42c8e1eb6689"),
+    ("cover", ("cover", "cover-job", "--n", "1..15"),
+     "8e4bffb0fa1e79cb141de72977871d7b92724a2ea6cc50c527359b9b8d85559f"),
+    ("fill", ("fill", "cover-job", "--n", "1..15"),
+     "34aa41a9f42f2877f47abc0eb7815dd588efb3b111032252d15cd00165dd3e47"),
+    # no coprime residue below 1, so no cells: the header alone, exit 0
+    ("branched-empty", ("branched", "delta_L", "--n", "1", "--k", "all"),
+     "e136460e8531afac2316c88a0a09c9209183670de892a03d571693251ed58a00"),
 )
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_TABLE_BODIES, ids=[a[0] for a, _ in PINNED_TABLE_BODIES]
+    "argv, digest",
+    [(argv, digest) for _, argv, digest in PINNED_TABLE_BODIES],
+    ids=[name for name, _, _ in PINNED_TABLE_BODIES],
 )
 def test_table_body_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

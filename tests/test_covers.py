@@ -72,14 +72,14 @@ def test_rank_one_cover():
     p = free_presentation("a")
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, 3, {"a": 1}))
     assert len(cover.presentation.generators) == 3
-    assert len(cover.trivial_generators) == 2
-    assert abelianize(cover.kernel_presentation()) == AbelianGroup(1)
+    assert [str(r) for r in cover.presentation.relators] == ["a@0", "a@1"]
+    assert abelianize(cover.presentation) == h1_cover(cover) == AbelianGroup(1)
 
 
 def test_rank_formula_two_generators():
     p = free_presentation("a", "b")
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, 2, {"a": 1, "b": 0}))
-    assert abelianize(cover.kernel_presentation()) == AbelianGroup(3)
+    assert abelianize(cover.presentation) == AbelianGroup(3)
 
 
 def test_nielsen_schreier_rank_formula_random():
@@ -93,17 +93,18 @@ def test_nielsen_schreier_rank_formula_random():
         p = free_presentation(*gens)
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
         assert len(cover.presentation.generators) == n * g
-        assert len(cover.presentation.relators) == 0
-        got = abelianize(cover.kernel_presentation())
-        assert got == AbelianGroup(n * (g - 1) + 1)
+        assert len(cover.presentation.relators) == n - 1
+        # the cover's presentation presents the free kernel itself
+        assert abelianize(cover.presentation) == AbelianGroup(n * (g - 1) + 1)
 
 
 def test_bundled_cover_bookkeeping(paper_cover):
     _, covers = paper_cover
     cover = covers[3]
     assert len(cover.presentation.generators) == 18
-    assert len(cover.presentation.relators) == 15
-    assert abelianize(cover.kernel_presentation()).rank == 3
+    # 5 base relators rewritten at 3 cosets, then 2 trivializing relators
+    assert len(cover.presentation.relators) == 3 * 5 + 3 - 1 == 17
+    assert abelianize(cover.presentation) == h1_cover(cover) == AbelianGroup(3, (2, 6, 6))
 
 
 def test_rewrites_preserve_degree_zero(paper_cover):
@@ -130,15 +131,15 @@ def test_rewrite_roundtrip_inverse(paper_cover):
 
 def test_h1_cover_level_one_matches_base(cover_job):
     p = cover_job["presentation"]
-    q = CyclicQuotientMap(p, 1, cover_job["degrees"])
-    assert h1_cover(p, q) == abelianize(p) == AbelianGroup(3, (2,))
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 1, cover_job["degrees"]))
+    assert h1_cover(cover) == abelianize(p) == AbelianGroup(3, (2,))
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_h1_cover_rank_three(cover_job, n):
     p = cover_job["presentation"]
-    q = CyclicQuotientMap(p, n, cover_job["degrees"])
-    assert h1_cover(p, q).rank == 3
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+    assert h1_cover(cover).rank == 3
 
 
 # ---- transfers ----------------------------------------------------------------
@@ -271,14 +272,13 @@ def test_fill_independent_of_orbit_representative(paper_cover):
     cover = covers[3]
     base = fill(cover, FillingSpec(job["fill"]))
     gens = cover.presentation.generators
-    kernel = cover.kernel_presentation()
     for c in (1, 2):
         rows = []
         for w in job["fill"]:
             o = cover.n // gcd(cover.n, cover.quotient.word_degree(w))
             t = _transversal_word(cover, c)
             rows.append(exponent_vector(cover.rewrite(t * w**o * ~t, 0), gens))
-        matrix = kernel.relator_matrix()
+        matrix = cover.presentation.relator_matrix()
         for row in rows:
             for i, v in enumerate(row):
                 matrix[i].append(v)
@@ -324,7 +324,7 @@ def test_transfer_quotient_extension_bound(paper_cover, n):
 
 def dense_quotient(cover, rows):
     """Cokernel of the kernel relator matrix with ``rows`` appended as columns."""
-    matrix = cover.kernel_presentation().relator_matrix()
+    matrix = cover.presentation.relator_matrix()
     for row in rows:
         for i, v in enumerate(row):
             matrix[i].append(v)
@@ -359,7 +359,7 @@ def test_transfer_filling_subgroup_equivalence(paper_cover, same_row_lattice, n)
     job, covers = paper_cover
     cover = covers[n]
     gens = cover.presentation.generators
-    relator_rows = cover.kernel_presentation().relator_matrix()
+    relator_rows = cover.presentation.relator_matrix()
     base_rows = [
         [relator_rows[i][j] for i in range(len(gens))]
         for j in range(len(relator_rows[0]) if relator_rows else 0)
