@@ -154,7 +154,10 @@ def _cmd_alexander(args):
     path = datasets.data_path(args.presentation)
     map_path = datasets.data_path(args.map)
     p = datasets.load_presentation(path)
-    phi = datasets.load_map(map_path, source=p.generators)
+    try:
+        phi = datasets.load_map(map_path, source=p.generators)
+    except datasets.MapMismatch as exc:
+        raise InputError(f"{exc} of presentation {p.name} ({path})") from None
     grid = alexander_matrix(p, phi)
     result = {"presentation": p.name, "matrix": grid.to_json()}
     lines = [grid.table()]

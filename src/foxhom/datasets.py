@@ -16,7 +16,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .fox import AbelianizationMap
+from .fox import AbelianizationMap, MissingImages
 from .laurent import LaurentPoly, json_int, json_list
 from .polymat import LaurentMatrix
 from .presentations import Presentation
@@ -49,19 +49,24 @@ class MalformedInput(ValueError):
     """An input file that is not JSON, or JSON its decoder rejects."""
 
 
+class MapMismatch(ValueError):
+    """A well-formed map with no image for some generators it is read for."""
+
+
 def _load(name, decode, dir=None):
     """``decode`` applied to the JSON an input names.
 
     This is the one place where a malformed file (not JSON, a missing field,
     a list where an object belongs, a value the decoder rejects) becomes a
     ``MalformedInput`` naming the file.  A file loaded inside ``decode``
-    names itself, so its error passes through unwrapped.
+    names itself, so its error passes through unwrapped, and so does a
+    ``MapMismatch``, which is not a fault of the file.
     """
     path = data_path(name, dir)
     try:
         with open(path) as f:
             return decode(json.load(f))
-    except MalformedInput:
+    except (MalformedInput, MapMismatch):
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
@@ -81,8 +86,20 @@ def load_poly(name, dir=None):
 
 
 def load_map(name, source, dir=None):
-    """An abelianization map, its images read for the generators ``source``."""
-    return _load(name, lambda raw: AbelianizationMap.from_json(raw, source), dir)
+    """An abelianization map, its images read for the generators ``source``.
+
+    A map with no image for some of ``source`` may be a good map of another
+    presentation; ``MapMismatch`` names the file and the generators it lacks.
+    """
+    path = data_path(name, dir)
+
+    def decode(raw):
+        try:
+            return AbelianizationMap.from_json(raw, source)
+        except MissingImages as exc:
+            raise MapMismatch(f"map {path} has {exc}") from None
+
+    return _load(path, decode)
 
 
 def load_constants(dir=None):

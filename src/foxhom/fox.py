@@ -28,6 +28,10 @@ from .polymat import LaurentMatrix, determinant
 MAX_MINORS = 10_000
 
 
+class MissingImages(ValueError):
+    """A map applied to generators that it has no image for."""
+
+
 @dataclass(frozen=True)
 class AbelianizationMap:
     """A homomorphism sending each generator to a signed monomial unit.
@@ -45,13 +49,17 @@ class AbelianizationMap:
         images = {}
         for g in self.source:
             if g not in self.images:
-                raise ValueError(f"no image for generator {g!r}")
+                continue
             sign, exp = self.images[g]
             if sign not in (1, -1):
                 raise ValueError("images must be units: sign +-1")
             images[g] = (sign, tuple(exp))
             if len(images[g][1]) != len(self.vars):
                 raise ValueError("image exponent length does not match variables")
+        missing = [repr(g) for g in self.source if g not in images]
+        if missing:
+            noun = "generator" if len(missing) == 1 else "generators"
+            raise MissingImages(f"no image for {noun} {', '.join(missing)}")
         object.__setattr__(self, "images", images)
 
     def image_monomial(self, gen, power=1):

@@ -14,6 +14,8 @@ Text format: a sum of terms ``c*x^a*y^b`` (exponent 1 may be omitted), e.g.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 
 def _grlex_key(exp):
     return (sum(exp), exp)
@@ -109,7 +111,7 @@ class LaurentPoly:
     def min_exponents(self):
         if not self.terms:
             return (0,) * len(self.vars)
-        return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
+        return tuple(map(min, zip(*self.terms)))
 
     def variables_used(self):
         return tuple(
@@ -140,7 +142,11 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.vars, other)
-        return self + (-other)
+        self._check_same_ring(other)
+        out = dict(self.terms)
+        for exp, coef in other.terms.items():
+            out[exp] = out.get(exp, 0) - coef
+        return LaurentPoly(self.vars, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -150,10 +156,12 @@ class LaurentPoly:
             return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check_same_ring(other)
         out = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -180,7 +188,7 @@ class LaurentPoly:
         exp = tuple(exp)
         return LaurentPoly(
             self.vars,
-            {tuple(a + b for a, b in zip(e, exp)): c * coef for e, c in self.terms.items()},
+            {tuple(map(add, e, exp)): c * coef for e, c in self.terms.items()},
         )
 
     # ---- normalization --------------------------------------------------
@@ -189,8 +197,7 @@ class LaurentPoly:
         """Canonical associate: minimal exponents 0, positive graded-lex lead."""
         if not self.terms:
             return self
-        mins = self.min_exponents()
-        shifted = self.shift(tuple(-m for m in mins))
+        shifted = self.shift(map(neg, self.min_exponents()))
         if shifted.lead()[1] < 0:
             shifted = -shifted
         return shifted

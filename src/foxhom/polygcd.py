@@ -10,14 +10,20 @@ when six evaluation points fail, the subresultant polynomial remainder
 sequence decides.  Both remainder sequences take their pseudo-remainders
 from one routine over {degree: coefficient} maps, with polynomial
 coefficients in the first and integer ones in the second.
+
+``poly_divexact`` is long division on one remainder map whose graded-lex
+order is kept in a heap of exponent keys, so a step finds the lead term
+without scanning the map.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, neg, sub
 
-from .laurent import LaurentPoly, _grlex_key, nu_poly
+from .laurent import LaurentPoly, nu_poly
 
 
 class ExactDivisionError(ArithmeticError):
@@ -29,6 +35,13 @@ def poly_divexact(f, g):
 
     Raises ExactDivisionError when g does not divide f.  Each step takes
     c * x^e * g from one remainder map in place; its graded-lex lead falls.
+    A heap of ``(-degree, negated exponent)`` keys holds the remainder's
+    graded-lex order: a key is pushed when its exponent enters the map, and
+    a popped key whose exponent has since cancelled out is skipped.  The
+    lead terms come off in the same order as a fresh scan of the map would
+    give, so the quotient and the inputs that raise are those of long
+    division (Monagan and Pearce, "Sparse polynomial division using a
+    heap", JSC 2011, keep the quotient's products in a heap instead).
     """
     if g.is_zero:
         raise ExactDivisionError("division by zero polynomial")
@@ -37,20 +50,32 @@ def poly_divexact(f, g):
     f._check_same_ring(g)
     quotient = {}
     g_lead_exp, g_lead_coef = g.lead()
+    g_terms = g.terms.items()
     rem = dict(f.terms)
+    heap = [(-sum(e), tuple(map(neg, e))) for e in rem]
+    heapify(heap)
     while rem:
-        r_exp = max(rem, key=_grlex_key)
-        r_coef = rem[r_exp]
-        exp = tuple(a - b for a, b in zip(r_exp, g_lead_exp))
-        if any(e < 0 for e in exp) or r_coef % g_lead_coef:
+        r_exp = tuple(map(neg, heappop(heap)[1]))
+        r_coef = rem.get(r_exp)
+        if r_coef is None:  # cancelled since its key was pushed
+            continue
+        exp = tuple(map(sub, r_exp, g_lead_exp))
+        if min(exp, default=0) < 0 or r_coef % g_lead_coef:
             raise ExactDivisionError("not exactly divisible")
         c = r_coef // g_lead_coef
         quotient[exp] = c
-        for e, v in g.terms.items():
-            k = tuple(a + b for a, b in zip(e, exp))
-            v = rem.pop(k, 0) - c * v
+        for e, v in g_terms:
+            k = tuple(map(add, e, exp))
+            old = rem.get(k)
+            if old is None:
+                rem[k] = -c * v
+                heappush(heap, (-sum(k), tuple(map(neg, k))))
+                continue
+            v = old - c * v
             if v:
                 rem[k] = v
+            else:
+                del rem[k]
     return LaurentPoly(f.vars, quotient)
 
 

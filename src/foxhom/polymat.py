@@ -3,7 +3,10 @@
 Determinants clear each row to ordinary polynomials by a monomial unit,
 run fraction-free elimination there, and multiply the unit back in, so the
 result is the exact determinant (not just an associate).  Every size
-runs Bareiss elimination, whose divisions are exact.
+runs Bareiss elimination, whose divisions are exact.  Each step divides by
+the previous step's pivot.  The first step's divisor is 1, so it divides
+nothing, and an n x n matrix makes (n - 2)^2 + ... + 1 exact divisions
+(14 at 5 x 5, against 30 if the first step divided by 1 too).
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ class LaurentMatrix:
 def _det_bareiss(rows, vars):
     n = len(rows)
     m = [list(r) for r in rows]
-    one = LaurentPoly.constant(vars, 1)
-    prev = one
+    prev = None  # the divisor of the first step is 1
     sign = 1
     for k in range(n - 1):
         if m[k][k].is_zero:
@@ -95,7 +97,7 @@ def _det_bareiss(rows, vars):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = poly_divexact(num, prev)
+                m[i][j] = poly_divexact(num, prev) if k else num
             m[i][k] = LaurentPoly.zero(vars)
         prev = m[k][k]
     det = m[n - 1][n - 1]

@@ -91,6 +91,13 @@ def _repeated_variable_map():
     return data
 
 
+def _map_image(gen, drop=None, **entry):
+    data = _bundled("map-free-abelian")
+    data["images"][gen].update(entry)
+    data["images"].pop(drop, None)
+    return data
+
+
 def _duplicate_generator_presentation():
     data = _bundled("n-final")
     data["generators"] = data["generators"] + ["m"]
@@ -112,11 +119,16 @@ def _duplicate_generator_presentation():
     (("branched", "{}", "--n", "5"), _duplicate_exponent_delta()),
     (("branched", "{}", "--n", "5", "--k", "all"), _bundled("delta_L", vars=["x", "x"])),
     (("alexander", "n-final", "--map", "{}"), _repeated_variable_map()),
+    (("alexander", "n-final", "--map", "{}"), _map_image("s", sign=2)),
+    (("alexander", "n-final", "--map", "{}"), _map_image("t", exp=[0, 1])),
+    # malformed and lacking the image of u: the file's own fault wins
+    (("alexander", "n-final", "--map", "{}"), _map_image("s", sign=0, drop="u")),
 ), ids=(
     "no-relators", "text-terms", "top-level-list", "no-degrees",
     "string-generators", "float-coefficient", "float-degree", "float-n",
     "not-json", "long-exponent", "duplicate-generator", "duplicate-exponent",
-    "repeated-variable-poly", "repeated-variable-map",
+    "repeated-variable-poly", "repeated-variable-map", "map-bad-sign",
+    "map-short-exponent", "map-bad-sign-and-lacking",
 ))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
     # not JSON, valid JSON of the wrong shape, a mistyped field that int()
@@ -127,6 +139,28 @@ def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
     code, out, err = run(capsys, *(a.format(path) for a in argv))
     assert code == 2 and out == ""
     assert f"malformed input {path}" in err
+
+
+@pytest.mark.parametrize("presentation, drop, missing", (
+    ("nb", None, "generators 'f4', 'g1', 'g2'"),
+    ("n-final", "u", "generator 'u'"),
+), ids=("nb", "n-final-without-u"))
+def test_map_of_another_presentation_is_a_mismatch(
+    capsys, tmp_path, presentation, drop, missing
+):
+    # a well-formed map that lacks some generators' images is reported as
+    # not fitting the presentation, not as a malformed file
+    map_path = datasets.data_path("map-free-abelian")
+    if drop:
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(_map_image("m", drop=drop)))
+    code, out, err = run(capsys, "alexander", presentation, "--map", str(map_path))
+    assert code == 2 and out == ""
+    pres_path = datasets.data_path(presentation)
+    assert err == (
+        f"error: map {map_path} has no image for {missing} "
+        f"of presentation {presentation} ({pres_path})\n"
+    )
 
 
 def test_malformed_job_presentation_is_named_once(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from foxhom import datasets
 from foxhom.fox import (
     AbelianizationMap,
+    MissingImages,
     alexander_matrix,
     alexander_poly,
     fox_derivative,
@@ -140,10 +141,14 @@ def test_one_relator_example():
 
 
 def test_map_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingImages, match="no image for generator 'a'$"):
         AbelianizationMap(("a",), ("x",), {})
-    with pytest.raises(ValueError):
-        AbelianizationMap(("a",), ("x",), {"a": (2, (1,))})
+    with pytest.raises(MissingImages, match="no image for generators 'a', 'c'$"):
+        AbelianizationMap(("a", "b", "c"), ("x",), {"b": (1, (1,))})
+    with pytest.raises(ValueError) as bad_sign:
+        AbelianizationMap(("a", "b"), ("x",), {"a": (2, (1,))})
+    # a bad image is the map's own fault, whatever else it lacks
+    assert not isinstance(bad_sign.value, MissingImages)
     p = Presentation("p", ("a", "b"), ())
     with pytest.raises(ValueError):
         alexander_matrix(p, simple_map(gens=("a",), vars=("x",)))

@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from foxhom import datasets, polygcd
+from foxhom import datasets, polygcd, polymat
+from foxhom.fox import minor_polys
 from foxhom.laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from foxhom.polygcd import (
     ExactDivisionError,
@@ -74,6 +76,80 @@ def test_pow_of_unit():
     assert u**-2 == LaurentPoly.monomial(XY, (-2, 4), 1)
     with pytest.raises(ValueError):
         poly("x + 1") ** -1
+
+
+# ---- arithmetic against sympy ----------------------------------------------
+#
+# The in-package oracles below (the cofactor determinant, the division by
+# whole polynomials) are built from the same *, + and - as the code under
+# test; these compare that arithmetic with sympy's.
+
+
+def same_as_sympy(p, expr):
+    """p equals the sympy expression and stores no zero coefficient."""
+    return 0 not in p.terms.values() and sp.expand(to_sympy(p) - expr) == 0
+
+
+def flip_signs(rng, p):
+    """p with some terms negated: p * flip_signs(p) cancels cross terms."""
+    return LaurentPoly(p.vars, {e: c * rng.choice((-1, 1)) for e, c in p.terms.items()})
+
+
+def test_products_and_differences_against_sympy():
+    rng = random.Random(53)
+    cancelled = 0
+    for trial in range(100):
+        p = random_poly(rng, XYZ, max_terms=6, span=2, coef=3)
+        q = random_poly(rng, XYZ, max_terms=6, span=2, coef=3)
+        if trial % 2:
+            q = flip_signs(rng, p)
+        product = p * q
+        assert same_as_sympy(product, to_sympy(p) * to_sympy(q))
+        assert same_as_sympy(p - q, to_sympy(p) - to_sympy(q))
+        assert same_as_sympy(p - 3, to_sympy(p) - 3)
+        assert (p - p).is_zero and (p * LaurentPoly.zero(XYZ)).is_zero
+        sums = {tuple(a + b for a, b in zip(e, f)) for e in p.terms for f in q.terms}
+        cancelled += len(product.terms) < len(sums)
+    # products whose coefficients cancel to zero are exercised
+    assert cancelled > 25
+
+
+def test_shift_against_sympy():
+    rng = random.Random(59)
+    syms = sp.symbols(XYZ)
+    for _ in range(100):
+        p = random_poly(rng, XYZ, max_terms=5, span=3, coef=5)
+        exp = tuple(rng.randrange(-4, 5) for _ in XYZ)
+        coef = rng.choice((-3, -1, 1, 2))
+        monomial = sp.Mul(*(s**e for s, e in zip(syms, exp)))
+        assert same_as_sympy(p.shift(exp, coef), to_sympy(p) * coef * monomial)
+
+
+def sympy_normal_form(p):
+    """The canonical associate by sympy: divide out the monomial gcd of p
+    times a monomial that clears its denominators, then fix the sign of the
+    graded-lex leading coefficient."""
+    syms = sp.symbols(p.vars)
+    clear = sp.Mul(*(s ** -min(0, *(e[i] for e in p.terms)) for i, s in enumerate(syms)))
+    _, poly = sp.Poly(sp.expand(to_sympy(p) * clear), *syms).terms_gcd()
+    if poly.LC(order="grlex") < 0:
+        poly = -poly
+    return {m: int(c) for m, c in poly.terms()}
+
+
+def test_normal_form_against_sympy():
+    rng = random.Random(61)
+    checked = 0
+    for trial in range(150):
+        p = random_poly(rng, XYZ, max_terms=5, span=3, coef=5)
+        if trial % 3 == 0:
+            p = p * flip_signs(rng, p)
+        if p.is_zero:
+            assert p.normal_form().is_zero
+            continue
+        assert p.normal_form().terms == sympy_normal_form(p)
+        checked += 1
+    assert checked > 100
 
 
 # ---- normal form and unit equivalence ----------------------------------
@@ -278,6 +354,69 @@ def test_divexact_of_perturbed_products_against_oracle():
             divided += ours != "raises"
     # both outcomes are exercised
     assert raised > 40 and divided > 40
+
+
+def test_divexact_of_bareiss_size_against_oracle():
+    # quotients of about 40 terms in three variables, as in the 5 x 5 minors
+    rng = random.Random(67)
+    for _ in range(12):
+        a = LaurentPoly(XYZ, {
+            tuple(rng.randrange(4) for _ in XYZ): rng.choice((-1, 1)) * rng.randint(1, 9)
+            for _ in range(60)
+        })
+        b = random_poly(rng, XYZ, max_terms=6, span=1, coef=4).normal_form()
+        r = random_poly(rng, XYZ, max_terms=2, span=1, coef=3).normal_form()
+        if b.is_zero:
+            continue
+        assert len(a.terms) >= 30
+        assert _both_divisions(a * b, b) == [a, a]
+        ours, oracle = _both_divisions(a * b + r, b)
+        assert ours == oracle
+
+
+def test_divexact_of_reference_minors_against_oracle(monkeypatch, reference):
+    # every division the six Bareiss minors of the reference matrix make
+    divisions = []
+    real = polymat.poly_divexact
+
+    def recorded(f, g):
+        divisions.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(polymat, "poly_divexact", recorded)
+    minor_polys(reference["matrix"])
+    assert len(divisions) == 6 * 14
+    quotients = [_divexact_by_polynomials(f, g) for f, g in divisions]
+    assert max(len(q.terms) for q in quotients) >= 30
+    assert [real(f, g) for f, g in divisions] == quotients
+
+
+def test_divexact_when_a_cancelled_term_reappears(monkeypatch):
+    # the x^2 term of f cancels at the first step and comes back at the
+    # second, so the remainder's heap holds its key twice
+    pushed = []
+    real = polygcd.heappush
+
+    def recorded(heap, item):
+        pushed.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(polygcd, "heappush", recorded)
+    f, g = poly("x^4 - 3*x^3 + x^2 - 2", ("x",)), poly("x^2 - x + 1", ("x",))
+    assert _both_divisions(f, g) == [poly("x^2 - 2*x - 2", ("x",))] * 2
+    assert (-2, (-2,)) in pushed
+    assert _both_divisions(f + poly("x^2", ("x",)), g) == ["raises", "raises"]
+
+
+def test_divexact_in_zero_variable_ring():
+    def c(value):
+        return LaurentPoly.constant((), value)
+
+    assert _both_divisions(c(12), c(-4)) == [c(-3), c(-3)]
+    assert _both_divisions(c(7), c(3)) == ["raises", "raises"]
+    assert poly_divexact(c(0), c(5)).is_zero
+    with pytest.raises(ExactDivisionError):
+        poly_divexact(c(5), c(0))
 
 
 def test_gcd_examples():
@@ -607,3 +746,60 @@ def test_matrix_table_and_json(reference):
     for m in (m, LaurentMatrix(XY, ("a", "b"), (), ((), ()))):
         again = LaurentMatrix.from_json(json.loads(json.dumps(m.to_json())))
         assert again == m
+
+
+def sympy_determinant(rows, vars):
+    """Oracle: sympy's determinant over Z[vars] of the matrix times the
+    monomial (x y z ...)^s that clears every entry's denominators, divided
+    back by (x y z ...)^(n s)."""
+    n = len(rows)
+    s = max([0] + [-e for p in sum(rows, []) for exp in p.terms for e in exp])
+    ring, *_ = sp.ring(",".join(vars), sp.ZZ)
+    grid = [
+        [ring({tuple(a + s for a in e): c for e, c in p.terms.items()}) for p in row]
+        for row in rows
+    ]
+    det = DomainMatrix(grid, (n, n), ring.to_domain()).det()
+    return LaurentPoly(vars, {tuple(a - n * s for a in e): int(c) for e, c in det.terms()})
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("swap", (None, 0, 1))
+def test_determinant_against_sympy(n, swap):
+    rng = random.Random(71 + 10 * n + (swap or 0))
+    labels = tuple(f"i{k}" for k in range(n))
+    for _ in range(4):
+        rows = [
+            [random_poly(rng, XYZ, max_terms=3, span=2, coef=4) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if swap == 0:
+            # a zero pivot at k = 0
+            rows[0][0] = LaurentPoly.zero(XYZ)
+        elif swap == 1:
+            # row 1 starts as a multiple of row 0, so the pivot at k = 1 is 0
+            rows[0][0] = rows[0][0] + 7
+            a = random_poly(rng, XYZ, max_terms=2, span=1, coef=3) + 5
+            rows[1][:2] = [a * rows[0][0], a * rows[0][1]]
+        m = LaurentMatrix(XYZ, labels, labels, tuple(map(tuple, rows)))
+        assert determinant(m) == sympy_determinant(rows, XYZ)
+
+
+def test_bareiss_divides_only_after_the_first_step(monkeypatch):
+    calls = []
+    real = polymat.poly_divexact
+
+    def counted(f, g):
+        calls.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(polymat, "poly_divexact", counted)
+    rng = random.Random(73)
+    labels = tuple(f"i{k}" for k in range(5))
+    rows = [
+        [random_poly(rng, XYZ, max_terms=3, span=1, coef=4) + 7 for _ in range(5)]
+        for _ in range(5)
+    ]
+    m = LaurentMatrix(XYZ, labels, labels, tuple(map(tuple, rows)))
+    assert determinant(m) == sympy_determinant(rows, XYZ)
+    assert len(calls) == 9 + 4 + 1
