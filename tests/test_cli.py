@@ -1,12 +1,16 @@
+import concurrent.futures
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 import foxhom
-from foxhom import cli, datasets, fox, verify
+from foxhom import cli, datasets, fox, polygcd, verify
 from foxhom.cli import main
 
 
@@ -389,6 +393,25 @@ def test_branched_deterministic_across_workers(capsys):
     assert parallel == serial
 
 
+def test_branched_sweep_without_heuristic_gcd(capsys, monkeypatch):
+    # the primitive remainder sequence alone gives every cell's count
+    argv = ("branched", "delta_L", "--n", "5..61", "--k", "all", "--format", "table")
+    _, fast, _ = run(capsys, *argv)
+    monkeypatch.setattr(polygcd, "_heu_gcd", lambda a, b: None)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == fast
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    src = str(Path(foxhom.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import foxhom.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("command", (("rhs-sweep",), ("branched", "delta_L", "--n", "5")))
 def test_jobs_below_one_is_exit_2(capsys, command):
     code, out, err = run(capsys, *command, "--jobs", "0")
@@ -415,7 +438,7 @@ def test_pool_is_clamped_to_tasks_and_cpus(capsys, monkeypatch, jobs, cpus, work
 
     argv = ("branched", "delta_L", "--n", "5", "--format", "json")
     _, serial, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, _ = run(capsys, *argv, "--jobs", str(jobs))
     assert code == 0 and out == serial
@@ -642,6 +665,17 @@ def test_verify_paper_unreadable_reference(capsys, tmp_path):
         "rhs": True,
         "branched": True,
     }
+
+
+@pytest.mark.parametrize("kind", ("missing", "file"))
+def test_verify_paper_data_dir_must_be_a_directory(capsys, tmp_path, kind):
+    """A data directory that is not one is an input error, not a mismatch."""
+    path = tmp_path / "data"
+    if kind == "file":
+        path.write_text("{}")
+    code, out, err = run(capsys, "verify-paper", "--data-dir", str(path))
+    assert code == 2 and out == ""
+    assert f"error: no such data directory {path}" in err
 
 
 def test_verify_paper_derives_the_fox_chain_once_per_run(monkeypatch):

@@ -476,7 +476,7 @@ def test_poly_gcd_lead_is_positive(monkeypatch):
         assert poly_gcd(-(shared * a), shared * b).lead()[1] > 0
 
 
-# ---- heuristic gcd (GCDHEU) against the subresultant sequence ---------------
+# ---- GCDHEU and the primitive PRS against the subresultant sequence ---------
 
 
 def primitive(m):
@@ -486,10 +486,30 @@ def primitive(m):
     return {d: c // k for d, c in m.items()}
 
 
+def _subresultant_prs(a, b):
+    """Reference gcd: last nonzero remainder of the subresultant PRS of two maps."""
+    if max(a) < max(b):
+        a, b = b, a
+    g_, h = 1, 1
+    while b:
+        delta = max(a) - max(b)
+        r = polygcd._prem(a, b)
+        a, b = b, {d: v // (g_ * h**delta) for d, v in r.items()}
+        if b:
+            g_ = a[max(a)]
+            h = g_**delta // h ** (delta - 1) if delta > 0 else h
+    return a
+
+
+def primitive_maps(p, q):
+    """The primitive parts of p and q in t, as {degree: int} maps."""
+    return tuple(primitive({e[0]: c for e, c in f.terms.items()}) for f in (p, q))
+
+
 def heuristic_and_oracle(p, q):
     """GCDHEU and the subresultant sequence on the primitive parts of p, q in t."""
-    a, b = (primitive({e[0]: c for e, c in f.terms.items()}) for f in (p, q))
-    return polygcd._heu_gcd(a, b), primitive(polygcd._subresultant_prs(a, b))
+    a, b = primitive_maps(p, q)
+    return polygcd._heu_gcd(a, b), primitive(_subresultant_prs(a, b))
 
 
 def same_up_to_sign(h, oracle):
@@ -534,9 +554,9 @@ def random_factor(rng, coef):
     return LaurentPoly(("t",), terms)
 
 
-def test_heuristic_gcd_on_random_products():
+def random_products():
+    """120 pairs shared * a, shared * b with a common factor, alternating kinds."""
     rng = random.Random(43)
-    accepted = 0
     for trial in range(120):
         if trial % 2:
             # coefficients up to 10^6 in absolute value
@@ -544,11 +564,25 @@ def test_heuristic_gcd_on_random_products():
         else:
             # products of cyclotomic polynomials, many roots on the unit circle
             shared, a, b = (cyclotomic_product(rng) for _ in range(3))
-        h, oracle = heuristic_and_oracle(shared * a, shared * b)
-        if h is not None:  # None is a fallback to the oracle itself
+        yield shared * a, shared * b
+
+
+def test_heuristic_gcd_on_random_products():
+    accepted = 0
+    for p, q in random_products():
+        h, oracle = heuristic_and_oracle(p, q)
+        if h is not None:  # None is a fallback to the remainder sequence
             assert same_up_to_sign(h, oracle)
             accepted += 1
     assert accepted >= 110
+
+
+def test_primitive_prs_against_subresultant():
+    for p, q in random_products():
+        a, b = primitive_maps(p, q)
+        g = polygcd._prs(a, b, primitive)
+        assert g == primitive(g)
+        assert same_up_to_sign(g, primitive(_subresultant_prs(a, b)))
 
 
 def test_poly_gcd_without_heuristic_agrees(monkeypatch):
@@ -576,6 +610,9 @@ def test_shared_root_count_examples():
     assert isinstance(flagged, RootCount)
     with pytest.raises(ValueError):
         shared_root_count(poly("x*y"), 3)
+    # a ring of two variables is rejected even when only one of them occurs
+    with pytest.raises(ValueError, match="one variable"):
+        shared_root_count(poly("x - 1"), 3)
     with pytest.raises(ValueError):
         shared_root_count(x, 1)
 
