@@ -329,13 +329,18 @@ def shared_root_count(p, n):
     """Number of distinct complex roots shared by p and nu_n = t^(n-1)+...+1.
 
     p is a polynomial over a ring of one variable; any other ring raises
-    ValueError.  Computed as the degree of gcd(normal_form(p), nu_n) over
-    the rationals; nu_n is squarefree, so this is exactly the distinct
-    shared-root count.  The zero polynomial returns the flagged value n - 1
-    (all roots shared).
+    ValueError.  Computed as the degree of gcd(f, nu_n) over the rationals,
+    where f folds p's exponents mod n: nu_n divides t^n - 1 and t is a unit
+    modulo it, so f and p share the same roots of nu_n, and the gcd costs
+    no more than degree n whatever p's exponents are.  nu_n is squarefree,
+    so the degree is exactly the distinct shared-root count.  The zero
+    polynomial returns the flagged value n - 1 (all roots shared); a
+    nonzero p that folds to zero gives n - 1 unflagged.
 
     >>> shared_root_count(nu_poly(3), 3)
     RootCount(2, all_roots=False)
+    >>> shared_root_count(LaurentPoly(("t",), {(10**9,): 1, (0,): -1}), 5)
+    RootCount(4, all_roots=False)
     """
     if len(p.vars) != 1:
         raise ValueError(f"need a polynomial in one variable, not over {p.vars}")
@@ -343,5 +348,9 @@ def shared_root_count(p, n):
         raise ValueError("modulus must be at least 2")
     if p.is_zero:
         return RootCount(n - 1, all_roots=True)
-    g = poly_gcd(p.normal_form(), nu_poly(n, p.vars[0]))
+    folded = {}
+    for (e,), c in p.terms.items():
+        key = (e % n,)
+        folded[key] = folded.get(key, 0) + c
+    g = poly_gcd(LaurentPoly(p.vars, folded), nu_poly(n, p.vars[0]))
     return RootCount(max(g.terms)[0])

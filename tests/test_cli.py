@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import foxhom
-from foxhom import cli, datasets, fox, polygcd, verify
+from foxhom import cli, covers, datasets, fox, polygcd, verify
 from foxhom.cli import main
 
 
@@ -330,6 +330,58 @@ def test_sakuma_report(capsys):
     assert entry["order_ratio"] == 8
 
 
+def _torus_job(tmp_path, relator="a b a^-1 b^-1", degrees=None, fill=()):
+    pres = tmp_path / "torus.json"
+    pres.write_text(json.dumps({"name": "torus", "generators": ["a", "b"], "relators": [relator]}))
+    job = tmp_path / "torus-job.json"
+    job.write_text(json.dumps({
+        "presentation": str(pres), "degrees": degrees or {"a": 2, "b": 3}, "fill": list(fill),
+    }))
+    return str(job)
+
+
+def test_cover_without_coprime_generator(capsys, tmp_path):
+    # degrees (2, 3) map onto Z/6 though neither is coprime to 6
+    code, out, _ = run(capsys, "cover", _torus_job(tmp_path), "--n", "6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"n": 6, "rank": 2, "torsion": []}]
+
+
+@pytest.mark.parametrize("command, relator, slope, detail", (
+    ("cover", "a^30000000 b", "a", "3 cosets of relators make 90000003 letters, more than 500000"),
+    ("fill", "a b a^-1 b^-1", "a^300000", "3 cosets of slopes make 900000 letters, more than 500000"),
+))
+def test_cover_letters_are_capped_before_rewriting(
+    capsys, monkeypatch, tmp_path, command, relator, slope, detail
+):
+    rewrite = covers._rewrite
+
+    def short_only(q, word, start):
+        assert len(word) < 1000, "a long word was rewritten"
+        return rewrite(q, word, start)
+
+    monkeypatch.setattr(covers, "_rewrite", short_only)
+    job = _torus_job(tmp_path, relator, {"a": 1, "b": 0}, fill=[slope])
+    code, out, err = run(capsys, command, job, "--n", "3")
+    assert code == 2 and out == ""
+    assert detail in err
+
+
+def test_alexander_letters_are_capped_before_any_derivative(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a Fox derivative was taken")
+
+    monkeypatch.setattr(fox, "fox_derivative", refuse)
+    pres = tmp_path / "long.json"
+    pres.write_text(json.dumps({"name": "long", "generators": ["a", "b"], "relators": ["a^3000000 b"]}))
+    map_file = tmp_path / "map.json"
+    images = {"a": {"sign": 1, "exp": [1]}, "b": {"sign": 1, "exp": [0]}}
+    map_file.write_text(json.dumps({"vars": ["x"], "images": images}))
+    code, out, err = run(capsys, "alexander", str(pres), "--map", str(map_file))
+    assert code == 2 and out == ""
+    assert f"relators of 3000001 letters exceed {fox.MAX_FOX_LETTERS}" in err
+
+
 # ---- sweeps ---------------------------------------------------------------------
 
 
@@ -400,6 +452,20 @@ def test_branched_sweep_without_heuristic_gcd(capsys, monkeypatch):
     monkeypatch.setattr(polygcd, "_heu_gcd", lambda a, b: None)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == fast
+
+
+def test_branched_folds_a_large_exponent(tmp_path):
+    """Delta = x^(10^9) - 1 is answered at once, not by a degree-10^9 gcd."""
+    delta = tmp_path / "delta.json"
+    terms = [{"coef": 1, "exp": [10**9, 0]}, {"coef": -1, "exp": [0, 0]}]
+    delta.write_text(json.dumps({"vars": ["x", "y"], "terms": terms}))
+    src = str(Path(foxhom.__file__).parent.parent)
+    argv = ["branched", str(delta), "--n", "5", "--k", "2", "--format", "json"]
+    code = f"import sys; sys.path.insert(0, {src!r}); from foxhom import cli; sys.exit(cli.main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    # x^(2 * 10^9) - 1 vanishes at every 5th root of unity
+    assert json.loads(proc.stdout)["results"] == [{"n": 5, "k": 2, "betti": 4, "flag": ""}]
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -676,6 +742,28 @@ def test_verify_paper_data_dir_must_be_a_directory(capsys, tmp_path, kind):
     code, out, err = run(capsys, "verify-paper", "--data-dir", str(path))
     assert code == 2 and out == ""
     assert f"error: no such data directory {path}" in err
+
+
+def test_verify_paper_long_relator_fails_its_items(capsys, monkeypatch, tmp_path):
+    """A relator past the letter caps fails the Fox and cover items at once."""
+    monkeypatch.setattr(fox, "fox_derivative", lambda *args: pytest.fail("derivative taken"))
+    monkeypatch.setattr(covers, "_rewrite", lambda *args: pytest.fail("word rewritten"))
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    raw = json.loads((alt / "n-final.json").read_text())
+    raw["relators"][0] += " u^30000000"  # u has degree 0 in the cover job
+    (alt / "n-final.json").write_text(json.dumps(raw))
+
+    code, out, _ = run(capsys, "verify-paper", "--data-dir", str(alt), "--format", "json")
+    assert code == 1
+    results = {r["item"]: (r["pass"], r["detail"]) for r in json.loads(out)["results"]}
+    fox_error = (False, f"error: relators of 30000062 letters exceed {fox.MAX_FOX_LETTERS}")
+    for item in ("matrix", "minors", "delta", "delta-inf"):
+        assert results[item] == fox_error
+    assert results["rhs"] == (
+        False, f"error: 3 cosets of relators make 90000186 letters, more than {covers.MAX_COVER_LETTERS}"
+    )
+    assert all(results[item][0] for item in ("h1", "factorization", "branched"))
 
 
 def test_verify_paper_derives_the_fox_chain_once_per_run(monkeypatch):

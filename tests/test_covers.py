@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from foxhom import covers as covers_module
 from foxhom import datasets
 from foxhom.abelian import AbelianGroup, cokernel
 from foxhom.covers import (
@@ -58,14 +59,124 @@ def test_quotient_map_validation(cover_job):
         CyclicQuotientMap(p, 3, missing)
 
 
-def test_section_generator_requires_coprime_degree():
-    p = free_presentation("a", "b")
-    q = CyclicQuotientMap(p, 6, {"a": 2, "b": 3})  # jointly surjective
-    with pytest.raises(ValueError):
-        q.section_generator()
-
-
 # ---- Reidemeister-Schreier ------------------------------------------------
+
+
+def torus(*extra_gens):
+    """<a, b | a b a^-1 b^-1>, with each extra generator c tied to c = a^-1 b."""
+    gens = ("a", "b", *extra_gens)
+    relators = ["a b a^-1 b^-1"] + [f"{c}^-1 a^-1 b" for c in extra_gens]
+    return Presentation("torus", gens, tuple(parse_word(r, gens) for r in relators))
+
+
+def test_grading_without_coprime_generator():
+    # degrees (2, 3) map onto Z/6 though neither degree is coprime to 6
+    free = free_presentation("a", "b")
+    cover = reidemeister_schreier(free, CyclicQuotientMap(free, 6, {"a": 2, "b": 3}))
+    assert [str(r) for r in cover.presentation.relators] == ["a@0", "a@2", "b@0", "b@2", "b@4"]
+    assert h1_cover(cover) == AbelianGroup(7)  # Nielsen-Schreier: 6 * (2 - 1) + 1
+    p = torus()
+    for n in range(1, 13):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, {"a": 2, "b": 3}))
+        assert h1_cover(cover) == AbelianGroup(2), n  # a finite cover of a torus
+
+
+@pytest.mark.parametrize("n", [6, 12, 30])
+def test_grading_without_coprime_generator_after_tietze_move(n):
+    """Adding c = a^-1 b, of degree 1, changes the transversal, not the group."""
+    p, wider = torus(), torus("c")
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, {"a": 2, "b": 3}))
+    wide = reidemeister_schreier(wider, CyclicQuotientMap(wider, n, {"a": 2, "b": 3, "c": 1}))
+    assert h1_cover(wide) == h1_cover(cover) == AbelianGroup(2)
+    # with c present the tree is the chain of c, as the powers of c would give
+    trivial = [str(r) for r in wide.presentation.relators[2 * n :]]
+    assert trivial == [f"c@{j}" for j in range(n - 1)]
+
+
+def section_rule_presentation(p, q):
+    """The kernel presentation with the powers of one generator as transversal.
+
+    The generator is the first of degree d coprime to n; its symbols at
+    cosets 0, d, ..., (n - 2)d are trivialized after the rewritten relators.
+    """
+    n = q.n
+    section = next(g for g in p.generators if gcd(q.degrees[g], n) == 1)
+    d = q.degrees[section]
+    cover = reidemeister_schreier(p, q)
+    relators = tuple(cover.rewrite(r, c) for r in p.relators for c in range(n))
+    trivial = tuple(Word([(f"{section}@{j * d % n}", 1)]) for j in range(n - 1))
+    gens = tuple(f"{g}@{c}" for g in p.generators for c in range(n))
+    return Presentation(f"{p.name}~{n}fold", gens, relators + trivial)
+
+
+@pytest.mark.parametrize("n", [*range(1, 62), 499])
+def test_tree_matches_section_rule_on_bundled_job(cover_job, n):
+    p = cover_job["presentation"]
+    q = CyclicQuotientMap(p, n, cover_job["degrees"])
+    assert reidemeister_schreier(p, q).presentation == section_rule_presentation(p, q)
+
+
+def test_tree_matches_section_rule_on_random_gradings():
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(400):
+        gens = tuple(f"g{i}" for i in range(rng.randrange(1, 4)))
+        n = rng.randrange(1, 13)
+        degrees = {g: rng.randrange(-12, 13) for g in gens}
+        if not any(gcd(d, n) == 1 for d in degrees.values()):
+            continue
+        p = free_presentation(*gens)
+        q = CyclicQuotientMap(p, n, degrees)
+        assert reidemeister_schreier(p, q).presentation == section_rule_presentation(p, q)
+        compared += 1
+    assert compared > 200
+
+
+def _transversal_word(cover, coset):
+    """The transversal representative of a coset, walked along the tree.
+
+    The tree edges are the last n - 1 relators, one symbol g@c each; the
+    representative of c + deg g is that of c times g.
+    """
+    n, relators = cover.n, cover.presentation.relators
+    words = {0: Word()}
+    for r in relators[len(relators) - (n - 1) :]:
+        ((symbol, _),) = r.runs
+        g, c = symbol.rsplit("@", 1)
+        words[(int(c) + cover.quotient.degrees[g]) % n] = words[int(c)] * Word([(g, 1)])
+    return words[coset % n]
+
+
+@pytest.mark.parametrize("degrees, n", [
+    ({"a": 2, "b": 3}, 6), ({"a": 2, "b": 3}, 12), ({"a": 4, "b": 6, "c": 9}, 12),
+    ({"a": 0, "b": 5, "c": 1}, 10),
+])
+def test_transversal_follows_tree_edges(degrees, n):
+    """Each coset has a representative whose rewrite is tree symbols only."""
+    p = free_presentation(*degrees)
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
+    tree = {r.runs[0][0] for r in cover.presentation.relators}
+    assert len(tree) == n - 1
+    for c in range(n):
+        t = _transversal_word(cover, c)
+        assert cover.quotient.word_degree(t) == c
+        assert all(e > 0 and g in tree for g, e in cover.rewrite(t).runs)
+
+
+def test_rewrite_letters_are_capped_before_rewriting(monkeypatch):
+    p = Presentation("long", ("a", "b"), (parse_word("a^4 b", ("a", "b")),))
+    monkeypatch.setattr(covers_module, "MAX_COVER_LETTERS", 10)
+    # 2 cosets of 5 letters: at the cap
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 2, {"a": 1, "b": 0}))
+
+    def refuse(*args):
+        raise AssertionError("a word was rewritten")
+
+    monkeypatch.setattr(covers_module, "_rewrite", refuse)
+    with pytest.raises(ValueError, match="4 cosets of relators make 20 letters"):
+        reidemeister_schreier(p, CyclicQuotientMap(p, 4, {"a": 1, "b": 0}))
+    with pytest.raises(ValueError, match="2 cosets of slopes make 12 letters"):
+        filled_relators(cover, FillingSpec((parse_word("a^6", ("a", "b")),)))
 
 
 def test_rank_one_cover():
@@ -84,18 +195,22 @@ def test_rank_formula_two_generators():
 
 def test_nielsen_schreier_rank_formula_random():
     rng = random.Random(3)
-    for _ in range(30):
+    without_coprime = 0  # 5 of the 200 draws
+    for _ in range(200):
         g = rng.randrange(1, 4)
         n = rng.randrange(1, 7)
         gens = tuple(f"g{i}" for i in range(g))
         degrees = {x: rng.randrange(-5, 6) for x in gens}
-        degrees[rng.choice(gens)] = 1  # force a section
+        if gcd(n, *degrees.values()) != 1:
+            continue  # not onto Z/n
+        without_coprime += all(gcd(d, n) != 1 for d in degrees.values())
         p = free_presentation(*gens)
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
         assert len(cover.presentation.generators) == n * g
         assert len(cover.presentation.relators) == n - 1
         # the cover's presentation presents the free kernel itself
         assert abelianize(cover.presentation) == AbelianGroup(n * (g - 1) + 1)
+    assert without_coprime > 0
 
 
 def test_bundled_cover_bookkeeping(paper_cover):
@@ -241,13 +356,6 @@ def test_filled_relator_count_and_orbits(cover_job):
             1 if g in {f"m@{c}" for c in orbit} else 0 for g in gens
         ]
         assert chain == expected
-
-
-def _transversal_word(cover, coset):
-    """The transversal representative of a coset: a power of the section."""
-    d = cover.quotient.degrees[cover.section]
-    j = next(j for j in range(cover.n) if (j * d) % cover.n == coset % cover.n)
-    return Word([(cover.section, j)]) if j else Word()
 
 
 @pytest.mark.parametrize("n", range(1, 17))

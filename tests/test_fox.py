@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from foxhom import datasets
+from foxhom import datasets, fox
 from foxhom.fox import (
     AbelianizationMap,
     MissingImages,
@@ -152,6 +152,20 @@ def test_map_validation():
     p = Presentation("p", ("a", "b"), ())
     with pytest.raises(ValueError):
         alexander_matrix(p, simple_map(gens=("a",), vars=("x",)))
+
+
+def test_relator_letters_are_capped_before_any_derivative(monkeypatch):
+    p = Presentation("long", ("a", "b"), (parse_word("a^9 b", ("a", "b")),))
+    monkeypatch.setattr(fox, "MAX_FOX_LETTERS", 10)
+    assert alexander_matrix(p, simple_map()).shape == (2, 1)  # 10 letters: at the cap
+
+    def refuse(*args):
+        raise AssertionError("a Fox derivative was taken")
+
+    monkeypatch.setattr(fox, "fox_derivative", refuse)
+    p = Presentation("long", ("a", "b"), (parse_word("a^10 b", ("a", "b")),))
+    with pytest.raises(ValueError, match="relators of 11 letters exceed 10"):
+        alexander_matrix(p, simple_map())
 
 
 # ---- minors ---------------------------------------------------------------

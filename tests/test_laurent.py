@@ -7,6 +7,7 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from foxhom import datasets, polygcd, polymat
+from foxhom.covers import branched_betti
 from foxhom.fox import minor_polys
 from foxhom.laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from foxhom.polygcd import (
@@ -607,6 +608,10 @@ def test_shared_root_count_examples():
     assert shared_root_count(nu_poly(3), 3) == 2
     flagged = shared_root_count(LaurentPoly.zero(("t",)), 5)
     assert flagged == 4 and flagged.all_roots
+    for n in (2, 3, 7, 12, 40):  # folds to zero, but is not the zero polynomial
+        assert repr(shared_root_count(poly(f"t^{n} - 1", ("t",)), n)) == (
+            f"RootCount({n - 1}, all_roots=False)"
+        )
     assert isinstance(flagged, RootCount)
     with pytest.raises(ValueError):
         shared_root_count(poly("x*y"), 3)
@@ -635,6 +640,40 @@ def test_shared_root_count_against_sympy():
         nu = sum(t**i for i in range(n))
         g = sp.gcd(sp.Poly(to_sympy(p), t), sp.Poly(nu, t))
         assert int(shared_root_count(p, n)) == sp.Poly(g, t).degree()
+
+
+def unfolded_root_count(p, n):
+    """The shared-root count with p's exponents as they are: gcd(normal_form(p), nu_n)."""
+    if p.is_zero:
+        return RootCount(n - 1, all_roots=True)
+    g = poly_gcd(p.normal_form(), nu_poly(n, p.vars[0]))
+    return RootCount(max(g.terms)[0])
+
+
+def same_count(a, b):
+    return (int(a), a.all_roots) == (int(b), b.all_roots)
+
+
+def test_shared_root_count_folds_like_unfolded():
+    rng = random.Random(23)
+    for n in range(2, 41):
+        for _ in range(6):
+            p = random_poly(rng, ("t",), max_terms=5, span=3 * n, coef=4)
+            assert same_count(shared_root_count(p, n), unfolded_root_count(p, n)), (n, p)
+        # multiples of t^n - 1 fold to zero but are not zero
+        p = random_poly(rng, ("t",), max_terms=3, span=n, coef=4) or poly("1", ("t",))
+        p = p * (poly(f"t^{n} - 1", ("t",)))
+        assert same_count(shared_root_count(p, n), unfolded_root_count(p, n)), (n, p)
+
+
+def test_branched_betti_against_unfolded_boundary_product():
+    """Without (t - 1) and with folded exponents, every count and flag stays."""
+    delta = datasets.load_poly("delta_L")
+    for n in range(2, 62):
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                old = unfolded_root_count(delta_specialization(delta, k, n), n)
+                assert same_count(branched_betti(delta, k, n), old), (n, k)
 
 
 # ---- determinants -----------------------------------------------------------
