@@ -17,6 +17,7 @@ one presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .laurent import substitute_monomial
@@ -25,11 +26,13 @@ from .presentations import Presentation, abelianize
 from .words import Word, exponent_vector
 
 # Cap on n times the letters of the words rewritten into an n-fold cover,
-# checked for the relators and for the slopes.  Every letter becomes one run
-# of the cover's words: at 499 998 letters, `cover --n 3` of <a, b | a^166665 b>
-# takes 0.54 s and 98 MB peak RSS, and `fill` with a slope at the cap too
-# 1.36 s and 163 MB; 3·10^6 letters take 3.8 s and 487 MB (fresh process,
-# 2-CPU host, Python 3.11.7).  The bundled job needs 499 · (62 + 9) at n = 499.
+# checked for the relators and for the slopes.  Every letter becomes one
+# pointer to a run shared through `CyclicQuotientMap.letters`: at 499 998
+# letters, `cover --n 3` of <a, b | a^166665 b> takes 0.3-0.5 s and 26 MB peak
+# RSS, and `fill` with a slope at the cap too 0.5-0.8 s and 30 MB; 3·10^6
+# letters take 1.2-2.1 s and 58 MB (fresh process, 2-CPU host, Python
+# 3.11.7; an interpreter that imports foxhom.cli alone peaks at 20 MB).  The
+# bundled job needs 499 · (62 + 9) at n = 499.
 MAX_COVER_LETTERS = 500_000
 
 
@@ -61,6 +64,18 @@ class CyclicQuotientMap:
         for i, r in enumerate(self.base.relators):
             if self.word_degree(r) != 0:
                 raise ValueError(f"relator {i} has nonzero degree mod {self.n}")
+
+    @cached_property
+    def letters(self):
+        """{(g, s): the runs (g@c, s) indexed by coset c}, for s = 1 and -1.
+
+        Built once per map, so every rewritten letter shares its run.
+        """
+        return {
+            (g, s): tuple((cover_gen(g, c), s) for c in range(self.n))
+            for g in self.base.generators
+            for s in (1, -1)
+        }
 
     def word_degree(self, word):
         vec = exponent_vector(word, self.base.generators)
@@ -112,13 +127,14 @@ def _rewrite(q, word, start):
     n = q.n
     coset = start % n
     runs = []
+    letters = q.letters
     for g, step in word.single_letters():
         if step > 0:
-            runs.append((cover_gen(g, coset), 1))
+            runs.append(letters[g, 1][coset])
             coset = (coset + q.degrees[g]) % n
         else:
             coset = (coset - q.degrees[g]) % n
-            runs.append((cover_gen(g, coset), -1))
+            runs.append(letters[g, -1][coset])
     return Word(runs)
 
 

@@ -46,6 +46,18 @@ class LaurentPoly:
     def __reduce__(self):
         return LaurentPoly, (self.vars, self.terms)
 
+    @classmethod
+    def _of(cls, vars, terms):
+        """A polynomial over the tuple ``vars`` from a map that holds no zero.
+
+        Skips the constructor's zero filter, for results that cannot hold a
+        zero coefficient.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -130,7 +142,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -146,7 +158,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return (LaurentPoly._of if other else LaurentPoly)(
+                self.vars, {e: c * other for e, c in self.terms.items()}
+            )
         self._check_same_ring(other)
         out = {}
         get = out.get
@@ -179,7 +193,8 @@ class LaurentPoly:
     def shift(self, exp, coef=1):
         """Multiply by the monomial coef * x^exp."""
         exp = tuple(exp)
-        return LaurentPoly(
+        # a shift maps distinct exponents to distinct ones, so only coef 0 makes zeros
+        return (LaurentPoly._of if coef else LaurentPoly)(
             self.vars,
             {tuple(map(add, e, exp)): c * coef for e, c in self.terms.items()},
         )

@@ -1,14 +1,20 @@
 """Exact polynomial division and gcd over the integers, plus shared-root counts.
 
 Division and gcd never touch floating point.  Gcd over the rationals is the
-primitive-part gcd over Z.  The multivariate gcd reduces to univariate by
-recursive content/primitive-part extraction with a primitive remainder
-sequence in the main variable.  The univariate base case is the heuristic
-gcd: GCDHEU reads the gcd off the integer gcd of two evaluations and keeps
-it only if it divides both inputs; when six evaluation points fail, the
-same primitive remainder sequence decides, with integer coefficients in
-place of polynomial ones (Brown, "On Euclid's algorithm and the
-computation of polynomial greatest common divisors", JACM 1971).
+primitive-part gcd over Z.  Every gcd tries the heuristic gcd first:
+GCDHEU (Char, Geddes and Gonnet, JSC 1989) sets the main variable to an
+integer xi, takes the gcd of the two evaluations, reads its symmetric
+xi-adic digits back as powers of that variable, and keeps the result only if
+it divides both inputs.  With one variable the evaluations are integers;
+with several they are polynomials in one variable fewer, whose gcd is this
+same gcd (Geddes, Czapor and Labahn, "Algorithms for Computer Algebra",
+1992, section 7.7).  When six evaluation points fail, a primitive remainder
+sequence in the main variable decides (Brown, "On Euclid's algorithm and
+the computation of polynomial greatest common divisors", JACM 1971): with
+integer coefficients over one variable, and over several with polynomial
+coefficients and recursive content/primitive-part extraction.  So every
+answer is exact.  ``laurent_gcd`` skips the gcd of a polynomial that its
+running gcd already divides.
 
 ``poly_divexact`` is long division on one remainder map whose graded-lex
 order is kept in a heap of exponent keys, so a step finds the lead term
@@ -75,7 +81,7 @@ def poly_divexact(f, g):
                 rem[k] = v
             else:
                 del rem[k]
-    return LaurentPoly(f.vars, quotient)
+    return LaurentPoly._of(f.vars, quotient)
 
 
 def laurent_divexact(f, g):
@@ -164,30 +170,37 @@ def _horner(p, x):
     return v
 
 
+def _digits(v, xi):
+    """{position: nonzero digit} of the symmetric xi-adic expansion of v."""
+    out = {}
+    d, half = 0, xi // 2
+    while v:
+        c = v % xi
+        if c > half:
+            c -= xi
+        if c:
+            out[d] = c
+        v = (v - c) // xi
+        d += 1
+    return out
+
+
 def _heu_gcd(a, b):
     """Gcd of two primitive {degree: int} maps by GCDHEU, or None.
 
-    Evaluate both at an integer xi, take the integer gcd and read its
-    symmetric xi-adic digits back as a polynomial.  Char, Geddes and Gonnet
-    ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
-    computation", JSC 1989) prove that once xi >= 2 * min(|a|, |b|) + 2,
-    with |p| the largest absolute coefficient of p, a primitive part that
-    divides both a and b is their gcd.  None after six rejected evaluation
-    points leaves the gcd to the remainder sequence.
+    The one-variable level of GCDHEU; ``_mv_heu_gcd`` is the same step over
+    several variables.  Evaluate both at an integer xi, take the integer gcd
+    and read its symmetric xi-adic digits back as a polynomial.  Char,
+    Geddes and Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on
+    integer GCD computation", JSC 1989) prove that once
+    xi >= 2 * min(|a|, |b|) + 2, with |p| the largest absolute coefficient
+    of p, a primitive part that divides both a and b is their gcd.  None
+    after six rejected evaluation points leaves the gcd to the remainder
+    sequence.
     """
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(6):
-        gamma = gcd(_horner(a, xi), _horner(b, xi))
-        cand = {}
-        d, half = 0, xi // 2
-        while gamma:
-            c = gamma % xi
-            if c > half:
-                c -= xi
-            if c:
-                cand[d] = c
-            gamma = (gamma - c) // xi
-            d += 1
+        cand = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
         if cand:
             cand = _divc(cand, _cont(cand))
             # a common divisor read off at such a xi is the gcd (Char,
@@ -226,6 +239,58 @@ def _prs(a, b, primitive):
         r = _prem(a, b)
         a, b = b, (primitive(r) if r else {})
     return a
+
+
+def _poly_divides(g, f):
+    """Whether g divides f, by exact division."""
+    try:
+        poly_divexact(f, g)
+    except ExactDivisionError:
+        return False
+    return True
+
+
+def _evaluate(p, i, xi):
+    """p with x_i set to the integer xi, over the same ring."""
+    powers = {}
+    out = {}
+    for exp, coef in p.terms.items():
+        d = exp[i]
+        if d not in powers:
+            powers[d] = xi**d
+        key = exp[:i] + (0,) + exp[i + 1 :]
+        out[key] = out.get(key, 0) + coef * powers[d]
+    return LaurentPoly(p.vars, out)
+
+
+def _mv_heu_gcd(f, g, i):
+    """Gcd of two nonzero polynomials by GCDHEU on x_i, up to sign, or None.
+
+    The multivariate step of GCDHEU (Geddes, Czapor and Labahn, "Algorithms
+    for Computer Algebra", 1992, section 7.7): with the integer contents
+    removed, set x_i to an integer xi, take the exact ``poly_gcd`` of the
+    two evaluations, which have one variable fewer, and read the symmetric
+    xi-adic digits of each of its coefficients back as powers of x_i.  The
+    bound on xi is that of ``_heu_gcd``.  A primitive part that divides
+    both inputs is their gcd; None after six rejected points leaves the gcd
+    to the remainder sequence.
+    """
+    cf, cg = _cont(f.terms), _cont(g.terms)
+    a = LaurentPoly._of(f.vars, _divc(f.terms, cf))
+    b = LaurentPoly._of(g.vars, _divc(g.terms, cg))
+    xi = 2 * min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values()))) + 29
+    for _ in range(6):
+        gamma = poly_gcd(_evaluate(a, i, xi), _evaluate(b, i, xi))
+        cand = {
+            exp[:i] + (d,) + exp[i + 1 :]: c
+            for exp, v in gamma.terms.items()
+            for d, c in _digits(v, xi).items()
+        }
+        cand = LaurentPoly._of(f.vars, _divc(cand, _cont(cand)))
+        if _poly_divides(cand, a) and _poly_divides(cand, b):
+            return cand * gcd(cf, cg)
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _poly_coeffs(p, i):
@@ -273,6 +338,9 @@ def _nonzero_gcd(f, g):
         return _uni_gcd(f, g, used[0])
 
     i = used[-1]
+    heuristic = _mv_heu_gcd(f, g, i)
+    if heuristic is not None:
+        return heuristic
     cf, a = _primitive(_poly_coeffs(f, i))
     cg, b = _primitive(_poly_coeffs(g, i))
     a = _prs(a, b, lambda r: _primitive(r)[1])
@@ -302,9 +370,13 @@ def laurent_gcd(ps):
         raise ValueError("gcd of all-zero inputs")
     acc = nonzero[0]
     for p in nonzero[1:]:
-        acc = poly_gcd(acc, p)
-        if acc.is_unit():
-            break
+        # normal forms have no monomial factor, so acc divides p in the
+        # Laurent ring exactly when it divides p as a polynomial; then the
+        # gcd is acc itself, positive lead and all
+        if not _poly_divides(acc, p):
+            acc = poly_gcd(acc, p)
+            if acc.is_unit():
+                break
     return acc.normal_form()
 
 

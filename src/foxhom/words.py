@@ -18,8 +18,11 @@ class ParseError(ValueError):
 
 
 def _reduce(runs):
+    # a tuple run that survives is kept as it is, so the rewriting of covers
+    # can share one run per letter
     stack = []
-    for gen, exp in runs:
+    for run in runs:
+        gen, exp = run
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -28,7 +31,7 @@ def _reduce(runs):
             if merged:
                 stack.append((gen, merged))
         else:
-            stack.append((gen, exp))
+            stack.append(tuple(run))
     return tuple(stack)
 
 

@@ -241,6 +241,54 @@ def test_rewrite_roundtrip_inverse(paper_cover):
         assert cover.rewrite(w, c) * cover.rewrite(~w, (c + cover.quotient.word_degree(w)) % 7) == Word()
 
 
+def rewrite_letter_by_letter(q, word, start):
+    """Oracle: rewriting with a fresh g@c name and run for every letter."""
+    n, coset, runs = q.n, start % q.n, []
+    for g, step in word.single_letters():
+        if step < 0:
+            coset = (coset - q.degrees[g]) % n
+        runs.append((f"{g}@{coset}", step))
+        if step > 0:
+            coset = (coset + q.degrees[g]) % n
+    return Word(runs)
+
+
+def presentation_letter_by_letter(p, q):
+    """The kernel presentation with every relator rewritten by the oracle."""
+    n = q.n
+    relators = tuple(rewrite_letter_by_letter(q, r, c) for r in p.relators for c in range(n))
+    tree = reidemeister_schreier(p, q).presentation.relators[len(relators) :]
+    gens = tuple(f"{g}@{c}" for g in p.generators for c in range(n))
+    return Presentation(f"{p.name}~{n}fold", gens, relators + tree)
+
+
+def test_shared_letters_rewrite_as_letter_by_letter(cover_job):
+    p = cover_job["presentation"]
+    for n in range(1, 62):
+        q = CyclicQuotientMap(p, n, cover_job["degrees"])
+        assert reidemeister_schreier(p, q).presentation == presentation_letter_by_letter(p, q), n
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 9, cover_job["degrees"]))
+    slopes = list(cover_job["fill"])
+    assert filled_relators(cover, slopes) == [
+        rewrite_letter_by_letter(cover.quotient, w ** (9 // gcd(9, cover.quotient.word_degree(w))), c)
+        for w in slopes
+        for c in range(gcd(9, cover.quotient.word_degree(w)))
+    ]
+    # u has degree 0, so its letters merge into one run at one coset
+    gens = ("a", "b", "u")
+    p = Presentation("p", gens, (parse_word("u^3 a b a^-1 b^-1 u^-2", gens),))
+    q = CyclicQuotientMap(p, 6, {"a": 2, "b": 3, "u": 0})
+    assert reidemeister_schreier(p, q).presentation == presentation_letter_by_letter(p, q)
+    w = parse_word("u^3 a^4 u^-2 b^-1", gens) ** 3
+    for c in range(6):
+        ours = covers_module._rewrite(q, w, c)
+        assert ours == rewrite_letter_by_letter(q, w, c)
+        assert (f"u@{c}", 3) in ours.runs
+        # every one-letter run is the map's shared run, not a copy
+        again = covers_module._rewrite(q, w, c)
+        assert all(x is y for x, y in zip(ours.runs, again.runs) if abs(x[1]) == 1)
+
+
 # ---- homology of covers -----------------------------------------------------
 
 

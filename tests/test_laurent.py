@@ -1,6 +1,7 @@
 import json
 import random
-from math import gcd
+import time
+from math import gcd, lcm
 
 import pytest
 import sympy as sp
@@ -8,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from foxhom import datasets, polygcd, polymat
 from foxhom.covers import branched_betti
-from foxhom.fox import minor_polys
+from foxhom.fox import alexander_matrix, codim_one_minors, minor_polys
 from foxhom.laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from foxhom.polygcd import (
     ExactDivisionError,
@@ -124,6 +125,23 @@ def test_shift_against_sympy():
         coef = rng.choice((-3, -1, 1, 2))
         monomial = sp.Mul(*(s**e for s, e in zip(syms, exp)))
         assert same_as_sympy(p.shift(exp, coef), to_sympy(p) * coef * monomial)
+
+
+def test_results_that_cannot_hold_zero_skip_the_filter():
+    # negation, a shift by a nonzero coefficient, a product with a nonzero
+    # int and an exact quotient build their terms without the zero filter
+    rng = random.Random(61)
+    for _ in range(100):
+        p = random_poly(rng, XYZ, max_terms=6, span=3, coef=5)
+        b = random_poly(rng, XYZ, max_terms=4, span=2, coef=5).normal_form()
+        k = rng.choice((-7, -1, 1, 3))
+        exp = tuple(rng.randrange(-4, 5) for _ in XYZ)
+        results = [-p, p.shift(exp, k), p * k, k * p]
+        if b:
+            results.append(poly_divexact(p.normal_form() * b, b))
+        for r in results:
+            assert r == LaurentPoly(r.vars, dict(r.terms)) and 0 not in r.terms.values()
+        assert p.shift(exp, 0).is_zero and (p * 0).is_zero and (0 * p).is_zero
 
 
 def sympy_normal_form(p):
@@ -444,7 +462,23 @@ def test_gcd_divides_inputs():
             assert laurent_divexact(p, g) * g == p
 
 
-def test_gcd_against_sympy_oracle():
+def sympy_gcd(p, q):
+    """The gcd of p and q by sympy, in normal form up to sign."""
+    vars = p.vars
+    sym = sp.gcd(to_sympy(p.normal_form()), to_sympy(q.normal_form()))
+    sym_poly = sp.Poly(sp.expand(sym), *sp.symbols(vars))
+    terms = {tuple(int(v) for v in mon): int(c) for mon, c in sym_poly.terms()}
+    return LaurentPoly(vars, terms).normal_form()
+
+
+def same_gcd_as_sympy(ours, p, q):
+    # compare up to unit: sympy may normalize differently
+    theirs = sympy_gcd(p, q)
+    return ours == theirs or ours == (-1 * theirs).normal_form()
+
+
+def shared_factor_draws():
+    """Pairs shared * a, shared * b in two and three variables, not both zero."""
     rng = random.Random(17)
     for vars in (XY, XYZ):
         for _ in range(40):
@@ -452,15 +486,93 @@ def test_gcd_against_sympy_oracle():
             a = random_poly(rng, vars, max_terms=3, span=1, coef=2)
             b = random_poly(rng, vars, max_terms=3, span=1, coef=2)
             p, q = shared * a, shared * b
+            if not (p.is_zero and q.is_zero):
+                yield p, q
+
+
+def test_gcd_against_sympy_oracle():
+    for p, q in shared_factor_draws():
+        assert same_gcd_as_sympy(laurent_gcd([p, q]), p, q)
+
+
+def test_multivariate_gcd_of_random_products_is_fast():
+    # at the remainder sequence alone, 43 of these 400 draws took more than
+    # a second, and draw 59 of seed 2 more than two minutes
+    slowest = 0.0
+    start = time.perf_counter()
+    for seed in (2, 4):
+        rng = random.Random(seed)
+        for _ in range(200):
+            a, b, c, d = (random_poly(rng, XYZ, 4, 2, 4) for _ in range(4))
+            p, q = a * b, c * d
             if p.is_zero and q.is_zero:
                 continue
+            t = time.perf_counter()
             ours = laurent_gcd([p, q])
-            sym = sp.gcd(to_sympy(p.normal_form()), to_sympy(q.normal_form()))
-            # compare up to unit: sympy may normalize differently
-            sym_poly = sp.Poly(sp.expand(sym), *sp.symbols(vars))
-            terms = {tuple(int(v) for v in mon): int(c) for mon, c in sym_poly.terms()}
-            theirs = LaurentPoly(vars, terms).normal_form()
-            assert ours == theirs or ours == (-1 * theirs).normal_form()
+            slowest = max(slowest, time.perf_counter() - t)
+            assert same_gcd_as_sympy(ours, p, q)
+    assert slowest < 1.0
+    assert time.perf_counter() - start < 30.0
+
+
+def n_final_minors(n_final, free_abelian_map):
+    minors = codim_one_minors(alexander_matrix(n_final, free_abelian_map))
+    return [m.normal_form() for m in minors if m]
+
+
+def test_multivariate_heuristic_off_agrees(monkeypatch, n_final, free_abelian_map):
+    minors = n_final_minors(n_final, free_abelian_map)
+    cases = [(p.normal_form(), q.normal_form()) for p, q in shared_factor_draws()]
+    cases += [(f, g) for i, f in enumerate(minors) for g in minors[i + 1 :]]
+    fast = [poly_gcd(p, q) for p, q in cases]
+    monkeypatch.setattr(polygcd, "_mv_heu_gcd", lambda f, g, i: None)
+    assert [poly_gcd(p, q) for p, q in cases] == fast
+
+
+def test_multivariate_heuristic_rejects_unlucky_points(monkeypatch):
+    # with cofactors y + 1 and y + 1 + k, the values at y = xi share the
+    # factor gcd(xi + 1, k), and the digits read (y + 1)(x + y), which does
+    # not divide the second input: k = 32 spoils the first of the six
+    # points, the lcm of all six values of xi + 1 spoils every one, and then
+    # the remainder sequence decides
+    points, answers = [], []
+    evaluate, heuristic = polygcd._evaluate, polygcd._mv_heu_gcd
+    monkeypatch.setattr(polygcd, "_evaluate", lambda p, i, xi: points.append(xi) or evaluate(p, i, xi))
+    monkeypatch.setattr(
+        polygcd, "_mv_heu_gcd", lambda f, g, i: answers.append(heuristic(f, g, i)) or answers[-1]
+    )
+    shared = poly("x + y")
+    for k, tried in ((32, [31, 84]), (lcm(32, 85, 230, 626, 1708, 4664), [31, 84, 229, 625, 1707, 4663])):
+        points.clear()
+        answers.clear()
+        assert poly_gcd(shared * poly("y + 1"), shared * poly(f"y + {1 + k}")) == shared
+        assert points[::2] == points[1::2] == tried
+        assert answers == [shared if len(tried) < 6 else None]
+
+
+def test_minors_of_n_final_make_one_gcd(monkeypatch, n_final, free_abelian_map):
+    # the minors are delta times x - 1, x - 1, x - 1, y - 1 and z - 1: one
+    # gcd finds delta, and exact division settles the other three
+    minors = n_final_minors(n_final, free_abelian_map)
+    delta = laurent_gcd(minors)
+    calls = []
+    real = polygcd.poly_gcd
+
+    def outermost(f, g):
+        calls.append((f, g))
+        monkeypatch.setattr(polygcd, "poly_gcd", real)  # recursion is not counted
+        try:
+            return real(f, g)
+        finally:
+            monkeypatch.setattr(polygcd, "poly_gcd", outermost)
+
+    monkeypatch.setattr(polygcd, "poly_gcd", outermost)
+    assert laurent_gcd(minors) == delta
+    assert len(calls) == 1
+    x, y, z = LaurentPoly.variables(XYZ)
+    assert sorted(map(str, (laurent_divexact(m, delta) for m in minors))) == sorted(
+        map(str, (x - 1, x - 1, x - 1, y - 1, z - 1))
+    )
 
 
 def test_poly_gcd_lead_is_positive(monkeypatch):

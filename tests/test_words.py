@@ -44,6 +44,15 @@ def test_reduction_cascades():
     assert w.runs == (("a", 1),)
 
 
+def test_runs_are_kept_or_made_tuples():
+    # a tuple run that survives reduction is kept as it is, not copied
+    run = ("b", 2)
+    assert Word([("a", 1), run, ("c", 0)]).runs[1] is run
+    w = Word([["a", 1], ["b", 2], ["b", 1]])
+    assert w.runs == (("a", 1), ("b", 3)) and all(type(r) is tuple for r in w.runs)
+    assert hash(w) == hash(Word([("a", 1), ("b", 3)]))
+
+
 def test_inverse_and_concat():
     rng = random.Random(7)
     for _ in range(200):
