@@ -34,8 +34,8 @@ from .fox import alexander_matrix, codim_one_minors, delta_from_minors, minor_po
 from .presentations import abelianize
 
 
-# the most levels one a..b range may expand to, and the highest branched
-# level (one cell per coprime residue, each with a degree n - 1 polynomial)
+# the highest branched level (one cell per coprime residue, each with a
+# degree n - 1 polynomial)
 MAX_RANGE = 10_000
 # the most (n, k) cells one branched sweep may hold: --n 1..256 --k all is
 # 19 947 cells, 11.3 s and 47 MB peak RSS at --jobs 1 in a fresh process on
@@ -43,7 +43,8 @@ MAX_RANGE = 10_000
 MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix is dense, about (6n)^2
 # entries for the bundled job (rhs-sweep at n = 499 peaks at 122 MB RSS and
-# takes 7.6 s in a fresh process on a 2-CPU host, Python 3.11.7)
+# takes 7.6 s in a fresh process on a 2-CPU host, Python 3.11.7); a wider
+# job meets presentations.MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 
 
@@ -51,37 +52,34 @@ class InputError(Exception):
     pass
 
 
-def _parse_int_values(text):
-    """Accept '5', '3..9' (inclusive, at most MAX_RANGE values) or '3,5,7'."""
-    values = []
+def _parse_levels(text, limit, odd_ranges=False):
+    """Levels from '5', '3..9' (inclusive) or '3,5,7', sorted and distinct.
+
+    Every level lies in 1..limit: each chunk is checked on its bounds before
+    a range is expanded, so no input expands more than ``limit`` levels.
+    With ``odd_ranges`` an a..b range walks its odd levels only.
+    """
+    levels = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, _, hi = chunk.partition("..")
-            try:
-                lo, hi = int(lo), int(hi)
-            except ValueError:
-                raise InputError(f"bad range {chunk!r}") from None
-            if hi < lo:
-                raise InputError(f"empty range {chunk!r}")
-            if hi - lo >= MAX_RANGE:
-                raise InputError(f"range {chunk!r} spans more than {MAX_RANGE} values")
-            values.extend(range(lo, hi + 1))
+        lo, dots, hi = chunk.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise InputError(f"bad {'range' if dots else 'integer'} {chunk!r}") from None
+        if hi < lo:
+            raise InputError(f"empty range {chunk!r}")
+        if lo < 1:
+            raise InputError(f"values must be positive: {text!r}")
+        if hi > limit:
+            raise InputError(f"level {hi} exceeds {limit}")
+        if dots and odd_ranges:
+            levels.update(range(lo | 1, hi + 1, 2))
         else:
-            try:
-                values.append(int(chunk))
-            except ValueError:
-                raise InputError(f"bad integer {chunk!r}") from None
-    if not values or min(values) < 1:
-        raise InputError(f"values must be positive: {text!r}")
-    return tuple(sorted(set(values)))
-
-
-def _cap_levels(n_values, limit):
-    """Exit 2 before any work when the highest level is above ``limit``."""
-    if max(n_values) > limit:
-        raise InputError(f"level {max(n_values)} exceeds {limit}")
-    return n_values
+            levels.update(range(lo, hi + 1))
+    if not levels:
+        raise InputError(f"no levels in {text!r}")
+    return tuple(sorted(levels))
 
 
 def _table(headers, rows):
@@ -230,8 +228,10 @@ def _run_tasks(fn, tasks, jobs):
     # imported here: the pool pulls in multiprocessing, a fifth of the CLI's import time
     from concurrent.futures import ProcessPoolExecutor
 
+    # batches of cells, so that a sweep of many cheap cells does not pay one
+    # round trip per cell
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (16 * workers))))
 
 
 def _sweep(args, command, inputs, parameters, headers, fn, tasks, jobs=1):
@@ -246,29 +246,15 @@ def _sweep(args, command, inputs, parameters, headers, fn, tasks, jobs=1):
 def _cmd_cover_family(args, mode, command):
     job_path = datasets.data_path(args.job)
     job = datasets.load_job(job_path)
-    n_values = _cap_levels(_parse_int_values(args.n) if args.n else (job["n"],), MAX_COVER_LEVEL)
+    n_values = _parse_levels(args.n or str(job["n"]), MAX_COVER_LEVEL)
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
     tasks = [(job, n, mode) for n in n_values]
     return _sweep(args, command, {"job": job_path}, parameters,
                   _COVER_HEADERS[mode], _cover_level, tasks)
 
 
-def _parse_sweep_levels(text):
-    """Like _parse_int_values, but a..b ranges walk odd levels only."""
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            values.extend(n for n in _parse_int_values(chunk) if n % 2)
-        else:
-            values.extend(_parse_int_values(chunk))
-    if not values:
-        raise InputError(f"no levels in {text!r}")
-    return tuple(sorted(set(values)))
-
-
 def _cmd_rhs_sweep(args):
-    n_values = _cap_levels(_parse_sweep_levels(args.n), MAX_COVER_LEVEL)
+    n_values = _parse_levels(args.n, MAX_COVER_LEVEL, odd_ranges=True)
     evens = [n for n in n_values if n % 2 == 0]
     if evens and not args.force:
         raise InputError(
@@ -295,7 +281,7 @@ def _cmd_branched(args):
     delta = datasets.load_poly(delta_path)
     if len(delta.vars) != 2:
         raise InputError("branched sweeps need a two-variable polynomial")
-    n_values = _cap_levels(_parse_int_values(args.n), MAX_RANGE)
+    n_values = _parse_levels(args.n, MAX_RANGE)
     cells = []
     for n in n_values:
         if args.k == "all":

@@ -123,6 +123,8 @@ class LaurentPoly:
     def min_exponents(self):
         if not self.terms:
             return (0,) * len(self.vars)
+        if len(self.vars) == 1:  # the least 1-tuple; twice as fast as the columns
+            return min(self.terms)
         return tuple(map(min, zip(*self.terms)))
 
     def is_unit(self):

@@ -140,7 +140,9 @@ def _cont(p):
 
 
 def _divc(p, c):
-    return {d: v // c for d, v in p.items()}
+    """p with every coefficient divided by c; p itself when c is 1 (most
+    contents are), which is safe as no caller changes the map it gets."""
+    return p if c == 1 else {d: v // c for d, v in p.items()}
 
 
 def _divides(q, p):
@@ -185,6 +187,19 @@ def _digits(v, xi):
     return out
 
 
+def _points(a, b):
+    """The six GCDHEU evaluation points of two coefficient maps.
+
+    The first is 2 * min(|a|, |b|) + 29, with |p| the largest absolute
+    coefficient of p, and each next one grows by about 2.73, as in Char,
+    Geddes and Gonnet (JSC 1989).
+    """
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(6):
+        yield xi
+        xi = xi * 73794 // 27011
+
+
 def _heu_gcd(a, b):
     """Gcd of two primitive {degree: int} maps by GCDHEU, or None.
 
@@ -198,8 +213,7 @@ def _heu_gcd(a, b):
     after six rejected evaluation points leaves the gcd to the remainder
     sequence.
     """
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    for _ in range(6):
+    for xi in _points(a, b):
         cand = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
         if cand:
             cand = _divc(cand, _cont(cand))
@@ -207,7 +221,6 @@ def _heu_gcd(a, b):
             # Geddes and Gonnet 1989), so this test makes the answer exact
             if _divides(cand, a) and _divides(cand, b):
                 return cand
-        xi = xi * 73794 // 27011
     return None
 
 
@@ -270,16 +283,15 @@ def _mv_heu_gcd(f, g, i):
     for Computer Algebra", 1992, section 7.7): with the integer contents
     removed, set x_i to an integer xi, take the exact ``poly_gcd`` of the
     two evaluations, which have one variable fewer, and read the symmetric
-    xi-adic digits of each of its coefficients back as powers of x_i.  The
-    bound on xi is that of ``_heu_gcd``.  A primitive part that divides
+    xi-adic digits of each of its coefficients back as powers of x_i, at
+    the points of ``_heu_gcd``.  A primitive part that divides
     both inputs is their gcd; None after six rejected points leaves the gcd
     to the remainder sequence.
     """
     cf, cg = _cont(f.terms), _cont(g.terms)
     a = LaurentPoly._of(f.vars, _divc(f.terms, cf))
     b = LaurentPoly._of(g.vars, _divc(g.terms, cg))
-    xi = 2 * min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values()))) + 29
-    for _ in range(6):
+    for xi in _points(a.terms, b.terms):
         gamma = poly_gcd(_evaluate(a, i, xi), _evaluate(b, i, xi))
         cand = {
             exp[:i] + (d,) + exp[i + 1 :]: c
@@ -289,7 +301,6 @@ def _mv_heu_gcd(f, g, i):
         cand = LaurentPoly._of(f.vars, _divc(cand, _cont(cand)))
         if _poly_divides(cand, a) and _poly_divides(cand, b):
             return cand * gcd(cf, cg)
-        xi = xi * 73794 // 27011
     return None
 
 
@@ -310,8 +321,11 @@ def _primitive(coeffs):
 def poly_gcd(f, g):
     """Gcd of two polynomials with nonnegative exponents, over Z.
 
-    The result has a positive graded-lex leading coefficient.
+    The result has a positive graded-lex leading coefficient.  A negative
+    exponent raises ValueError; ``laurent_gcd`` serves Laurent polynomials.
     """
+    if min(f.min_exponents() + g.min_exponents(), default=0) < 0:
+        raise ValueError("poly_gcd needs nonnegative exponents; use laurent_gcd")
     if g.is_zero:
         result = f
     elif f.is_zero:

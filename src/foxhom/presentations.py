@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from .abelian import cokernel
 from .words import Word, parse_word
 
+# the most cells a relator matrix may hold; it is dense, and the bundled
+# cover job peaks at 9 015 000 (fill and sakuma at level 500)
+MAX_MATRIX_CELLS = 10_000_000
+
 
 def _check_name(name):
     if not name or any(c.isspace() for c in name) or "^" in name:
@@ -49,9 +53,18 @@ class Presentation:
                 raise ValueError(f"relator uses unknown generators {sorted(stray)}")
 
     def relator_matrix(self):
-        """Exponent-sum matrix, generators as rows and relators as columns."""
+        """Exponent-sum matrix, generators as rows and relators as columns.
+
+        Raises ValueError before it allocates when the matrix would hold
+        more than MAX_MATRIX_CELLS cells.
+        """
+        rows, cols = len(self.generators), len(self.relators)
+        if rows * cols > MAX_MATRIX_CELLS:
+            raise ValueError(
+                f"relator matrix of {rows} x {cols} exceeds {MAX_MATRIX_CELLS} cells"
+            )
         index = {g: i for i, g in enumerate(self.generators)}
-        matrix = [[0] * len(self.relators) for _ in self.generators]
+        matrix = [[0] * cols for _ in range(rows)]
         for j, r in enumerate(self.relators):
             for g, e in r.runs:
                 matrix[index[g]][j] += e

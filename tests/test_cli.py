@@ -485,9 +485,8 @@ def test_jobs_below_one_is_exit_2(capsys, command):
     assert "--jobs must be at least 1" in err
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", ((64, 3, 3), (64, 8, 4), (2, 8, 2)))
-def test_pool_is_clamped_to_tasks_and_cpus(capsys, monkeypatch, jobs, cpus, workers):
-    seen = []
+def _fake_pool(monkeypatch, cpus, seen):
+    """Run the pool's map in-process; ``seen`` gets its worker count and chunk size."""
 
     class FakePool:
         def __init__(self, max_workers):
@@ -499,25 +498,151 @@ def test_pool_is_clamped_to_tasks_and_cpus(capsys, monkeypatch, jobs, cpus, work
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            seen.append(chunksize)
             return map(fn, tasks)
 
-    argv = ("branched", "delta_L", "--n", "5", "--format", "json")
-    _, serial, _ = run(capsys, *argv)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", ((64, 3, 3), (64, 8, 4), (2, 8, 2)))
+def test_pool_is_clamped_to_tasks_and_cpus(capsys, monkeypatch, jobs, cpus, workers):
+    seen = []
+    argv = ("branched", "delta_L", "--n", "5", "--format", "json")
+    _, serial, _ = run(capsys, *argv)
+    _fake_pool(monkeypatch, cpus, seen)
     code, out, _ = run(capsys, *argv, "--jobs", str(jobs))
     assert code == 0 and out == serial
-    assert seen == [workers]  # four coprime residues mod 5
+    assert seen == [workers, 1]  # four coprime residues mod 5, one at a time
 
 
-def test_level_range_is_capped_before_expanding(capsys):
-    assert len(cli._parse_int_values(f"1..{cli.MAX_RANGE}")) == cli.MAX_RANGE
-    with pytest.raises(cli.InputError, match="spans more than"):
-        cli._parse_int_values(f"1..{cli.MAX_RANGE + 1}")
-    code, _, err = run(capsys, "branched", "delta_L", "--n", "1..1000000000000")
-    assert code == 2
-    assert "spans more than" in err
+@pytest.mark.parametrize("argv, chunksize", (
+    # 2 240 cheap cells go out in batches
+    (("branched", "delta_L", "--n", "101..131", "--k", "all"), 2240 // 32),
+    # 30 costly levels go out one at a time
+    (("rhs-sweep", "--n", "3..61"), 1),
+), ids=("branched", "rhs-sweep"))
+def test_pool_hands_out_tasks_in_batches(capsys, monkeypatch, argv, chunksize):
+    seen = []
+    _fake_pool(monkeypatch, 2, seen)
+    # the cells themselves are not under test here
+    monkeypatch.setattr(cli, "_branched_cell", lambda payload: ({}, payload[1:] + (0, "")))
+    monkeypatch.setattr(cli, "_cover_level", lambda task: ({}, (task[1], 0, [], "yes", "")))
+    code, _, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert seen == [2, chunksize]
+
+
+# the level parsers before they were folded into cli._parse_levels, kept as
+# the oracle of its differential test
+_OLD_MAX_RANGE = 10_000
+
+
+def _old_parse_int_values(text):
+    values = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if ".." in chunk:
+            lo, _, hi = chunk.partition("..")
+            try:
+                lo, hi = int(lo), int(hi)
+            except ValueError:
+                raise cli.InputError(f"bad range {chunk!r}") from None
+            if hi < lo:
+                raise cli.InputError(f"empty range {chunk!r}")
+            if hi - lo >= _OLD_MAX_RANGE:
+                raise cli.InputError(f"range {chunk!r} spans more than {_OLD_MAX_RANGE} values")
+            values.extend(range(lo, hi + 1))
+        else:
+            try:
+                values.append(int(chunk))
+            except ValueError:
+                raise cli.InputError(f"bad integer {chunk!r}") from None
+    if not values or min(values) < 1:
+        raise cli.InputError(f"values must be positive: {text!r}")
+    return tuple(sorted(set(values)))
+
+
+def _old_cap_levels(n_values, limit):
+    if max(n_values) > limit:
+        raise cli.InputError(f"level {max(n_values)} exceeds {limit}")
+    return n_values
+
+
+def _old_parse_sweep_levels(text):
+    values = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if ".." in chunk:
+            values.extend(n for n in _old_parse_int_values(chunk) if n % 2)
+        else:
+            values.extend(_old_parse_int_values(chunk))
+    if not values:
+        raise cli.InputError(f"no levels in {text!r}")
+    return tuple(sorted(set(values)))
+
+
+def _old_levels(name, text):
+    parse = _old_parse_sweep_levels if name == "rhs-sweep" else _old_parse_int_values
+    return _old_cap_levels(parse(text), _OLD_MAX_RANGE if name == "branched" else 500)
+
+
+_LEVEL_COMMANDS = {
+    "cover": ("cover", "cover-job"),
+    "fill": ("fill", "cover-job"),
+    "sakuma": ("sakuma", "cover-job"),
+    "rhs-sweep": ("rhs-sweep",),
+    "branched": ("branched", "delta_L"),
+}
+
+_LEVEL_TEXTS = (
+    "5", " 3 , 5 ", "3..9", "3,5,7", "1..500", "499..501", "2,4..8", "4..4", "0..3", "-1",
+    "3..", "..3", "9..3", "9..3,5", "a", "3,,5", "1..10000", "5..10005", "1..1000000000000",
+)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _outcome(call):
+    try:
+        return call()
+    except cli.InputError:
+        return cli.InputError
+
+
+@pytest.mark.parametrize("name", sorted(_LEVEL_COMMANDS))
+def test_levels_match_the_old_parsers(capsys, monkeypatch, name):
+    # the command's own call of _parse_levels, so its limit and odd-range
+    # rule are under test too; no level runs
+    parse, outcomes = cli._parse_levels, []
+
+    def spy(*args, **kwargs):
+        outcomes.append(_outcome(lambda: parse(*args, **kwargs)))
+        if outcomes[-1] is cli.InputError:
+            raise cli.InputError("refused")
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "_parse_levels", spy)
+    for text in _LEVEL_TEXTS:
+        outcomes.clear()
+        try:
+            code = main([*_LEVEL_COMMANDS[name], "--n", text])
+        except _Admitted:
+            code = None
+        assert outcomes == [_outcome(lambda: _old_levels(name, text))], text
+        assert code == (2 if outcomes[0] is cli.InputError else None), text
+    capsys.readouterr()
+
+
+def test_level_range_is_capped_before_expanding(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a level ran"))
+    for command in _LEVEL_COMMANDS.values():
+        code, out, err = run(capsys, *command, "--n", "1..1000000000000")
+        assert code == 2 and out == ""
+        assert "level 1000000000000 exceeds" in err
 
 
 @pytest.mark.parametrize("k", ("all", "1"))
@@ -570,6 +695,21 @@ def test_cover_job_default_level_is_capped(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "cover", str(path))
     assert code == 2
     assert f"level 20000000 exceeds {cli.MAX_COVER_LEVEL}" in err
+
+
+def test_wide_cover_job_is_refused_before_its_matrix(capsys, tmp_path):
+    # 30 generators of degree 1: within both cover caps at level 500, but
+    # the kernel relator matrix would be 15000 x 14999, some 2 GB
+    gens = [f"a{i}" for i in range(30)]
+    relators = [f"a{i} a{i + 1} a{i}^-1 a{i + 1}^-1" for i in range(29)]
+    (tmp_path / "wide.json").write_text(
+        json.dumps({"name": "wide", "generators": gens, "relators": relators})
+    )
+    path = tmp_path / "wide-job.json"
+    path.write_text(json.dumps({"presentation": "wide.json", "degrees": dict.fromkeys(gens, 1)}))
+    code, out, err = run(capsys, "cover", str(path), "--n", "500")
+    assert code == 2 and out == ""
+    assert "relator matrix of 15000 x 14999 exceeds 10000000 cells" in err
 
 
 def test_branched_rejects_noncoprime(capsys):

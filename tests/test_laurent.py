@@ -450,6 +450,20 @@ def test_gcd_examples():
         laurent_gcd([LaurentPoly.zero(XY)])
 
 
+@pytest.mark.parametrize("f, g, vars, common", (
+    ("x^-1*y + 1", "x^-1*y^2 - 1", XY, "1"),
+    ("t^-1 + 1", "t^-2 - 1", ("t",), "t + 1"),
+))
+def test_poly_gcd_refuses_negative_exponents(f, g, vars, common):
+    # poly_gcd read these as x^-1 and as an IndexError; the Laurent gcd,
+    # which shifts both to polynomials first, is the one that serves them
+    f, g = poly(f, vars), poly(g, vars)
+    for pair in ((f, g), (g, f), (f, LaurentPoly.zero(vars))):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            poly_gcd(*pair)
+    assert laurent_gcd([f, g]) == poly(common, vars)
+
+
 def test_gcd_divides_inputs():
     rng = random.Random(13)
     for _ in range(60):

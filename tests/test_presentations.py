@@ -1,9 +1,10 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from foxhom import datasets
+from foxhom import datasets, presentations
 from foxhom.abelian import AbelianGroup
 from foxhom.presentations import (
     Presentation,
@@ -44,6 +45,30 @@ def test_abelianize_bundled(n_final):
     assert abelianize(datasets.load_presentation("nb")) == AbelianGroup(3)
     assert abelianize(datasets.load_presentation("rst")) == AbelianGroup(2)
     assert abelianize(datasets.load_presentation("amalgam")) == AbelianGroup(3, (2,))
+
+
+def test_relator_matrix_is_capped_before_it_allocates():
+    gens = tuple(f"g{i}" for i in range(10_001))
+    one_letter = tuple(Word([(g, 1)]) for g in gens[:1_000])
+    p = Presentation("wide", gens, one_letter)
+    assert len(gens) * len(one_letter) > presentations.MAX_MATRIX_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="relator matrix of 10001 x 1000 exceeds"):
+            p.relator_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the matrix would take some 80 MB
+
+
+def test_relator_matrix_cap_admits_its_bound(monkeypatch):
+    p = P("t", "ab", "a b a^-1 b^-1", "a^2", "b^3")
+    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 6)
+    assert p.relator_matrix() == [[0, 2, 0], [0, 0, 3]]
+    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 5)
+    with pytest.raises(ValueError, match="2 x 3 exceeds 5 cells"):
+        p.relator_matrix()
 
 
 def test_abelianize_no_relators():
