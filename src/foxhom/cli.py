@@ -30,7 +30,8 @@ from .covers import (
     reidemeister_schreier,
     sakuma_quotient,
 )
-from .fox import alexander_matrix, codim_one_minors, delta_from_minors, minor_polys
+from .fox import alexander_matrix, codim_one_minors, minor_polys
+from .polygcd import laurent_gcd
 from .presentations import abelianize
 
 
@@ -160,15 +161,15 @@ def _cmd_alexander(args):
     lines = [grid.table()]
     if args.minors:
         minors = minor_polys(grid)
-        delta = delta_from_minors(minors.values())
+        delta = laurent_gcd(minors.values())
         result["minors"] = {g: str(minors[g]) for g in p.generators}
         lines.append("")
         lines.extend(f"minor[{g}] = {minors[g]}" for g in p.generators)
     else:
-        delta = delta_from_minors(codim_one_minors(grid))
-    result["alexander_polynomial"] = str(delta.normal_form())
+        delta = laurent_gcd(codim_one_minors(grid))
+    result["alexander_polynomial"] = str(delta)
     lines.append("")
-    lines.append(f"alexander polynomial = {delta.normal_form()}")
+    lines.append(f"alexander polynomial = {delta}")
     report = _report(
         "alexander",
         {"presentation": path, "map": map_path},

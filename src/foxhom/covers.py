@@ -201,12 +201,7 @@ def transfer(cover, word):
     additive in the homology class of ``word`` and fixed by the deck action.
     """
     vec = exponent_vector(word, cover.base.generators)
-    gens = cover.presentation.generators
-    out = []
-    for g, total in zip(cover.base.generators, vec):
-        out.extend([total] * cover.n)
-    assert len(out) == len(gens)
-    return out
+    return [total for total in vec for _ in range(cover.n)]
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,8 @@ def load_job(name, dir=None):
 
     The ``presentation`` field is an existing ``*.json`` path, else such a
     path relative to the job file, else a name resolved in ``dir``.  An
-    optional ``mode`` field is accepted and ignored.
+    optional ``mode`` field is accepted and ignored.  A degree for a
+    generator the presentation lacks raises ValueError naming it.
     """
     path = data_path(name, dir)
 
@@ -145,9 +146,13 @@ def load_job(name, dir=None):
         if not Path(ref).exists() and beside.exists():
             ref = beside
         presentation = load_presentation(ref, dir)
+        degrees = {g: json_int(d) for g, d in raw["degrees"].items()}
+        unknown = sorted(set(degrees) - set(presentation.generators))
+        if unknown:
+            raise ValueError(f"degrees name generators not in the presentation: {unknown}")
         return {
             "presentation": presentation,
-            "degrees": {g: json_int(d) for g, d in raw["degrees"].items()},
+            "degrees": degrees,
             "n": json_int(raw.get("n", 1)),
             "fill": tuple(
                 parse_word(text, presentation.generators)

@@ -74,17 +74,6 @@ class AbelianizationMap:
         s = sign if power % 2 else 1
         return (s, tuple(power * e for e in exp))
 
-    def word_image(self, word):
-        """(sign, exponent vector) of a word's image."""
-        sign = 1
-        exp = [0] * len(self.vars)
-        for g, e in word.runs:
-            s, image_exp = self.image_monomial(g, e)
-            sign *= s
-            for i, v in enumerate(image_exp):
-                exp[i] += v
-        return sign, tuple(exp)
-
     @classmethod
     def from_json(cls, data, source):
         images = {
@@ -186,17 +175,6 @@ def codim_one_minors(grid):
     ]
 
 
-def delta_from_minors(minors):
-    """The gcd of the nonzero minors, or zero when every minor vanishes.
-
-    This is the one rule taking codimension-one minors to the Alexander
-    polynomial; ``minors`` must not be empty.
-    """
-    minors = list(minors)
-    nonzero = [m for m in minors if not m.is_zero]
-    return laurent_gcd(nonzero) if nonzero else minors[0]
-
-
 def alexander_poly(p, phi):
     """Gcd of the codimension-one minors of the Alexander matrix.
 
@@ -204,7 +182,8 @@ def alexander_poly(p, phi):
     the row-deletion minors.  In general the minors of size
     min(g - 1, #relators) are used; an empty determinant is 1, so free
     presentations of rank one and the ``rst`` style presentations give 1.
-    Zero minors are excluded from the gcd unless all minors vanish, in which
-    case the result is the zero polynomial.
+    Zero is the identity of ``laurent_gcd``, so zero minors drop out of the
+    gcd, and the result is the zero polynomial exactly when every minor
+    vanishes.
     """
-    return delta_from_minors(codim_one_minors(alexander_matrix(p, phi)))
+    return laurent_gcd(codim_one_minors(alexander_matrix(p, phi)))

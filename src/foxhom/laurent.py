@@ -192,13 +192,12 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def shift(self, exp, coef=1):
-        """Multiply by the monomial coef * x^exp."""
+    def shift(self, exp):
+        """Multiply by the monomial x^exp."""
         exp = tuple(exp)
-        # a shift maps distinct exponents to distinct ones, so only coef 0 makes zeros
-        return (LaurentPoly._of if coef else LaurentPoly)(
-            self.vars,
-            {tuple(map(add, e, exp)): c * coef for e, c in self.terms.items()},
+        # a shift maps distinct exponents to distinct ones, so it makes no zeros
+        return LaurentPoly._of(
+            self.vars, {tuple(map(add, e, exp)): c for e, c in self.terms.items()}
         )
 
     # ---- normalization --------------------------------------------------

@@ -14,7 +14,8 @@ the computation of polynomial greatest common divisors", JACM 1971): with
 integer coefficients over one variable, and over several with polynomial
 coefficients and recursive content/primitive-part extraction.  So every
 answer is exact.  ``laurent_gcd`` skips the gcd of a polynomial that its
-running gcd already divides.
+running gcd already divides.  Zero is the identity of every gcd here:
+gcd(0, g) = g, and the gcd of zeros alone is zero.
 
 ``poly_divexact`` is long division on one remainder map whose graded-lex
 order is kept in a heap of exponent keys, so a step finds the lead term
@@ -368,7 +369,8 @@ def _nonzero_gcd(f, g):
 def laurent_gcd(ps):
     """Gcd of Laurent polynomials, up to unit, in normal form.
 
-    Zero entries are ignored; the list must not be empty or all zero.
+    Zero entries are skipped, so all-zero input gives zero (zero is the
+    identity, as in ``poly_gcd``); an empty list has no ring and raises.
 
     >>> from .laurent import parse_poly
     >>> x2 = parse_poly("x^2 - 1", ("x",))
@@ -381,7 +383,7 @@ def laurent_gcd(ps):
         raise ValueError("gcd of an empty list")
     nonzero = [p.normal_form() for p in ps if not p.is_zero]
     if not nonzero:
-        raise ValueError("gcd of all-zero inputs")
+        return LaurentPoly.zero(ps[0].vars)
     acc = nonzero[0]
     for p in nonzero[1:]:
         # normal forms have no monomial factor, so acc divides p in the
@@ -397,9 +399,9 @@ def laurent_gcd(ps):
 class RootCount(int):
     """An integer count that remembers the degenerate all-roots case.
 
-    ``all_roots`` is True exactly when the polynomial was identically zero,
-    in which case the count is a guaranteed lower bound (every root of the
-    comparison polynomial is shared).
+    ``all_roots`` is True exactly when the polynomial was identically zero:
+    gcd(0, nu_n) = nu_n, so the count is a guaranteed lower bound (every
+    root of the comparison polynomial is shared).
     """
 
     def __new__(cls, value, all_roots=False):
@@ -419,9 +421,9 @@ def shared_root_count(p, n):
     where f folds p's exponents mod n: nu_n divides t^n - 1 and t is a unit
     modulo it, so f and p share the same roots of nu_n, and the gcd costs
     no more than degree n whatever p's exponents are.  nu_n is squarefree,
-    so the degree is exactly the distinct shared-root count.  The zero
-    polynomial returns the flagged value n - 1 (all roots shared); a
-    nonzero p that folds to zero gives n - 1 unflagged.
+    so the degree is exactly the distinct shared-root count.  Zero is the
+    gcd's identity, so the zero polynomial gives n - 1 flagged (all roots
+    shared); a nonzero p that folds to zero gives n - 1 unflagged.
 
     >>> shared_root_count(nu_poly(3), 3)
     RootCount(2, all_roots=False)
@@ -432,11 +434,9 @@ def shared_root_count(p, n):
         raise ValueError(f"need a polynomial in one variable, not over {p.vars}")
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    if p.is_zero:
-        return RootCount(n - 1, all_roots=True)
     folded = {}
     for (e,), c in p.terms.items():
         key = (e % n,)
         folded[key] = folded.get(key, 0) + c
     g = poly_gcd(LaurentPoly(p.vars, folded), nu_poly(n, p.vars[0]))
-    return RootCount(max(g.terms)[0])
+    return RootCount(max(g.terms)[0], all_roots=p.is_zero)

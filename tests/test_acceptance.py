@@ -188,8 +188,11 @@ def _fox_property_suite():
         u, v = _random_word(rng, gens), _random_word(rng, gens)
 
         def mono(word):
-            s, e = phi.word_image(word)
-            return LaurentPoly.monomial(vars, e, s)
+            out = LaurentPoly.constant(vars, 1)
+            for g, e in word.runs:
+                s, exp = phi.image_monomial(g, e)
+                out = out * LaurentPoly.monomial(vars, exp, s)
+            return out
 
         for g in gens:
             lhs = fox_derivative(u * v, g, phi)

@@ -178,7 +178,49 @@ def test_malformed_job_presentation_is_named_once(capsys, tmp_path):
     assert f"malformed input {pres}" in err and str(job) not in err
 
 
+def test_job_degree_for_a_generator_the_presentation_lacks_is_exit_2(capsys, tmp_path):
+    bundled = _bundled("cover-job")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(_bundled(
+        "cover-job",
+        presentation=str(datasets.data_path("n-final")),
+        degrees={**bundled["degrees"], "typo": 7},
+    )))
+    code, out, err = run(capsys, "cover", str(job), "--n", "3")
+    assert code == 2 and out == ""
+    assert f"malformed input {job}" in err and "['typo']" in err
+    # the bundled job grades exactly its presentation's generators
+    loaded = datasets.standard_cover_job()
+    assert set(loaded["degrees"]) == set(loaded["presentation"].generators)
+
+
 # ---- alexander --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags, minor_lines", (
+    ((), []),
+    (("--minors",), ["minor[a] = 0", "minor[b] = 0", ""]),
+))
+def test_alexander_prints_zero_when_every_minor_vanishes(capsys, tmp_path, flags, minor_lines):
+    # an empty relator has all Fox derivatives zero, so zero is the gcd of
+    # the minors; the body is the one earlier releases printed
+    pres = tmp_path / "degenerate.json"
+    pres.write_text(json.dumps({"name": "degenerate", "generators": ["a", "b"], "relators": [""]}))
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps({
+        "vars": ["x", "y"],
+        "images": {"a": {"sign": 1, "exp": [1, 0]}, "b": {"sign": 1, "exp": [0, 1]}},
+    }))
+    code, out, _ = run(capsys, "alexander", str(pres), "--map", str(map_file), *flags)
+    assert code == 0
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body == ["   r1", "a  0", "b  0", "", *minor_lines, "alexander polynomial = 0"]
+    code, out, _ = run(
+        capsys, "alexander", str(pres), "--map", str(map_file), *flags, "--format", "json"
+    )
+    [result] = json.loads(out)["results"]
+    assert code == 0 and result["alexander_polynomial"] == "0"
+    assert result.get("minors") == ({"a": "0", "b": "0"} if flags else None)
 
 
 def test_alexander_with_minors(capsys):
@@ -450,8 +492,13 @@ def test_branched_sweep_without_heuristic_gcd(capsys, monkeypatch):
     argv = ("branched", "delta_L", "--n", "5..61", "--k", "all", "--format", "table")
     _, fast, _ = run(capsys, *argv)
     monkeypatch.setattr(polygcd, "_heu_gcd", lambda a, b: None)
+    # a count on the fallback shows the patch reached it: were the heuristic
+    # renamed, the sweep would compare GCDHEU with itself and pass
+    prs, calls = polygcd._prs, []
+    monkeypatch.setattr(polygcd, "_prs", lambda *args: calls.append(1) or prs(*args))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == fast
+    assert calls
 
 
 def test_branched_folds_a_large_exponent(tmp_path):

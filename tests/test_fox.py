@@ -67,8 +67,12 @@ def random_map(rng, gens, vars=("x", "y")):
 
 
 def monomial_of(phi, word):
-    s, e = phi.word_image(word)
-    return LaurentPoly.monomial(phi.vars, e, s)
+    """The image of a word: the product of its runs' signed monomials."""
+    out = LaurentPoly.constant(phi.vars, 1)
+    for g, e in word.runs:
+        s, exp = phi.image_monomial(g, e)
+        out = out * LaurentPoly.monomial(phi.vars, exp, s)
+    return out
 
 
 def test_fox_product_rule_random():

@@ -124,24 +124,24 @@ def test_shift_against_sympy():
         exp = tuple(rng.randrange(-4, 5) for _ in XYZ)
         coef = rng.choice((-3, -1, 1, 2))
         monomial = sp.Mul(*(s**e for s, e in zip(syms, exp)))
-        assert same_as_sympy(p.shift(exp, coef), to_sympy(p) * coef * monomial)
+        assert same_as_sympy(p.shift(exp) * coef, to_sympy(p) * coef * monomial)
 
 
 def test_results_that_cannot_hold_zero_skip_the_filter():
-    # negation, a shift by a nonzero coefficient, a product with a nonzero
-    # int and an exact quotient build their terms without the zero filter
+    # negation, a shift, a product with a nonzero int and an exact quotient
+    # build their terms without the zero filter
     rng = random.Random(61)
     for _ in range(100):
         p = random_poly(rng, XYZ, max_terms=6, span=3, coef=5)
         b = random_poly(rng, XYZ, max_terms=4, span=2, coef=5).normal_form()
         k = rng.choice((-7, -1, 1, 3))
         exp = tuple(rng.randrange(-4, 5) for _ in XYZ)
-        results = [-p, p.shift(exp, k), p * k, k * p]
+        results = [-p, p.shift(exp), p * k, k * p]
         if b:
             results.append(poly_divexact(p.normal_form() * b, b))
         for r in results:
             assert r == LaurentPoly(r.vars, dict(r.terms)) and 0 not in r.terms.values()
-        assert p.shift(exp, 0).is_zero and (p * 0).is_zero and (0 * p).is_zero
+        assert (p.shift(exp) * 0).is_zero and (p * 0).is_zero and (0 * p).is_zero
 
 
 def sympy_normal_form(p):
@@ -321,7 +321,7 @@ def _divexact_by_polynomials(f, g):
             raise ExactDivisionError("not exactly divisible")
         c = r_coef // g_lead_coef
         quotient[exp] = quotient.get(exp, 0) + c
-        rem = rem - g.shift(exp, c)
+        rem = rem - g.shift(exp) * c
     return LaurentPoly(f.vars, quotient)
 
 
@@ -446,8 +446,64 @@ def test_gcd_examples():
     assert laurent_gcd([p, p]) == p.normal_form()
     with pytest.raises(ValueError):
         laurent_gcd([])
-    with pytest.raises(ValueError):
-        laurent_gcd([LaurentPoly.zero(XY)])
+    # zero is the identity of the gcd, so zeros alone give zero of their ring
+    for vars in (("t",), XY, XYZ):
+        got = laurent_gcd([LaurentPoly.zero(vars)] * 3)
+        assert got.is_zero and got.vars == vars
+
+
+def parent_laurent_gcd(ps):
+    """``laurent_gcd`` as it was when all-zero input raised."""
+    ps = list(ps)
+    if not ps:
+        raise ValueError("gcd of an empty list")
+    nonzero = [p.normal_form() for p in ps if not p.is_zero]
+    if not nonzero:
+        raise ValueError("gcd of all-zero inputs")
+    acc = nonzero[0]
+    for p in nonzero[1:]:
+        if not polygcd._poly_divides(acc, p):
+            acc = poly_gcd(acc, p)
+            if acc.is_unit():
+                break
+    return acc.normal_form()
+
+
+def parent_delta_from_minors(minors):
+    """The former rule from minors to delta: the gcd of the nonzero minors,
+    or the first minor when every one is zero."""
+    minors = list(minors)
+    nonzero = [m for m in minors if not m.is_zero]
+    return parent_laurent_gcd(nonzero) if nonzero else minors[0]
+
+
+def test_laurent_gcd_with_zeros_matches_the_former_minor_rule():
+    rng = random.Random(191)
+    placements = 0
+    for vars in (("t",), XY, XYZ):
+        zero = LaurentPoly.zero(vars)
+        for _ in range(25):
+            common = random_poly(rng, vars, max_terms=3, span=2, coef=3) or poly("1", vars)
+            ps = [
+                common * random_poly(rng, vars, max_terms=3, span=2, coef=3)
+                for _ in range(rng.randrange(1, 4))
+            ]
+            k = rng.randrange(1, 4)
+            i = rng.randrange(len(ps) + 1)
+            for case in (
+                [zero] + ps,  # first
+                ps + [zero],  # last
+                ps[:i] + [zero] + ps[i:],  # somewhere between
+                [zero],  # alone
+                [zero] * k,  # throughout
+                [x for p in ps for x in (zero, p)] + [zero],  # around every entry
+            ):
+                want = parent_delta_from_minors(case)
+                got = laurent_gcd(case)
+                assert got == want and got.vars == want.vars, (vars, case)
+                assert got.is_zero == all(p.is_zero for p in case)
+                placements += 1
+    assert placements == 3 * 25 * 6
 
 
 @pytest.mark.parametrize("f, g, vars, common", (
@@ -734,7 +790,12 @@ def test_shared_root_count_examples():
     assert shared_root_count(nu_poly(3), 3) == 2
     flagged = shared_root_count(LaurentPoly.zero(("t",)), 5)
     assert flagged == 4 and flagged.all_roots
-    for n in (2, 3, 7, 12, 40):  # folds to zero, but is not the zero polynomial
+    for n in range(2, 61):
+        # gcd(0, nu_n) = nu_n: all n - 1 roots shared, and only zero is flagged
+        assert repr(shared_root_count(LaurentPoly.zero(("t",)), n)) == (
+            f"RootCount({n - 1}, all_roots=True)"
+        )
+        # folds to zero, but is not the zero polynomial
         assert repr(shared_root_count(poly(f"t^{n} - 1", ("t",)), n)) == (
             f"RootCount({n - 1}, all_roots=False)"
         )
@@ -746,6 +807,7 @@ def test_shared_root_count_examples():
         shared_root_count(poly("x - 1"), 3)
     with pytest.raises(ValueError):
         shared_root_count(x, 1)
+
 
 
 def test_shared_root_count_against_sympy():
