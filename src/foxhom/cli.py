@@ -43,9 +43,9 @@ MAX_RANGE = 10_000
 # a 2-CPU host, Python 3.11.7
 MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix is dense, about (6n)^2
-# entries for the bundled job (rhs-sweep at n = 499 peaks at 122 MB RSS and
-# takes 7.6 s in a fresh process on a 2-CPU host, Python 3.11.7); a wider
-# job meets presentations.MAX_MATRIX_CELLS first
+# entries for the bundled job (rhs-sweep at n = 499 peaks at 116 MB RSS and
+# takes 3.9-5.3 s, median 4.4 s over 7 fresh processes, on a 2-CPU host,
+# Python 3.11.7); a wider job meets presentations.MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 
 

@@ -138,6 +138,26 @@ def _rewrite(q, word, start):
     return Word(runs)
 
 
+def _lifts(q, word):
+    """The rewrites of a base word into cover generators of q from every coset.
+
+    One walk from coset 0 records each letter's shared run and coset offset;
+    the lift from coset c reads each run at c + offset.
+    """
+    n = q.n
+    coset = 0
+    pattern = []
+    letters = q.letters
+    for g, step in word.single_letters():
+        if step > 0:
+            pattern.append((letters[g, 1], coset))
+            coset = (coset + q.degrees[g]) % n
+        else:
+            coset = (coset - q.degrees[g]) % n
+            pattern.append((letters[g, -1], coset))
+    return [Word([runs[(c + o) % n] for runs, o in pattern]) for c in range(n)]
+
+
 def reidemeister_schreier(p, q):
     """Present the kernel of a cyclic quotient map.
 
@@ -160,7 +180,7 @@ def reidemeister_schreier(p, q):
     n = q.n
     _check_letters(n, p.relators, "relators")
     gens = tuple(cover_gen(g, c) for g in p.generators for c in range(n))
-    relators = tuple(_rewrite(q, r, c) for r in p.relators for c in range(n))
+    relators = tuple(lift for r in p.relators for lift in _lifts(q, r))
 
     # a spanning tree of the coset graph (g joins c to c + deg g), grown from
     # coset 0 one generator at a time in a stable sort by gcd(deg, n): a first

@@ -13,19 +13,33 @@ are computed, no transforms.  See Havas, Holt and Rees, "Recognizing badly
 presented Z-modules" (1993), and Dumas, Saunders and Villard, "On efficient
 sparse integer matrix Smith normal form computations" (2001).
 
-The pivot search keeps fill-in low without rescanning the matrix.  Each
-live column caches the key (least |entry|, nnz, index), which depends on
-that column's entries alone.  A step writes only to the columns of its
-pivot row, so rescanning those keeps every cached key exact.  The least key
-names the pivot column and value; the pivot row is then chosen among that
-column's entries of that value, fewest row nonzeros first and lowest index
-on ties, counted when the step runs.  The pivot row is what a step adds
-into the other rows of the pivot column, so a short one keeps fill-in low.
+Pivots come from two sources, and together they take the pivots of one
+rule: the least key (least |entry|, nnz, index) over the live columns, in
+the row of that value with the fewest nonzeros, lowest index on ties,
+counted when the step runs.  The pivot row is what a step adds into the
+other rows of the pivot column, so a short one keeps fill-in low.
+
+- A unit pivot comes from a lazy heap of (nnz, column) entries.  It starts
+  with every column, and an entry is pushed for each column a unit step
+  writes to and each one a least-entry step leaves with a +-1.  A popped
+  entry is skipped when its nnz is stale or its column holds no +-1, so the
+  first one kept is the least key with |entry| = 1.  The step is one Schur
+  update, row i -= s * v_i * row r with s the pivot's sign, after which row
+  r and the pivot column go and a divisor 1 is recorded.  This is the unit
+  elimination of Havas, Holt and Rees.
+- When no column holds a unit, the least-entry loop pivots on the least of
+  the cached keys.  A key depends on its column alone, and a step writes
+  only to the columns of its pivot row, so the columns the unit steps wrote
+  to are rescanned before the loop runs, and those its own step wrote to
+  after it.  The loop runs Euclid's steps on the pivot row and column with
+  symmetric remainders; a remainder of +-1 is taken by a unit step next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 
@@ -52,8 +66,68 @@ def _symmetric_quotient(a, p):
     return q + 1 if 2 * r > p else q
 
 
+def _refresh(keys, units, columns, written):
+    """Recompute the keys of the written columns and queue those holding a unit."""
+    for j in written:
+        col = columns.get(j)
+        if col is None:
+            keys.pop(j, None)
+        else:
+            key = keys[j] = (min(map(abs, col.values())), len(col), j)
+            if key[0] == 1:
+                heappush(units, key[1:])
+
+
+def _unit_column(units, columns):
+    """Pop the least (nnz, column) of a live column holding +-1, or None."""
+    while units:
+        size, c = heappop(units)
+        col = columns.get(c)
+        if col is not None and len(col) == size and (1 in col.values() or -1 in col.values()):
+            return c
+    return None
+
+
+def _unit_step(columns, in_row, units, c):
+    """Pivot on a +-1 of column c in one Schur step; return the columns written.
+
+    Row i -= s * v_i * row r, with s the pivot's sign and v_i column c's entry
+    in row i; then row r and column c go.
+    """
+    pivot_col = columns.pop(c)
+    _, r = min((len(in_row[i]), i) for i, v in pivot_col.items() if v == 1 or v == -1)
+    s = pivot_col.pop(r)
+    for i in pivot_col:
+        in_row[i].discard(c)
+    factors = [(i, s * v) for i, v in pivot_col.items()]
+    written = in_row[r]
+    in_row[r] = set()
+    written.discard(c)
+    for j in written:
+        col = columns[j]
+        x = col.pop(r)
+        for i, f in factors:
+            old = col.get(i, 0)
+            v = old - f * x
+            if v:
+                col[i] = v
+                if not old:
+                    in_row[i].add(j)
+            else:
+                del col[i]
+                in_row[i].discard(j)
+        if col:
+            heappush(units, (len(col), j))
+        else:
+            del columns[j]
+    written.add(c)
+    return written
+
+
 def smith_normal_form(matrix):
     """Divisor chain of an integer matrix under unimodular row/column operations.
+
+    Raises ``ValueError`` when a row's length is not that of row 0.
 
     >>> smith_normal_form([[1, 0], [0, 2]]).divisors
     (1, 2)
@@ -66,27 +140,35 @@ def smith_normal_form(matrix):
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     columns = {}
-    in_row = [set() for _ in range(rows)]
+    in_row = []
+    indices = range(cols)
     for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                columns.setdefault(j, {})[i] = v
-                in_row[i].add(j)
+        if len(row) != cols:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {cols}")
+        nonzero = list(compress(indices, row))
+        in_row.append(set(nonzero))
+        for j in nonzero:
+            columns.setdefault(j, {})[i] = row[j]
+    ones = 0
     pivots = []
-    keys = {}  # live column -> (least |entry|, nnz, column)
-    stale = list(columns)
+    units = [(len(col), j) for j, col in columns.items()]  # lazy: (nnz, column)
+    heapify(units)
+    keys = {}  # live column -> (least |entry|, nnz, column), exact once refreshed
+    stale = set(columns)
     while columns:
-        for j in stale:
-            col = columns.get(j)
-            if col is None:
-                del keys[j]
-                continue
-            keys[j] = (min(map(abs, col.values())), len(col), j)
+        c = _unit_column(units, columns)
+        if c is not None:
+            stale |= _unit_step(columns, in_row, units, c)
+            ones += 1
+            continue
+        # no column holds a unit: pivot on the least key
+        _refresh(keys, units, columns, stale)
+        stale.clear()
         a, _, c = min(keys.values())
         pivot_col = columns[c]
         _, r = min((len(in_row[i]), i) for i, v in pivot_col.items() if abs(v) == a)
         # this step writes only to the columns of row r, c among them
-        stale = list(in_row[r])
+        written = list(in_row[r])
         if pivot_col[r] < 0:
             for i in pivot_col:
                 pivot_col[i] = -pivot_col[i]
@@ -105,25 +187,25 @@ def smith_normal_form(matrix):
                 else:
                     col.pop(i, None)
                     in_row[i].discard(j)
-        if len(pivot_col) > 1:
-            continue  # a remainder is now the smallest entry
-        # the pivot column is {r: p}, so column operations touch only row r
-        for j in [j for j in in_row[r] if j != c]:
-            col = columns[j]
-            v = col[r] - _symmetric_quotient(col[r], p) * p
-            if v:
-                col[r] = v
-            else:
-                del col[r]
-                in_row[r].discard(j)
-                if not col:
-                    del columns[j]
-        if len(in_row[r]) == 1:
-            pivots.append(p)
-            del columns[c]
-            in_row[r].clear()
-    ones = pivots.count(1)
-    chain = sorted(d for d in pivots if d > 1)
+        if len(pivot_col) == 1:
+            # the pivot column is {r: p}, so column operations touch only row r
+            for j in [j for j in in_row[r] if j != c]:
+                col = columns[j]
+                v = col[r] - _symmetric_quotient(col[r], p) * p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+                    in_row[r].discard(j)
+                    if not col:
+                        del columns[j]
+            if len(in_row[r]) == 1:
+                pivots.append(p)
+                del columns[c]
+                in_row[r].clear()
+        # a remainder of +-1 is taken by the next unit step
+        _refresh(keys, units, columns, written)
+    chain = sorted(pivots)
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
             g = gcd(chain[a], chain[b])

@@ -289,6 +289,45 @@ def test_shared_letters_rewrite_as_letter_by_letter(cover_job):
         assert all(x is y for x, y in zip(ours.runs, again.runs) if abs(x[1]) == 1)
 
 
+def test_lifts_equal_rewrites_from_every_coset(cover_job):
+    # the one walk per relator in reidemeister_schreier against n walks
+    def check(p, q):
+        for r in p.relators:
+            lifts = covers_module._lifts(q, r)
+            assert len(lifts) == q.n
+            for c, lift in enumerate(lifts):
+                assert lift == covers_module._rewrite(q, r, c) == rewrite_letter_by_letter(q, r, c)
+
+    p = cover_job["presentation"]
+    for n in range(1, 42):
+        check(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+    t = torus()
+    check(t, CyclicQuotientMap(t, 6, {"a": 2, "b": 3}))
+    rng = random.Random(89)
+    gens = ("a", "b", "u")
+    free = Presentation("free", gens, ())
+    merged = 0
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        degrees = {"a": rng.randrange(n), "b": 1, "u": rng.randrange(n)}
+        grading = CyclicQuotientMap(free, n, degrees)
+        relators = []
+        for _ in range(3):
+            runs = [(rng.choice(gens), rng.choice((-3, -2, -1, 1, 2))) for _ in range(rng.randrange(1, 8))]
+            w = Word(runs)
+            relators.append(w * Word([("b", -grading.word_degree(w))]))
+        p = Presentation("random", gens, tuple(relators))
+        q = CyclicQuotientMap(p, n, degrees)
+        check(p, q)
+        # a letter of degree 0 mod n lifts its powers onto one run
+        merged += sum(
+            len(lift.runs) < sum(abs(e) for _, e in r.runs)
+            for r in relators
+            for lift in covers_module._lifts(q, r)
+        )
+    assert merged
+
+
 # ---- homology of covers -----------------------------------------------------
 
 

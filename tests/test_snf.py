@@ -109,6 +109,71 @@ def dense_smith_divisors(matrix):
     return tuple(m[i][i] for i in range(min(rows, cols)) if m[i][i])
 
 
+def single_loop_smith_divisors(matrix):
+    """The least-key loop run on every pivot, units included: the oracle for
+    the two-phase engine, which must take the same pivots and divisors.
+
+    Each step pivots on the column key (least |entry|, nnz, index), in the
+    row of that value with the fewest nonzeros, and runs the Euclid path even
+    for a pivot of 1.
+    """
+    rows = len(matrix)
+    columns, in_row = {}, [set() for _ in range(rows)]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                columns.setdefault(j, {})[i] = v
+                in_row[i].add(j)
+
+    def quotient(a, p):
+        q, r = divmod(a, p)
+        return q + 1 if 2 * r > p else q
+
+    pivots = []
+    while columns:
+        a, _, c = min((min(map(abs, col.values())), len(col), j) for j, col in columns.items())
+        pivot_col = columns[c]
+        _, r = min((len(in_row[i]), i) for i, v in pivot_col.items() if abs(v) == a)
+        if pivot_col[r] < 0:
+            for i in pivot_col:
+                pivot_col[i] = -pivot_col[i]
+        p = pivot_col[r]
+        for i in [i for i in pivot_col if i != r]:
+            q = quotient(pivot_col[i], p)
+            for j in in_row[r]:
+                col = columns[j]
+                old = col.get(i, 0)
+                v = old - q * col[r]
+                if v:
+                    col[i] = v
+                    in_row[i].add(j)
+                else:
+                    col.pop(i, None)
+                    in_row[i].discard(j)
+        if len(pivot_col) > 1:
+            continue
+        for j in [j for j in in_row[r] if j != c]:
+            col = columns[j]
+            v = col[r] - quotient(col[r], p) * p
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+                in_row[r].discard(j)
+                if not col:
+                    del columns[j]
+        if len(in_row[r]) == 1:
+            pivots.append(p)
+            del columns[c]
+            in_row[r].clear()
+    chain = sorted(pivots)
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] * chain[b] // g
+    return tuple(chain)
+
+
 def sparse_matrix(rng, rows, cols, density):
     return [
         [rng.choice((-3, -2, -1, 1, 1, 2, 5)) if rng.random() < density else 0
@@ -244,6 +309,94 @@ def test_sparse_matches_dense_on_tie_heavy_matrices():
             for _ in range(rows)
         ]
         assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
+
+
+def test_ragged_rows_are_rejected():
+    # two divisors from one column were once read off [[1], [0, 2]]
+    for matrix, row in (([[1], [0, 2]], 1), ([[2, 0, 0], [0]], 1), ([[1, 2], [3, 4], [5]], 2)):
+        with pytest.raises(ValueError, match=f"row {row} "):
+            smith_normal_form(matrix)
+        with pytest.raises(ValueError, match=f"row {row} "):
+            abelian.cokernel(matrix)
+
+
+def test_column_gets_its_first_unit_from_a_unit_step():
+    # column 1 holds no unit; the unit step on (0, 0) turns its 2 in row 1
+    # into 2 - 1 * 3 = -1, and the same one-step elimination must take it
+    assert smith_normal_form([[1, 3], [1, 2]]).divisors == (1, 1)
+    # the same behind a -1 pivot: row 1 += 2 * row 0 makes column 1's -7 a
+    # -1, whose step leaves 4 + 2 * 4 = 12 in column 2
+    m = [
+        [-1, 3, 2],
+        [2, -7, 0],
+        [0, 2, 4],
+    ]
+    assert smith_normal_form(m).divisors == dense_smith_divisors(m) == (1, 1, 12)
+    assert smith_normal_form(m).divisors == single_loop_smith_divisors(m)
+
+
+def test_unit_step_fill_in_joins_its_row():
+    # the -1 at (0, 0) adds 2 * row 0 into row 1, so the 0 at (1, 1) fills in
+    # with 4; the least-entry loop then clears row 1 through that entry
+    m = [
+        [-1, 2, 0],
+        [2, 0, 2],
+        [0, 3, 0],
+    ]
+    assert smith_normal_form(m).divisors == dense_smith_divisors(m) == (1, 1, 6)
+    assert smith_normal_form([[0, -1, 2, 2], [0, 3, 0, 1]]).divisors == (1, 1)
+
+
+def test_euclid_remainders_create_units():
+    # no entry is a unit, so the first step runs the least-key loop, and its
+    # remainders 3 - 2 = 1 and 5 - 2 * 2 = 1 are taken as unit pivots
+    assert smith_normal_form([[2, 3]]).divisors == (1,)
+    assert smith_normal_form([[2, 0], [5, 3]]).divisors == (1, 6)
+    rng = random.Random(79)
+    for _ in range(120):
+        rows, cols = rng.randrange(2, 14), rng.randrange(2, 14)
+        m = [
+            [rng.choice((-5, -3, -2, 2, 3, 5, 7)) if rng.random() < 0.35 else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        expected = dense_smith_divisors(m)
+        assert smith_normal_form(m).divisors == expected, m
+        assert single_loop_smith_divisors(m) == expected, m
+
+
+def test_two_phase_matches_single_loop_on_bundled_job_matrices(monkeypatch, cover_job):
+    # every h1, fill, sakuma and h_n matrix past the dense oracle's reach
+    matrices = []
+
+    def record(matrix):
+        matrices.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+    for n in range(16, 42):
+        for mode in ("h1", "fill", "sakuma"):
+            cli._cover_level((cover_job, n, mode))
+    assert len(matrices) == 26 * 4
+    for m in matrices:
+        assert smith_normal_form(m).divisors == single_loop_smith_divisors(m)
+
+
+def test_two_phase_matches_single_loop_on_mixed_sparse_matrices():
+    # units beside +-2 and +-3, with -1 pivots, so fill-in from unit steps
+    # meets the least-key loop; the larger sizes leave the dense oracle behind
+    rng = random.Random(83)
+    with_minus_one = 0
+    for _ in range(60):
+        rows, cols = rng.randrange(20, 41), rng.randrange(20, 41)
+        m = [
+            [rng.choice((-3, -2, -1, -1, 1, 2, 3)) if rng.random() < 0.12 else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        with_minus_one += any(-1 in row for row in m)
+        assert smith_normal_form(m).divisors == single_loop_smith_divisors(m), m
+    assert with_minus_one == 60
 
 
 # sha256 of the table-format stdout at single levels past the benchmark's;
