@@ -44,7 +44,7 @@ MAX_RANGE = 10_000
 MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix is dense, about (6n)^2
 # entries for the bundled job (rhs-sweep at n = 499 peaks at 116 MB RSS and
-# takes 3.9-5.3 s, median 4.4 s over 7 fresh processes, on a 2-CPU host,
+# takes 4.2-4.8 s, median 4.4 s over 6 fresh processes, on a 2-CPU host,
 # Python 3.11.7); a wider job meets presentations.MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 

@@ -110,7 +110,7 @@ class CoverPresentation:
 
     def rewrite(self, word, start=0):
         """Rewrite a base word into cover generators, starting at a coset."""
-        return _rewrite(self.quotient, word, start)
+        return _lifts(self.quotient, word, (start,))[0]
 
 
 def _check_letters(n, words, what):
@@ -122,24 +122,8 @@ def _check_letters(n, words, what):
         )
 
 
-def _rewrite(q, word, start):
-    """Rewrite a base word into cover generators of q, starting at a coset."""
-    n = q.n
-    coset = start % n
-    runs = []
-    letters = q.letters
-    for g, step in word.single_letters():
-        if step > 0:
-            runs.append(letters[g, 1][coset])
-            coset = (coset + q.degrees[g]) % n
-        else:
-            coset = (coset - q.degrees[g]) % n
-            runs.append(letters[g, -1][coset])
-    return Word(runs)
-
-
-def _lifts(q, word):
-    """The rewrites of a base word into cover generators of q from every coset.
+def _lifts(q, word, starts):
+    """The rewrites of a base word into cover generators of q, one per start coset.
 
     One walk from coset 0 records each letter's shared run and coset offset;
     the lift from coset c reads each run at c + offset.
@@ -155,7 +139,7 @@ def _lifts(q, word):
         else:
             coset = (coset - q.degrees[g]) % n
             pattern.append((letters[g, -1], coset))
-    return [Word([runs[(c + o) % n] for runs, o in pattern]) for c in range(n)]
+    return [Word([runs[(c + o) % n] for runs, o in pattern]) for c in starts]
 
 
 def reidemeister_schreier(p, q):
@@ -180,7 +164,7 @@ def reidemeister_schreier(p, q):
     n = q.n
     _check_letters(n, p.relators, "relators")
     gens = tuple(cover_gen(g, c) for g in p.generators for c in range(n))
-    relators = tuple(lift for r in p.relators for lift in _lifts(q, r))
+    relators = tuple(lift for r in p.relators for lift in _lifts(q, r, range(n)))
 
     # a spanning tree of the coset graph (g joins c to c + deg g), grown from
     # coset 0 one generator at a time in a stable sort by gcd(deg, n): a first
@@ -257,7 +241,7 @@ def filled_relators(cover, spec):
     for w in spec.slopes:
         orbits = gcd(cover.n, cover.quotient.word_degree(w))
         power = w ** (cover.n // orbits)
-        out.extend(cover.rewrite(power, start=c) for c in range(orbits))
+        out.extend(_lifts(cover.quotient, power, range(orbits)))
     return out
 
 

@@ -33,6 +33,10 @@ other rows of the pivot column, so a short one keeps fill-in low.
   to are rescanned before the loop runs, and those its own step wrote to
   after it.  The loop runs Euclid's steps on the pivot row and column with
   symmetric remainders; a remainder of +-1 is taken by a unit step next.
+
+Both steps make their row operations in one kernel, ``_row_ops``.  A unit
+step skips the sign flip, the quotients and the column pass of the Euclid
+path, which a +-1 pivot does not need.
 """
 
 from __future__ import annotations
@@ -88,6 +92,23 @@ def _unit_column(units, columns):
     return None
 
 
+def _row_ops(columns, in_row, r, factors, targets):
+    """Row i -= f * row r for each (i, f) in factors, on the target columns."""
+    for j in targets:
+        col = columns[j]
+        x = col[r]
+        for i, f in factors:
+            old = col.get(i, 0)
+            v = old - f * x
+            if v:
+                col[i] = v
+                if not old:
+                    in_row[i].add(j)
+            else:
+                col.pop(i, None)
+                in_row[i].discard(j)
+
+
 def _unit_step(columns, in_row, units, c):
     """Pivot on a +-1 of column c in one Schur step; return the columns written.
 
@@ -99,23 +120,13 @@ def _unit_step(columns, in_row, units, c):
     s = pivot_col.pop(r)
     for i in pivot_col:
         in_row[i].discard(c)
-    factors = [(i, s * v) for i, v in pivot_col.items()]
     written = in_row[r]
     in_row[r] = set()
     written.discard(c)
+    _row_ops(columns, in_row, r, [(i, s * v) for i, v in pivot_col.items()], written)
     for j in written:
         col = columns[j]
-        x = col.pop(r)
-        for i, f in factors:
-            old = col.get(i, 0)
-            v = old - f * x
-            if v:
-                col[i] = v
-                if not old:
-                    in_row[i].add(j)
-            else:
-                del col[i]
-                in_row[i].discard(j)
+        del col[r]
         if col:
             heappush(units, (len(col), j))
         else:
@@ -174,19 +185,8 @@ def smith_normal_form(matrix):
                 pivot_col[i] = -pivot_col[i]
         p = pivot_col[r]
         # clear the pivot column by row operations: row i -= q * row r
-        for i in [i for i in pivot_col if i != r]:
-            q = _symmetric_quotient(pivot_col[i], p)
-            for j in in_row[r]:
-                col = columns[j]
-                old = col.get(i, 0)
-                v = old - q * col[r]
-                if v:
-                    col[i] = v
-                    if not old:
-                        in_row[i].add(j)
-                else:
-                    col.pop(i, None)
-                    in_row[i].discard(j)
+        factors = [(i, _symmetric_quotient(v, p)) for i, v in pivot_col.items() if i != r]
+        _row_ops(columns, in_row, r, factors, written)
         if len(pivot_col) == 1:
             # the pivot column is {r: p}, so column operations touch only row r
             for j in [j for j in in_row[r] if j != c]:

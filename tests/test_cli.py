@@ -396,13 +396,13 @@ def test_cover_without_coprime_generator(capsys, tmp_path):
 def test_cover_letters_are_capped_before_rewriting(
     capsys, monkeypatch, tmp_path, command, relator, slope, detail
 ):
-    rewrite = covers._rewrite
+    lifts = covers._lifts
 
-    def short_only(q, word, start):
+    def short_only(q, word, starts):
         assert len(word) < 1000, "a long word was rewritten"
-        return rewrite(q, word, start)
+        return lifts(q, word, starts)
 
-    monkeypatch.setattr(covers, "_rewrite", short_only)
+    monkeypatch.setattr(covers, "_lifts", short_only)
     job = _torus_job(tmp_path, relator, {"a": 1, "b": 0}, fill=[slope])
     code, out, err = run(capsys, command, job, "--n", "3")
     assert code == 2 and out == ""
@@ -934,7 +934,7 @@ def test_verify_paper_data_dir_must_be_a_directory(capsys, tmp_path, kind):
 def test_verify_paper_long_relator_fails_its_items(capsys, monkeypatch, tmp_path):
     """A relator past the letter caps fails the Fox and cover items at once."""
     monkeypatch.setattr(fox, "fox_derivative", lambda *args: pytest.fail("derivative taken"))
-    monkeypatch.setattr(covers, "_rewrite", lambda *args: pytest.fail("word rewritten"))
+    monkeypatch.setattr(covers, "_lifts", lambda *args: pytest.fail("word rewritten"))
     alt = tmp_path / "data"
     shutil.copytree(datasets.data_dir(), alt)
     raw = json.loads((alt / "n-final.json").read_text())

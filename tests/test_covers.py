@@ -172,7 +172,7 @@ def test_rewrite_letters_are_capped_before_rewriting(monkeypatch):
     def refuse(*args):
         raise AssertionError("a word was rewritten")
 
-    monkeypatch.setattr(covers_module, "_rewrite", refuse)
+    monkeypatch.setattr(covers_module, "_lifts", refuse)
     with pytest.raises(ValueError, match="4 cosets of relators make 20 letters"):
         reidemeister_schreier(p, CyclicQuotientMap(p, 4, {"a": 1, "b": 0}))
     with pytest.raises(ValueError, match="2 cosets of slopes make 12 letters"):
@@ -280,23 +280,23 @@ def test_shared_letters_rewrite_as_letter_by_letter(cover_job):
     q = CyclicQuotientMap(p, 6, {"a": 2, "b": 3, "u": 0})
     assert reidemeister_schreier(p, q).presentation == presentation_letter_by_letter(p, q)
     w = parse_word("u^3 a^4 u^-2 b^-1", gens) ** 3
-    for c in range(6):
-        ours = covers_module._rewrite(q, w, c)
+    for c, ours in enumerate(covers_module._lifts(q, w, range(6))):
         assert ours == rewrite_letter_by_letter(q, w, c)
         assert (f"u@{c}", 3) in ours.runs
         # every one-letter run is the map's shared run, not a copy
-        again = covers_module._rewrite(q, w, c)
+        again = covers_module._lifts(q, w, (c,))[0]
         assert all(x is y for x, y in zip(ours.runs, again.runs) if abs(x[1]) == 1)
 
 
 def test_lifts_equal_rewrites_from_every_coset(cover_job):
-    # the one walk per relator in reidemeister_schreier against n walks
+    # one walk per relator read at every coset against n walks of the oracle
     def check(p, q):
         for r in p.relators:
-            lifts = covers_module._lifts(q, r)
+            lifts = covers_module._lifts(q, r, range(q.n))
             assert len(lifts) == q.n
             for c, lift in enumerate(lifts):
-                assert lift == covers_module._rewrite(q, r, c) == rewrite_letter_by_letter(q, r, c)
+                assert lift == rewrite_letter_by_letter(q, r, c)
+                assert lift == covers_module._lifts(q, r, (c + q.n,))[0]
 
     p = cover_job["presentation"]
     for n in range(1, 42):
@@ -323,7 +323,7 @@ def test_lifts_equal_rewrites_from_every_coset(cover_job):
         merged += sum(
             len(lift.runs) < sum(abs(e) for _, e in r.runs)
             for r in relators
-            for lift in covers_module._lifts(q, r)
+            for lift in covers_module._lifts(q, r, range(q.n))
         )
     assert merged
 
