@@ -66,6 +66,23 @@ def cokernel(matrix):
     >>> print(cokernel([[], []]))
     Z^2
     """
-    form = smith_normal_form(matrix)
+    return _group(smith_normal_form(matrix))
+
+
+def cokernel_chain(matrix, passive):
+    """Cokernels of [matrix], [matrix | B1], ..., [matrix | B1 | ... | Bk].
+
+    ``passive`` holds the column blocks B1, ..., Bk, each a list of columns;
+    they ride along in one elimination of the matrix (see ``snf``), so the
+    list of k + 1 groups costs about one Smith form.
+
+    >>> [str(g) for g in cokernel_chain([[2, 0], [0, 0]], [[[0, 3]], [[1, 1]]])]
+    ['Z x Z/2', 'Z/6', '0']
+    """
+    form = smith_normal_form(matrix, passive)
+    return [_group(f) for f in (form, *form.extended)]
+
+
+def _group(form):
     torsion = tuple(d for d in form.divisors if d > 1)
     return AbelianGroup(form.cokernel_rank, torsion)

@@ -26,9 +26,8 @@ from .covers import (
     branched_betti,
     fill,
     h1_cover,
-    h_n_module,
     reidemeister_schreier,
-    sakuma_quotient,
+    transfer_quotients,
 )
 from .fox import alexander_matrix, codim_one_minors, minor_polys
 from .polygcd import laurent_gcd
@@ -199,7 +198,7 @@ def _cover_level(task):
     p = job["presentation"]
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
     if mode == "sakuma":
-        sak, hn = sakuma_quotient(cover), h_n_module(cover)
+        sak, hn = transfer_quotients(cover)
         entry = {"n": n, "sakuma": _group_fields(sak), "hn": _group_fields(hn)}
         if sak.is_finite and hn.is_finite:
             entry["order_ratio"] = sak.order // hn.order

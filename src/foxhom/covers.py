@@ -10,8 +10,12 @@ Cover generators are named ``g@c`` for base generator g at coset c.  The
 kernel presentation keeps all n * (base generators) symbols; its relators are
 the n * (base relators) rewritten ones, then the n - 1 one-letter relators
 that trivialize the tree-edge symbols.  Fillings and transfers enter as
-extra relators after those, so every cover group is the abelianization of
-one presentation.
+extra relators after those, as columns of the relator matrix M.  A cover
+group is the cokernel of M with one block B1 of such columns, and a chain
+coker[M | B1] ->> coker[M | B1 | B2] ->> ... comes from one elimination of
+[M | B1], in which the later blocks ride along as passive columns (see
+``snf``): ``transfer_quotients`` reads the transfer quotient and the
+transfer module off one Smith form this way.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+from .abelian import cokernel_chain
 from .laurent import substitute_monomial
 from .polygcd import shared_root_count
 from .presentations import Presentation, abelianize
@@ -180,10 +185,19 @@ def reidemeister_schreier(p, q):
     return CoverPresentation(q, Presentation(f"{p.name}~{n}fold", gens, relators + tuple(trivial)))
 
 
-def _quotient(cover, extra):
-    """Abelianization of the kernel presentation with ``extra`` relators appended."""
+def _quotient(cover, extra, *passive):
+    """The chain coker[M | extra] ->> coker[M | extra | B1] ->> ... as a list.
+
+    M is the kernel presentation's relator matrix, ``extra`` a list of
+    relator words appended to it, and each passive block B1, ... a list of
+    vectors over the cover generators.  The blocks ride along in the one
+    elimination of [M | extra].
+    """
     p = cover.presentation
-    return abelianize(Presentation(p.name, p.generators, p.relators + tuple(extra)))
+    q = Presentation(p.name, p.generators, p.relators + tuple(extra))
+    if not passive:
+        return [abelianize(q)]
+    return cokernel_chain(q.relator_matrix(), passive)
 
 
 def h1_cover(cover):
@@ -257,7 +271,16 @@ def fill(cover, spec):
     Each filled relator imposes its class as a relation; the result is the
     abelianization of the augmented kernel presentation.
     """
-    return _quotient(cover, filled_relators(cover, spec))
+    return _quotient(cover, filled_relators(cover, spec))[0]
+
+
+def _sakuma_relators(cover, meridian, doubled):
+    for g in (meridian, *doubled):
+        if g not in cover.base.generators:
+            raise ValueError(f"no base generator named {g!r}")
+    extra = [_transfer_relator(cover, Word([(meridian, 1)]))]
+    extra.extend(_transfer_relator(cover, Word([(g, 1)]), 2) for g in doubled)
+    return extra
 
 
 def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
@@ -267,12 +290,7 @@ def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
     tr(2t)> for the bundled data; the generator names are parameters so the
     construction is reusable.
     """
-    for g in (meridian, *doubled):
-        if g not in cover.base.generators:
-            raise ValueError(f"no base generator named {g!r}")
-    extra = [_transfer_relator(cover, Word([(meridian, 1)]))]
-    extra.extend(_transfer_relator(cover, Word([(g, 1)]), 2) for g in doubled)
-    return _quotient(cover, extra)
+    return _quotient(cover, _sakuma_relators(cover, meridian, doubled))[0]
 
 
 def h_n_module(cover):
@@ -281,7 +299,19 @@ def h_n_module(cover):
     For n = 1 the transfers generate everything and the result is trivial.
     """
     extra = [_transfer_relator(cover, Word([(g, 1)])) for g in cover.base.generators]
-    return _quotient(cover, extra)
+    return _quotient(cover, extra)[0]
+
+
+def transfer_quotients(cover, meridian="m", doubled=("s", "t")):
+    """(sakuma_quotient, h_n_module) of a cover, from one elimination.
+
+    The sakuma relators lie in the span of the transfers, so the transfer
+    module is the transfer quotient modulo every transfer: those ride along
+    as passive columns in the Smith form of the transfer quotient.
+    """
+    extra = _sakuma_relators(cover, meridian, doubled)
+    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators]
+    return tuple(_quotient(cover, extra, transfers))
 
 
 def branched_betti(delta, k, n):

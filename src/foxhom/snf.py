@@ -37,13 +37,28 @@ other rows of the pivot column, so a short one keeps fill-in low.
 Both steps make their row operations in one kernel, ``_row_ops``.  A unit
 step skips the sign flip, the quotients and the column pass of the Euclid
 path, which a +-1 pivot does not need.
+
+Passive columns.  ``smith_normal_form(matrix, passive)`` also takes blocks
+B1, ..., Bk of columns that ride along in the elimination of the matrix A:
+they take every row operation, and each column pass reduces their
+pivot-row entry mod p, which adds a multiple of an image column of A to
+them and so leaves every coker[A | B1 | ... | Bj] unchanged.  On a unit
+pivot row the pivot column is +-e_r, so they lose their entry there.  They
+never pivot and are kept in their own row index, so A's pivots are those
+of a call without them.  Afterwards coker[A | B1 | ... | Bj] is that of a
+small leftover matrix on the rows no unit pivot took: the nonunit pivots
+as diagonal columns, then the residue of B1 restricted to those rows.  One
+more call of this function reduces it, with the residues of B2, ..., Bk as
+its passive blocks, and the unit pivots are added back as divisors 1.  This
+is how a cover's transfer quotient and transfer module come from one
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
 
 
@@ -53,11 +68,14 @@ class SmithForm:
 
     ``divisors`` lists the nonzero diagonal entries (1s included), so the
     cokernel of the matrix is Z^(rows - len(divisors)) + sum Z/d_i.
+    ``extended`` holds, for passive column blocks B1, ..., Bk, the forms of
+    [matrix | B1 | ... | Bj] for j = 1..k, and is empty without them.
     """
 
     rows: int
     cols: int
     divisors: tuple
+    extended: tuple = ()
 
     @property
     def cokernel_rank(self):
@@ -109,11 +127,33 @@ def _row_ops(columns, in_row, r, factors, targets):
                 in_row[i].discard(j)
 
 
-def _unit_step(columns, in_row, units, c):
+def _reduce_row(columns, in_row, r, p, targets):
+    """Column j -= q * (p * e_r) for each target j: its row-r entry mod p."""
+    for j in targets:
+        col = columns[j]
+        v = col[r] - _symmetric_quotient(col[r], p) * p
+        if v:
+            col[r] = v
+        else:
+            del col[r]
+            in_row[r].discard(j)
+            if not col:
+                del columns[j]
+
+
+def _passive_row_ops(parked, r, factors):
+    """A step's row operations on the passive columns; return those in row r."""
+    columns, in_row = parked
+    targets = list(in_row[r])
+    _row_ops(columns, in_row, r, factors, targets)
+    return targets
+
+
+def _unit_step(columns, in_row, units, c, parked):
     """Pivot on a +-1 of column c in one Schur step; return the columns written.
 
     Row i -= s * v_i * row r, with s the pivot's sign and v_i column c's entry
-    in row i; then row r and column c go.
+    in row i; then row r and column c go, and the passive entries in row r.
     """
     pivot_col = columns.pop(c)
     _, r = min((len(in_row[i]), i) for i, v in pivot_col.items() if v == 1 or v == -1)
@@ -123,7 +163,8 @@ def _unit_step(columns, in_row, units, c):
     written = in_row[r]
     in_row[r] = set()
     written.discard(c)
-    _row_ops(columns, in_row, r, [(i, s * v) for i, v in pivot_col.items()], written)
+    factors = [(i, s * v) for i, v in pivot_col.items()]
+    _row_ops(columns, in_row, r, factors, written)
     for j in written:
         col = columns[j]
         del col[r]
@@ -131,14 +172,21 @@ def _unit_step(columns, in_row, units, c):
             heappush(units, (len(col), j))
         else:
             del columns[j]
+    if parked:
+        # mod 1: the pivot column is now s * e_r
+        _reduce_row(*parked, r, 1, _passive_row_ops(parked, r, factors))
     written.add(c)
     return written
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, passive=()):
     """Divisor chain of an integer matrix under unimodular row/column operations.
 
-    Raises ``ValueError`` when a row's length is not that of row 0.
+    ``passive`` is a sequence of column blocks B1, ..., Bk, each a list of
+    columns of the matrix's height; ``extended`` then holds the forms of
+    [matrix | B1 | ... | Bj], from the same elimination (see the module
+    docstring).  Raises ``ValueError`` when a row's length is not that of
+    row 0, or a passive column's length is not the number of rows.
 
     >>> smith_normal_form([[1, 0], [0, 2]]).divisors
     (1, 2)
@@ -147,6 +195,8 @@ def smith_normal_form(matrix):
     >>> f = smith_normal_form([[0, 0, 0], [0, 0, 0]])
     >>> f.divisors, f.cokernel_rank
     ((), 2)
+    >>> [g.divisors for g in smith_normal_form([[2, 0], [0, 2]], [[[1, 1]]]).extended]
+    [(1, 2)]
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -160,8 +210,19 @@ def smith_normal_form(matrix):
         in_row.append(set(nonzero))
         for j in nonzero:
             columns.setdefault(j, {})[i] = row[j]
+    parked = None  # the passive columns and their own row index
+    if passive:
+        vectors = [v for block in passive for v in block]
+        parked = {}, [set() for _ in range(rows)]
+        for k, v in enumerate(vectors):
+            if len(v) != rows:
+                raise ValueError(f"passive column {k} has {len(v)} entries, not {rows}")
+            nonzero = list(compress(range(rows), v))
+            parked[0][k] = {i: v[i] for i in nonzero}
+            for i in nonzero:
+                parked[1][i].add(k)
     ones = 0
-    pivots = []
+    pivots = {}  # row -> nonunit pivot
     units = [(len(col), j) for j, col in columns.items()]  # lazy: (nnz, column)
     heapify(units)
     keys = {}  # live column -> (least |entry|, nnz, column), exact once refreshed
@@ -169,7 +230,7 @@ def smith_normal_form(matrix):
     while columns:
         c = _unit_column(units, columns)
         if c is not None:
-            stale |= _unit_step(columns, in_row, units, c)
+            stale |= _unit_step(columns, in_row, units, c, parked)
             ones += 1
             continue
         # no column holds a unit: pivot on the least key
@@ -187,27 +248,39 @@ def smith_normal_form(matrix):
         # clear the pivot column by row operations: row i -= q * row r
         factors = [(i, _symmetric_quotient(v, p)) for i, v in pivot_col.items() if i != r]
         _row_ops(columns, in_row, r, factors, written)
+        touched = _passive_row_ops(parked, r, factors) if parked else ()
         if len(pivot_col) == 1:
             # the pivot column is {r: p}, so column operations touch only row r
-            for j in [j for j in in_row[r] if j != c]:
-                col = columns[j]
-                v = col[r] - _symmetric_quotient(col[r], p) * p
-                if v:
-                    col[r] = v
-                else:
-                    del col[r]
-                    in_row[r].discard(j)
-                    if not col:
-                        del columns[j]
+            _reduce_row(columns, in_row, r, p, [j for j in in_row[r] if j != c])
+            if parked:
+                _reduce_row(*parked, r, p, touched)
             if len(in_row[r]) == 1:
-                pivots.append(p)
+                pivots[r] = p
                 del columns[c]
                 in_row[r].clear()
         # a remainder of +-1 is taken by the next unit step
         _refresh(keys, units, columns, written)
-    chain = sorted(pivots)
+    chain = sorted(pivots.values())
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
             g = gcd(chain[a], chain[b])
             chain[a], chain[b] = g, chain[a] * chain[b] // g
-    return SmithForm(rows, cols, (1,) * ones + tuple(chain))
+    ones = (1,) * ones
+    if not passive:
+        return SmithForm(rows, cols, ones + tuple(chain))
+    # the leftover's rows: those no unit pivot took, less the empty ones,
+    # which add to the rank alike with and without the blocks
+    parked_cols, parked_in_row = parked
+    kept = sorted(pivots.keys() | {i for i, ks in enumerate(parked_in_row) if ks})
+    residues = [[parked_cols.get(k, {}).get(i, 0) for i in kept] for k in range(len(vectors))]
+    ends = list(accumulate(map(len, passive)))
+    diagonal = sorted(pivots)
+    leftover = [
+        [pivots[i] if i == d else 0 for d in diagonal] + [v[x] for v in residues[:ends[0]]]
+        for x, i in enumerate(kept)
+    ]
+    inner = smith_normal_form(leftover, [residues[a:b] for a, b in zip(ends, ends[1:])])
+    extended = tuple(
+        SmithForm(rows, cols + w, ones + f.divisors) for w, f in zip(ends, (inner, *inner.extended))
+    )
+    return SmithForm(rows, cols, ones + tuple(chain), extended)

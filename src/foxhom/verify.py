@@ -24,9 +24,8 @@ from .covers import (
     FillingSpec,
     branched_betti,
     fill,
-    h_n_module,
     reidemeister_schreier,
-    sakuma_quotient,
+    transfer_quotients,
 )
 from .fox import alexander_matrix, minor_polys
 from .laurent import LaurentPoly, nu_poly, substitute_monomial
@@ -180,10 +179,9 @@ def _check_rhs(inputs):
         filled = fill(cover, spec)
         if filled.rank != 0:
             return False, f"n={n}: filled homology has rank {filled.rank}"
-        sak = sakuma_quotient(cover)
+        sak, hn = transfer_quotients(cover)
         if sak.rank != 0 or sak.order != filled.order:
             return False, f"n={n}: transfer quotient disagrees with filling"
-        hn = h_n_module(cover)
         ratio = sak.order // hn.order
         if sak.order % hn.order or ratio not in (1, 2, 4, 8):
             return False, f"n={n}: order ratio {sak.order}/{hn.order}"

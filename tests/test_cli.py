@@ -194,6 +194,18 @@ def test_job_degree_for_a_generator_the_presentation_lacks_is_exit_2(capsys, tmp
     assert set(loaded["degrees"]) == set(loaded["presentation"].generators)
 
 
+def test_sakuma_job_without_its_generators_is_exit_2(capsys, tmp_path):
+    # the transfer relators name m, s and t, checked before any elimination
+    pres = tmp_path / "torus.json"
+    pres.write_text(json.dumps(
+        {"name": "torus", "generators": ["a", "b"], "relators": ["a b a^-1 b^-1"]}))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"presentation": str(pres), "degrees": {"a": 1, "b": 0}}))
+    code, out, err = run(capsys, "sakuma", str(job), "--n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: no base generator named 'm'\n"
+
+
 # ---- alexander --------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from foxhom.covers import (
     reidemeister_schreier,
     sakuma_quotient,
     transfer,
+    transfer_quotients,
 )
 from foxhom.laurent import LaurentPoly, parse_poly
 from foxhom.presentations import Presentation, abelianize
@@ -526,6 +527,10 @@ def dense_quotient(cover, rows):
     return cokernel(matrix)
 
 
+def transfer_column(cover, g, k=1):
+    return [k * v for v in transfer(cover, Word([(g, 1)]))]
+
+
 def test_extra_relators_match_dense_columns(cover_job):
     p = cover_job["presentation"]
     spec = FillingSpec(cover_job["fill"])
@@ -534,7 +539,7 @@ def test_extra_relators_match_dense_columns(cover_job):
         gens = cover.presentation.generators
 
         def tr(g, k=1):
-            return [k * v for v in transfer(cover, Word([(g, 1)]))]
+            return transfer_column(cover, g, k)
 
         fill_rows = [exponent_vector(r, gens) for r in filled_relators(cover, spec)]
         assert fill(cover, spec) == dense_quotient(cover, fill_rows), n
@@ -544,6 +549,24 @@ def test_extra_relators_match_dense_columns(cover_job):
             cover, [tr("s"), tr("m", 2), tr("t", 2)]), n
         assert h_n_module(cover) == dense_quotient(
             cover, [tr(g) for g in p.generators]), n
+
+
+
+@pytest.mark.parametrize("meridian, doubled", [("m", ("s", "t")), ("s", ("m", "t"))])
+def test_transfer_chain_matches_separate_quotients(cover_job, meridian, doubled):
+    # the transfers ride along passively in the transfer quotient's
+    # elimination; both groups must be those of the column-append route and
+    # of the two separate quotients
+    p = cover_job["presentation"]
+    for n in range(1, 42):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+        sak, hn = transfer_quotients(cover, meridian, doubled)
+        sakuma_columns = [transfer_column(cover, meridian)]
+        sakuma_columns += [transfer_column(cover, g, 2) for g in doubled]
+        assert sak == sakuma_quotient(cover, meridian, doubled), n
+        assert sak == dense_quotient(cover, sakuma_columns), n
+        assert hn == h_n_module(cover), n
+        assert hn == dense_quotient(cover, [transfer_column(cover, g) for g in p.generators]), n
 
 
 # ---- filling classes generate the same subgroup as the transfers -------------

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from foxhom import abelian, cli
+from foxhom import abelian, cli, snf
 from foxhom.snf import smith_normal_form
 
 # ---- independent oracles (kept free of the code under test) ----------
@@ -239,21 +240,37 @@ def test_sparse_matches_dense_on_random_sparse_matrices():
         assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
 
 
-def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
-    # every matrix the cover, fill and sakuma commands hand to the engine
-    matrices = []
+def cover_smith_forms(monkeypatch, cover_job, levels):
+    """(matrix, divisors) of every Smith form the cover commands compute.
 
-    def record(matrix):
-        matrices.append(matrix)
-        return smith_normal_form(matrix)
+    Per level: the h1 and fill matrices, and from the sakuma chain the
+    transfer quotient's [M | S] and the transfer module's [M | S | T], with
+    T the chain's passive block written out as columns.
+    """
+    seen = []
+
+    def record(matrix, passive=()):
+        form = smith_normal_form(matrix, passive)
+        full = [row[:] for row in matrix]
+        for f, block in zip((form, *form.extended), ((), *passive)):
+            for row, extra in zip(full, zip(*block)):
+                row.extend(extra)
+            seen.append(([row[:] for row in full], f.divisors))
+        return form
 
     monkeypatch.setattr(abelian, "smith_normal_form", record)
-    for n in range(1, 16):
+    for n in levels:
         for mode in ("h1", "fill", "sakuma"):
             cli._cover_level((cover_job, n, mode))
-    assert len(matrices) == 15 * 4
-    for m in matrices:
-        assert smith_normal_form(m).divisors == dense_smith_divisors(m)
+    return seen
+
+
+def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
+    # every matrix the cover, fill and sakuma commands reduce
+    forms = cover_smith_forms(monkeypatch, cover_job, range(1, 16))
+    assert len(forms) == 15 * 4
+    for m, divisors in forms:
+        assert divisors == dense_smith_divisors(m)
 
 
 def shuffled(rng, matrix):
@@ -266,18 +283,8 @@ def shuffled(rng, matrix):
 
 def test_cover_matrices_keep_their_divisors_under_shuffles(monkeypatch, cover_job):
     # row and column order steer the pivot path through the cached keys
-    matrices = []
-
-    def record(matrix):
-        matrices.append(matrix)
-        return smith_normal_form(matrix)
-
-    monkeypatch.setattr(abelian, "smith_normal_form", record)
-    for n in range(1, 16):
-        for mode in ("h1", "fill", "sakuma"):
-            cli._cover_level((cover_job, n, mode))
     rng = random.Random(67)
-    for m in matrices:
+    for m, _ in cover_smith_forms(monkeypatch, cover_job, range(1, 16)):
         expected = dense_smith_divisors(m)
         for _ in range(2):
             assert smith_normal_form(shuffled(rng, m)).divisors == expected
@@ -367,19 +374,10 @@ def test_euclid_remainders_create_units():
 
 def test_two_phase_matches_single_loop_on_bundled_job_matrices(monkeypatch, cover_job):
     # every h1, fill, sakuma and h_n matrix past the dense oracle's reach
-    matrices = []
-
-    def record(matrix):
-        matrices.append(matrix)
-        return smith_normal_form(matrix)
-
-    monkeypatch.setattr(abelian, "smith_normal_form", record)
-    for n in range(16, 42):
-        for mode in ("h1", "fill", "sakuma"):
-            cli._cover_level((cover_job, n, mode))
-    assert len(matrices) == 26 * 4
-    for m in matrices:
-        assert smith_normal_form(m).divisors == single_loop_smith_divisors(m)
+    forms = cover_smith_forms(monkeypatch, cover_job, range(16, 42))
+    assert len(forms) == 26 * 4
+    for m, divisors in forms:
+        assert divisors == single_loop_smith_divisors(m)
 
 
 def test_two_phase_matches_single_loop_on_mixed_sparse_matrices():
@@ -397,6 +395,84 @@ def test_two_phase_matches_single_loop_on_mixed_sparse_matrices():
         with_minus_one += any(-1 in row for row in m)
         assert smith_normal_form(m).divisors == single_loop_smith_divisors(m), m
     assert with_minus_one == 60
+
+
+
+def passive_cases(rng, count):
+    """Sparse matrices with one or two passive blocks: units beside +-2, +-3."""
+    values = (-3, -2, -1, 1, 2, 3)
+    for _ in range(count):
+        rows, cols = rng.randrange(1, 13), rng.randrange(0, 13)
+        density = rng.choice((0.15, 0.3, 0.5))
+        m = sparse_matrix(rng, rows, cols, density) if cols else [[] for _ in range(rows)]
+        m = [[v if v != 5 else rng.choice(values) for v in row] for row in m]
+        blocks = [
+            [[rng.choice(values) if rng.random() < density else 0 for _ in range(rows)]
+             for _ in range(rng.randrange(0, 4))]
+            for _ in range(rng.randrange(1, 3))
+        ]
+        yield m, blocks
+
+
+def appended(matrix, blocks):
+    full = [row[:] for row in matrix]
+    for block in blocks:
+        for row, extra in zip(full, zip(*block)):
+            row.extend(extra)
+    return full
+
+
+def test_passive_blocks_match_dense_on_appended_columns():
+    # [A | B1 | ... | Bj] from one elimination of A against the dense oracle,
+    # and A's own form exactly that of a call without the blocks
+    rng = random.Random(89)
+    nonunit = 0
+    for m, blocks in passive_cases(rng, 300):
+        form = smith_normal_form(m, blocks)
+        assert form.rows == len(m) and form.cols == len(m[0])
+        assert replace(form, extended=()) == smith_normal_form(m) == smith_normal_form(m, []), m
+        assert form.divisors == dense_smith_divisors(m), m
+        assert [f.cols for f in form.extended] == [
+            len(appended(m, blocks[:j])[0]) for j in range(1, len(blocks) + 1)]
+        for j, f in enumerate(form.extended, 1):
+            assert f.rows == len(m)
+            assert f.divisors == dense_smith_divisors(appended(m, blocks[:j])), (m, blocks, j)
+        nonunit += any(d > 1 for d in form.divisors)
+    assert nonunit > 100
+
+
+def test_passive_residues_are_reduced_mod_their_pivot(monkeypatch):
+    # the leftover holds the nonunit pivots as diagonal columns, then the
+    # first block's residue, in (-p/2, p/2] in a pivot row
+    leftovers = []
+    engine = snf.smith_normal_form
+
+    def spy(matrix, passive=()):
+        leftovers.append(matrix)
+        return engine(matrix, passive)
+
+    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    rng = random.Random(97)
+    checked = 0
+    for m, blocks in passive_cases(rng, 300):
+        leftovers.clear()
+        engine(m, blocks)
+        leftover = leftovers[0]
+        if not leftover:
+            continue
+        d = len(leftover[0]) - len(blocks[0])
+        for row in leftover:
+            pivots = [v for v in row[:d] if v]
+            assert len(pivots) <= 1 and all(p > 1 for p in pivots), leftover
+            for p in pivots:
+                assert all(-p < 2 * v <= p for v in row[d:]), (m, blocks, leftover)
+                checked += any(row[d:])
+    assert checked > 20
+
+
+def test_passive_columns_must_fit_the_rows():
+    with pytest.raises(ValueError, match="passive column 1 has 1 entries, not 2"):
+        smith_normal_form([[1], [2]], [[[1, 0]], [[3]]])
 
 
 # sha256 of the table-format stdout at single levels past the benchmark's;
