@@ -213,14 +213,14 @@ def smith_normal_form(matrix, passive=()):
     parked = None  # the passive columns and their own row index
     if passive:
         vectors = [v for block in passive for v in block]
-        parked = {}, [set() for _ in range(rows)]
+        parked_cols, parked_in_row = parked = {}, [set() for _ in range(rows)]
         for k, v in enumerate(vectors):
             if len(v) != rows:
                 raise ValueError(f"passive column {k} has {len(v)} entries, not {rows}")
             nonzero = list(compress(range(rows), v))
-            parked[0][k] = {i: v[i] for i in nonzero}
+            parked_cols[k] = {i: v[i] for i in nonzero}
             for i in nonzero:
-                parked[1][i].add(k)
+                parked_in_row[i].add(k)
     ones = 0
     pivots = {}  # row -> nonunit pivot
     units = [(len(col), j) for j, col in columns.items()]  # lazy: (nnz, column)
@@ -265,12 +265,11 @@ def smith_normal_form(matrix, passive=()):
         for b in range(a + 1, len(chain)):
             g = gcd(chain[a], chain[b])
             chain[a], chain[b] = g, chain[a] * chain[b] // g
-    ones = (1,) * ones
+    divisors = (1,) * ones + tuple(chain)
     if not passive:
-        return SmithForm(rows, cols, ones + tuple(chain))
+        return SmithForm(rows, cols, divisors)
     # the leftover's rows: those no unit pivot took, less the empty ones,
     # which add to the rank alike with and without the blocks
-    parked_cols, parked_in_row = parked
     kept = sorted(pivots.keys() | {i for i, ks in enumerate(parked_in_row) if ks})
     residues = [[parked_cols.get(k, {}).get(i, 0) for i in kept] for k in range(len(vectors))]
     ends = list(accumulate(map(len, passive)))
@@ -281,6 +280,7 @@ def smith_normal_form(matrix, passive=()):
     ]
     inner = smith_normal_form(leftover, [residues[a:b] for a, b in zip(ends, ends[1:])])
     extended = tuple(
-        SmithForm(rows, cols + w, ones + f.divisors) for w, f in zip(ends, (inner, *inner.extended))
+        SmithForm(rows, cols + w, (1,) * ones + f.divisors)
+        for w, f in zip(ends, (inner, *inner.extended))
     )
-    return SmithForm(rows, cols, ones + tuple(chain), extended)
+    return SmithForm(rows, cols, divisors, extended)

@@ -404,8 +404,8 @@ def passive_cases(rng, count):
     for _ in range(count):
         rows, cols = rng.randrange(1, 13), rng.randrange(0, 13)
         density = rng.choice((0.15, 0.3, 0.5))
-        m = sparse_matrix(rng, rows, cols, density) if cols else [[] for _ in range(rows)]
-        m = [[v if v != 5 else rng.choice(values) for v in row] for row in m]
+        m = [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
         blocks = [
             [[rng.choice(values) if rng.random() < density else 0 for _ in range(rows)]
              for _ in range(rng.randrange(0, 4))]
