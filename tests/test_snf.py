@@ -240,6 +240,15 @@ def test_sparse_matches_dense_on_random_sparse_matrices():
         assert smith_normal_form(m).divisors == dense_smith_divisors(m), m
 
 
+def appended(matrix, blocks):
+    """The matrix with the columns of each block appended."""
+    full = [row[:] for row in matrix]
+    for block in blocks:
+        for row, extra in zip(full, zip(*block)):
+            row.extend(extra)
+    return full
+
+
 def cover_smith_forms(monkeypatch, cover_job, levels):
     """(matrix, divisors) of every Smith form the cover commands compute.
 
@@ -251,11 +260,8 @@ def cover_smith_forms(monkeypatch, cover_job, levels):
 
     def record(matrix, passive=()):
         form = smith_normal_form(matrix, passive)
-        full = [row[:] for row in matrix]
-        for f, block in zip((form, *form.extended), ((), *passive)):
-            for row, extra in zip(full, zip(*block)):
-                row.extend(extra)
-            seen.append(([row[:] for row in full], f.divisors))
+        for j, f in enumerate((form, *form.extended)):
+            seen.append((appended(matrix, passive[:j]), f.divisors))
         return form
 
     monkeypatch.setattr(abelian, "smith_normal_form", record)
@@ -397,7 +403,6 @@ def test_two_phase_matches_single_loop_on_mixed_sparse_matrices():
     assert with_minus_one == 60
 
 
-
 def passive_cases(rng, count):
     """Sparse matrices with one or two passive blocks: units beside +-2, +-3."""
     values = (-3, -2, -1, 1, 2, 3)
@@ -412,14 +417,6 @@ def passive_cases(rng, count):
             for _ in range(rng.randrange(1, 3))
         ]
         yield m, blocks
-
-
-def appended(matrix, blocks):
-    full = [row[:] for row in matrix]
-    for block in blocks:
-        for row, extra in zip(full, zip(*block)):
-            row.extend(extra)
-    return full
 
 
 def test_passive_blocks_match_dense_on_appended_columns():
