@@ -29,7 +29,7 @@ from .covers import (
     reidemeister_schreier,
     transfer_quotients,
 )
-from .fox import alexander_matrix, codim_one_minors, minor_polys
+from .fox import MissingImages, alexander_matrix, codim_one_minors, minor_polys
 from .polygcd import laurent_gcd
 from .presentations import abelianize
 
@@ -153,7 +153,7 @@ def _cmd_alexander(args):
     p = datasets.load_presentation(path)
     try:
         phi = datasets.load_map(map_path, source=p.generators)
-    except datasets.MapMismatch as exc:
+    except MissingImages as exc:
         raise InputError(f"{exc} of presentation {p.name} ({path})") from None
     grid = alexander_matrix(p, phi)
     result = {"presentation": p.name, "matrix": grid.to_json()}
@@ -203,12 +203,7 @@ def _cover_level(task):
         if sak.is_finite and hn.is_finite:
             entry["order_ratio"] = sak.order // hn.order
         return entry, (n, _group_line(sak), _group_line(hn), entry.get("order_ratio", "-"))
-    if mode == "h1":
-        group = h1_cover(cover)
-    elif job["fill"]:
-        group = fill(cover, FillingSpec(job["fill"]))
-    else:
-        raise InputError("job spec has no fill slopes")
+    group = h1_cover(cover) if mode == "h1" else fill(cover, FillingSpec(job["fill"]))
     entry = {"n": n, **_group_fields(group)}
     row = (n, group.rank, list(group.torsion))
     if mode == "rhs":
@@ -247,6 +242,8 @@ def _cmd_cover_family(args, mode, command):
     job_path = datasets.data_path(args.job)
     job = datasets.load_job(job_path)
     n_values = _parse_levels(args.n or str(job["n"]), MAX_COVER_LEVEL)
+    if mode == "fill" and not job["fill"]:
+        raise InputError("job spec has no fill slopes")
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
     tasks = [(job, n, mode) for n in n_values]
     return _sweep(args, command, {"job": job_path}, parameters,
@@ -282,16 +279,13 @@ def _cmd_branched(args):
     if len(delta.vars) != 2:
         raise InputError("branched sweeps need a two-variable polynomial")
     n_values = _parse_levels(args.n, MAX_RANGE)
+    try:
+        ks = None if args.k == "all" else [int(args.k)]
+    except ValueError:
+        raise InputError(f"--k must be an integer or 'all', got {args.k!r}") from None
     cells = []
     for n in n_values:
-        if args.k == "all":
-            ks = [k for k in range(1, n) if gcd(k, n) == 1]
-        else:
-            try:
-                ks = [int(args.k)]
-            except ValueError:
-                raise InputError(f"--k must be an integer or 'all', got {args.k!r}") from None
-        for k in ks:
+        for k in ks or [r for r in range(1, n) if gcd(r, n) == 1]:
             if not (0 < k < n) or gcd(k, n) != 1:
                 raise InputError(f"k={k} is not a valid coprime residue mod n={n}")
             cells.append((delta, n, k))
@@ -306,10 +300,7 @@ def _cmd_verify(args):
     dir = args.data_dir
     if dir is not None and not Path(dir).is_dir():
         raise InputError(f"no such data directory {dir}")
-    try:
-        results = verify.run_items(items, dir=dir)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    results = verify.run_items(items, dir=dir)
     inputs = {}
     for name in verify.INPUT_FILES:
         try:

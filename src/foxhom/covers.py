@@ -306,11 +306,13 @@ def transfer_quotients(cover, meridian="m", doubled=("s", "t")):
     """(sakuma_quotient, h_n_module) of a cover, from one elimination.
 
     The sakuma relators lie in the span of the transfers, so the transfer
-    module is the transfer quotient modulo every transfer: those ride along
-    as passive columns in the Smith form of the transfer quotient.
+    module is the transfer quotient modulo every transfer.  The sakuma
+    relators already hold tr(meridian), so the transfers of the other base
+    generators ride along as passive columns in the Smith form of the
+    transfer quotient: coker[M | S | T - tr(meridian)] = coker[M | T].
     """
     extra = _sakuma_relators(cover, meridian, doubled)
-    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators]
+    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators if g != meridian]
     return tuple(_quotient(cover, extra, transfers))
 
 

@@ -7,6 +7,10 @@ to the bundled ``foxhom/data``.  Pointing ``dir`` at a copy of the data
 (for instance, a deliberately corrupted one) swaps every bundled name at
 once.  Bundled names: rst, nb, amalgam, n-final, constants, delta_L,
 alexander-reference, map-free-abelian, map-infinite-cyclic, cover-job.
+
+A file that cannot be decoded raises ``MalformedInput`` naming it; a
+well-formed map with no image for some generators it is read for raises
+``fox.MissingImages`` naming it.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ class MalformedInput(ValueError):
     """An input file that is not JSON, or JSON its decoder rejects."""
 
 
-class MapMismatch(ValueError):
-    """A well-formed map with no image for some generators it is read for."""
-
-
 def _load(name, decode, dir=None):
     """``decode`` applied to the JSON an input names.
 
@@ -60,13 +60,13 @@ def _load(name, decode, dir=None):
     a list where an object belongs, a value the decoder rejects) becomes a
     ``MalformedInput`` naming the file.  A file loaded inside ``decode``
     names itself, so its error passes through unwrapped, and so does a
-    ``MapMismatch``, which is not a fault of the file.
+    ``MissingImages``, which is not a fault of the file.
     """
     path = data_path(name, dir)
     try:
         with open(path) as f:
             return decode(json.load(f))
-    except (MalformedInput, MapMismatch):
+    except (MalformedInput, MissingImages):
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
@@ -89,7 +89,8 @@ def load_map(name, source, dir=None):
     """An abelianization map, its images read for the generators ``source``.
 
     A map with no image for some of ``source`` may be a good map of another
-    presentation; ``MapMismatch`` names the file and the generators it lacks.
+    presentation; the ``MissingImages`` it raises names the file and the
+    generators the map lacks.
     """
     path = data_path(name, dir)
 
@@ -97,7 +98,7 @@ def load_map(name, source, dir=None):
         try:
             return AbelianizationMap.from_json(raw, source)
         except MissingImages as exc:
-            raise MapMismatch(f"map {path} has {exc}") from None
+            raise MissingImages(f"map {path} has {exc}") from None
 
     return _load(path, decode)
 

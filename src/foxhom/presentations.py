@@ -98,11 +98,9 @@ def abelianize(p):
 def tietze_add_generator(p, name, definition):
     """Add ``name`` with defining relator name^-1 * definition.
 
-    ``definition`` must be a word in the existing generators.
+    ``definition`` must be a word in the existing generators; the new
+    presentation checks that ``name`` is a valid, new generator name.
     """
-    if name in p.generators:
-        raise ValueError(f"generator {name!r} already present")
-    _check_name(name)
     stray = definition.generators_used() - set(p.generators)
     if stray:
         raise ValueError(f"definition uses unknown generators {sorted(stray)}")

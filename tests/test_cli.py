@@ -771,6 +771,28 @@ def test_wide_cover_job_is_refused_before_its_matrix(capsys, tmp_path):
     assert "relator matrix of 15000 x 14999 exceeds 10000000 cells" in err
 
 
+def test_fill_job_without_slopes_builds_no_cover(capsys, monkeypatch, tmp_path):
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return covers.reidemeister_schreier(*args)
+
+    monkeypatch.setattr(cli, "reidemeister_schreier", build)
+    path = tmp_path / "no-slopes.json"
+    path.write_text(json.dumps(_bundled("cover-job", fill=[])))
+    code, out, err = run(capsys, "fill", str(path), "--n", "3")
+    assert (code, out, err) == (2, "", "error: job spec has no fill slopes\n")
+    assert built == []
+
+
+@pytest.mark.parametrize("n", ("5", "5..41"))
+def test_branched_k_is_checked_before_any_level(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a cell ran"))
+    code, out, err = run(capsys, "branched", "delta_L", "--n", n, "--k", "x")
+    assert (code, out, err) == (2, "", "error: --k must be an integer or 'all', got 'x'\n")
+
+
 def test_branched_rejects_noncoprime(capsys):
     code, _, err = run(capsys, "branched", "delta_L", "--n", "6", "--k", "2")
     assert code == 2
@@ -930,6 +952,22 @@ def test_verify_paper_unreadable_reference(capsys, tmp_path):
         "rhs": True,
         "branched": True,
     }
+
+
+def test_verify_paper_map_lacking_an_image_fails_its_items(capsys, tmp_path):
+    """A map with no image for a generator fails the items that read it."""
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    map_path = alt / "map-free-abelian.json"
+    map_path.write_text(json.dumps(_map_image("m", drop="u")))
+
+    code, out, _ = run(capsys, "verify-paper", "--data-dir", str(alt), "--format", "json")
+    assert code == 1
+    results = {r["item"]: (r["pass"], r["detail"]) for r in json.loads(out)["results"]}
+    missing = (False, f"error: map {map_path} has no image for generator 'u'")
+    for item in ("matrix", "minors", "delta", "delta-inf"):
+        assert results.pop(item) == missing
+    assert all(ok for ok, _ in results.values())
 
 
 @pytest.mark.parametrize("kind", ("missing", "file"))

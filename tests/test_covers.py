@@ -594,6 +594,23 @@ def test_transfer_filling_subgroup_equivalence(paper_cover, same_row_lattice, n)
     assert fill(cover, FillingSpec(job["fill"])) == sakuma_quotient(cover)
 
 
+def test_filling_columns_are_the_sakuma_transfers_at_odd_levels(cover_job):
+    # At odd n each slope has one shift orbit, and its filled relator is
+    # column for column tr(m), 2 tr(t) and -2 tr(s): [M | fill] and [M | S]
+    # are the same matrix up to a column sign, which is why verify-paper's
+    # rhs item finds the filled homology equal to the transfer quotient.
+    # At even n the orbits split and this does not hold.
+    p = cover_job["presentation"]
+    spec = FillingSpec(cover_job["fill"])
+    for n in range(1, 62, 2):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+        gens = cover.presentation.generators
+        fill_columns = [exponent_vector(r, gens) for r in filled_relators(cover, spec)]
+        expected = [transfer_column(cover, "m"), transfer_column(cover, "t", 2),
+                    transfer_column(cover, "s", -2)]
+        assert fill_columns == expected, n
+
+
 # ---- branched covers -----------------------------------------------------------
 
 

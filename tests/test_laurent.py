@@ -305,6 +305,16 @@ def test_divexact():
     )
 
 
+def test_laurent_divexact_zero_rules_are_poly_divexacts():
+    # laurent_divexact shifts both operands and leaves the zero cases to poly_divexact
+    g = poly("x^-1 - y^2")
+    zero = LaurentPoly.zero(XY)
+    with pytest.raises(ExactDivisionError, match="division by zero polynomial"):
+        laurent_divexact(g, zero)
+    quotient = laurent_divexact(zero, g)
+    assert quotient.is_zero and quotient.vars == g.vars
+
+
 def _divexact_by_polynomials(f, g):
     """Oracle: the division loop that subtracts whole polynomials c * x^e * g."""
     if g.is_zero:

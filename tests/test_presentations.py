@@ -118,8 +118,15 @@ def test_add_generator():
     assert q.generators == ("a", "b", "c")
     assert str(q.relators[-1]) == "c^-1 a b^-1"
     assert abelianize(q).rank == abelianize(p).rank
-    with pytest.raises(ValueError):
+    # the new presentation checks the name
+    with pytest.raises(ValueError, match="duplicate generator 'a'"):
         tietze_add_generator(p, "a", Word())
+    with pytest.raises(ValueError, match="invalid generator name 'c d'"):
+        tietze_add_generator(p, "c d", Word())
+    # the new presentation would accept a definition that names the new
+    # generator, but that is no Tietze move
+    with pytest.raises(ValueError, match=r"definition uses unknown generators \['c'\]"):
+        tietze_add_generator(p, "c", parse_word("c", "c"))
 
 
 def test_add_trivial_generator_keeps_homology():

@@ -254,7 +254,8 @@ def cover_smith_forms(monkeypatch, cover_job, levels):
 
     Per level: the h1 and fill matrices, and from the sakuma chain the
     transfer quotient's [M | S] and the transfer module's [M | S | T], with
-    T the chain's passive block written out as columns.
+    T the chain's passive block (the transfers but the meridian's) written
+    out as columns.
     """
     seen = []
 
