@@ -9,13 +9,14 @@ c + deg g, so any grading onto Z/n is served.
 Cover generators are named ``g@c`` for base generator g at coset c.  The
 kernel presentation keeps all n * (base generators) symbols; its relators are
 the n * (base relators) rewritten ones, then the n - 1 one-letter relators
-that trivialize the tree-edge symbols.  Fillings and transfers enter as
-extra relators after those, as columns of the relator matrix M.  A cover
-group is the cokernel of M with one block B1 of such columns, and a chain
-coker[M | B1] ->> coker[M | B1 | B2] ->> ... comes from one elimination of
-[M | B1], in which the later blocks ride along as passive columns (see
-``snf``): ``transfer_quotients`` reads the transfer quotient and the
-transfer module off one Smith form this way.
+that trivialize the tree-edge symbols; their exponent sums are the columns
+of the relator matrix M.  Fillings enter as relator words after those, and
+M is built from the augmented presentation.  Transfers enter as vectors: a
+block S of them is appended to M, and a chain coker[M | S] ->>
+coker[M | S | B1] ->> ... comes from one elimination of [M | S], in which
+the later blocks ride along as passive columns (see ``snf``):
+``transfer_quotients`` reads the transfer quotient and the transfer module
+off one Smith form this way.
 """
 
 from __future__ import annotations
@@ -185,19 +186,18 @@ def reidemeister_schreier(p, q):
     return CoverPresentation(q, Presentation(f"{p.name}~{n}fold", gens, relators + tuple(trivial)))
 
 
-def _quotient(cover, extra, *passive):
-    """The chain coker[M | extra] ->> coker[M | extra | B1] ->> ... as a list.
+def _quotient(cover, columns, *passive):
+    """The chain coker[M | columns] ->> coker[M | columns | B1] ->> ... as a list.
 
-    M is the kernel presentation's relator matrix, ``extra`` a list of
-    relator words appended to it, and each passive block B1, ... a list of
-    vectors over the cover generators.  The blocks ride along in the one
-    elimination of [M | extra].
+    M is the kernel presentation's relator matrix.  ``columns`` and each
+    passive block B1, ... are lists of vectors over the cover generators:
+    the columns are appended to M after its cell check, and the blocks ride
+    along in the one elimination of [M | columns].
     """
-    p = cover.presentation
-    q = Presentation(p.name, p.generators, p.relators + tuple(extra))
-    if not passive:
-        return [abelianize(q)]
-    return cokernel_chain(q.relator_matrix(), passive)
+    matrix = cover.presentation.relator_matrix()
+    for i, row in enumerate(matrix):
+        matrix[i] = row + [c[i] for c in columns]
+    return cokernel_chain(matrix, passive)
 
 
 def h1_cover(cover):
@@ -259,28 +259,25 @@ def filled_relators(cover, spec):
     return out
 
 
-def _transfer_relator(cover, word, k=1):
-    """k times the transfer of a base word, written as a relator word."""
-    vec = transfer(cover, word)
-    return Word((g, k * v) for g, v in zip(cover.presentation.generators, vec))
-
-
 def fill(cover, spec):
     """Homology after filling the given slopes in the cover.
 
     Each filled relator imposes its class as a relation; the result is the
     abelianization of the augmented kernel presentation.
     """
-    return _quotient(cover, filled_relators(cover, spec))[0]
+    p = cover.presentation
+    extra = tuple(filled_relators(cover, spec))
+    return abelianize(Presentation(p.name, p.generators, p.relators + extra))
 
 
-def _sakuma_relators(cover, meridian, doubled):
+def _sakuma_columns(cover, meridian, doubled):
+    """tr(meridian), then 2 tr(g) for each doubled g, as vectors."""
     for g in (meridian, *doubled):
         if g not in cover.base.generators:
             raise ValueError(f"no base generator named {g!r}")
-    extra = [_transfer_relator(cover, Word([(meridian, 1)]))]
-    extra.extend(_transfer_relator(cover, Word([(g, 1)]), 2) for g in doubled)
-    return extra
+    columns = [transfer(cover, Word([(meridian, 1)]))]
+    columns.extend([2 * v for v in transfer(cover, Word([(g, 1)]))] for g in doubled)
+    return columns
 
 
 def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
@@ -290,7 +287,7 @@ def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
     tr(2t)> for the bundled data; the generator names are parameters so the
     construction is reusable.
     """
-    return _quotient(cover, _sakuma_relators(cover, meridian, doubled))[0]
+    return _quotient(cover, _sakuma_columns(cover, meridian, doubled))[0]
 
 
 def h_n_module(cover):
@@ -298,22 +295,22 @@ def h_n_module(cover):
 
     For n = 1 the transfers generate everything and the result is trivial.
     """
-    extra = [_transfer_relator(cover, Word([(g, 1)])) for g in cover.base.generators]
-    return _quotient(cover, extra)[0]
+    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators]
+    return _quotient(cover, transfers)[0]
 
 
 def transfer_quotients(cover, meridian="m", doubled=("s", "t")):
     """(sakuma_quotient, h_n_module) of a cover, from one elimination.
 
-    The sakuma relators lie in the span of the transfers, so the transfer
+    The sakuma columns lie in the span of the transfers, so the transfer
     module is the transfer quotient modulo every transfer.  The sakuma
-    relators already hold tr(meridian), so the transfers of the other base
+    columns already hold tr(meridian), so the transfers of the other base
     generators ride along as passive columns in the Smith form of the
     transfer quotient: coker[M | S | T - tr(meridian)] = coker[M | T].
     """
-    extra = _sakuma_relators(cover, meridian, doubled)
+    columns = _sakuma_columns(cover, meridian, doubled)
     transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators if g != meridian]
-    return tuple(_quotient(cover, extra, transfers))
+    return tuple(_quotient(cover, columns, transfers))
 
 
 def branched_betti(delta, k, n):

@@ -16,7 +16,8 @@ from .abelian import cokernel
 from .words import Word, parse_word
 
 # the most cells a relator matrix may hold; it is dense, and the bundled
-# cover job peaks at 9 015 000 (fill and sakuma at level 500)
+# cover job peaks at 9 015 000 (fill at level 500; sakuma's 3000 x 2999
+# matrix has 8 997 000, and its transfer columns are appended after the check)
 MAX_MATRIX_CELLS = 10_000_000
 
 

@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
+from foxhom import abelian, datasets
 from foxhom import covers as covers_module
-from foxhom import datasets
 from foxhom.abelian import AbelianGroup, cokernel
 from foxhom.covers import (
     CyclicQuotientMap,
@@ -22,6 +22,7 @@ from foxhom.covers import (
 )
 from foxhom.laurent import LaurentPoly, parse_poly
 from foxhom.presentations import Presentation, abelianize
+from foxhom.snf import smith_normal_form
 from foxhom.words import Word, exponent_vector, parse_word
 
 
@@ -567,6 +568,54 @@ def test_transfer_chain_matches_separate_quotients(cover_job, meridian, doubled)
         assert sak == dense_quotient(cover, sakuma_columns), n
         assert hn == h_n_module(cover), n
         assert hn == dense_quotient(cover, [transfer_column(cover, g) for g in p.generators]), n
+
+
+# ---- transfer columns against the relator-word route ---------------------------
+
+
+def transfer_relator(cover, g, k=1):
+    """k times the transfer of base generator g, written as a relator word."""
+    vec = transfer(cover, Word([(g, 1)]))
+    return Word((h, k * v) for h, v in zip(cover.presentation.generators, vec))
+
+
+def word_route_matrix(cover, words):
+    """Relator matrix of the kernel presentation with ``words`` appended."""
+    p = cover.presentation
+    return Presentation(p.name, p.generators, p.relators + tuple(words)).relator_matrix()
+
+
+def test_transfer_columns_match_relator_word_route(monkeypatch, cover_job):
+    # The Smith form must receive the matrix of the relator-word route, entry
+    # for entry and in the same column order, so that its pivot sequence is
+    # that route's.  dense_quotient appends columns the way the library does,
+    # and a reordered column leaves every group unchanged
+    seen = []
+
+    def record(matrix, passive=()):
+        seen.append((matrix, passive))
+        return smith_normal_form(matrix, passive)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+    p = cover_job["presentation"]
+    for n in range(1, 42):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
+        for meridian, doubled in (("m", ("s", "t")), ("s", ("m", "t"))):
+            sakuma = [transfer_relator(cover, meridian)]
+            sakuma += [transfer_relator(cover, g, 2) for g in doubled]
+            others = [transfer_relator(cover, g) for g in p.generators if g != meridian]
+            seen.clear()
+            transfer_quotients(cover, meridian, doubled)
+            [(matrix, (block,))] = seen
+            assert matrix == word_route_matrix(cover, sakuma), (n, meridian)
+            extended = [row + [v[i] for v in block] for i, row in enumerate(matrix)]
+            assert extended == word_route_matrix(cover, sakuma + others), (n, meridian)
+        seen.clear()
+        h_n_module(cover)
+        [(matrix, passive)] = seen
+        assert not passive
+        words = [transfer_relator(cover, g) for g in p.generators]
+        assert matrix == word_route_matrix(cover, words), n
 
 
 # ---- filling classes generate the same subgroup as the transfers -------------
