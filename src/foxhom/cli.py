@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .covers import (
     fill,
     h1_cover,
     reidemeister_schreier,
+    sakuma_transfers,
     transfer_quotients,
 )
 from .fox import MissingImages, alexander_matrix, codim_one_minors, minor_polys
@@ -41,10 +43,10 @@ MAX_RANGE = 10_000
 # 19 947 cells, 11.3 s and 47 MB peak RSS at --jobs 1 in a fresh process on
 # a 2-CPU host, Python 3.11.7
 MAX_CELLS = 20_000
-# the highest cover level: the kernel relator matrix is dense, about (6n)^2
-# entries for the bundled job (rhs-sweep at n = 499 peaks at 116 MB RSS and
-# takes 4.2-4.8 s, median 4.4 s over 6 fresh processes, on a 2-CPU host,
-# Python 3.11.7); a wider job meets presentations.MAX_MATRIX_CELLS first
+# the highest cover level: the kernel relator matrix with its filling and
+# transfer columns is dense, about (6n)^2 entries for the bundled job
+# (rhs-sweep at n = 499: 116 MB peak RSS, 3.4-3.8 s in 3 fresh processes on a
+# 2-CPU host, Python 3.11.7); a wider job meets MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 
 
@@ -244,6 +246,8 @@ def _cmd_cover_family(args, mode, command):
     n_values = _parse_levels(args.n or str(job["n"]), MAX_COVER_LEVEL)
     if mode == "fill" and not job["fill"]:
         raise InputError("job spec has no fill slopes")
+    if mode == "sakuma":
+        sakuma_transfers(job["presentation"])  # raises on a missing generator name
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
     tasks = [(job, n, mode) for n in n_values]
     return _sweep(args, command, {"job": job_path}, parameters,
@@ -319,6 +323,7 @@ def _cmd_verify(args):
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+@functools.cache  # built on first use, not at import
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="foxhom",

@@ -7,16 +7,13 @@ spanning tree of the coset graph, in which generator g joins coset c to
 c + deg g, so any grading onto Z/n is served.
 
 Cover generators are named ``g@c`` for base generator g at coset c.  The
-kernel presentation keeps all n * (base generators) symbols; its relators are
-the n * (base relators) rewritten ones, then the n - 1 one-letter relators
-that trivialize the tree-edge symbols; their exponent sums are the columns
-of the relator matrix M.  Fillings enter as relator words after those, and
-M is built from the augmented presentation.  Transfers enter as vectors: a
-block S of them is appended to M, and a chain coker[M | S] ->>
-coker[M | S | B1] ->> ... comes from one elimination of [M | S], in which
-the later blocks ride along as passive columns (see ``snf``):
-``transfer_quotients`` reads the transfer quotient and the transfer module
-off one Smith form this way.
+kernel presentation has the n * (base relators) rewritten relators, then
+n - 1 one-letter relators that trivialize the tree edges; their exponent
+sums are the columns of the relator matrix M.  Every cover group here is
+the cokernel of one ``relator_matrix(columns)``: filled slopes and transfers
+are vectors appended to M inside its cell check.  ``transfer_quotients``
+lets the transfers ride along as passive columns (see ``snf``), so that one
+Smith form gives the transfer quotient and the transfer module.
 """
 
 from __future__ import annotations
@@ -25,20 +22,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .abelian import cokernel_chain
+from .abelian import cokernel, cokernel_chain
 from .laurent import substitute_monomial
 from .polygcd import shared_root_count
-from .presentations import Presentation, abelianize
+from .presentations import Presentation, abelianize, check_cells
 from .words import Word, exponent_vector
 
 # Cap on n times the letters of the words rewritten into an n-fold cover,
-# checked for the relators and for the slopes.  Every letter becomes one
-# pointer to a run shared through `CyclicQuotientMap.letters`: at 499 998
-# letters, `cover --n 3` of <a, b | a^166665 b> takes 0.3-0.5 s and 26 MB peak
-# RSS, and `fill` with a slope at the cap too 0.5-0.8 s and 30 MB; 3·10^6
-# letters take 1.2-2.1 s and 58 MB (fresh process, 2-CPU host, Python
-# 3.11.7; an interpreter that imports foxhom.cli alone peaks at 20 MB).  The
-# bundled job needs 499 · (62 + 9) at n = 499.
+# checked for the relators and for the slopes; a relator letter becomes one
+# pointer to a run shared through `CyclicQuotientMap.letters`.  At 499 998
+# letters `cover --n 3` of <a, b | a^166665 b> takes 0.35-0.5 s and 37 MB
+# peak RSS, `fill` with a slope at the cap 0.45-0.5 s and 38 MB, and 3·10^6
+# letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
+# foxhom.cli alone peaks at 20 MB).  The bundled job needs 499 · (62 + 9).
 MAX_COVER_LETTERS = 500_000
 
 
@@ -78,19 +74,13 @@ class CyclicQuotientMap:
         Built once per map, so every rewritten letter shares its run.
         """
         return {
-            (g, s): tuple((cover_gen(g, c), s) for c in range(self.n))
+            (g, s): tuple((f"{g}@{c}", s) for c in range(self.n))
             for g in self.base.generators
             for s in (1, -1)
         }
 
     def word_degree(self, word):
-        vec = exponent_vector(word, self.base.generators)
-        total = sum(d * self.degrees[g] for g, d in zip(self.base.generators, vec))
-        return total % self.n
-
-
-def cover_gen(g, c):
-    return f"{g}@{c}"
+        return sum(e * self.degrees[g] for g, e in word.runs) % self.n
 
 
 @dataclass(frozen=True)
@@ -128,23 +118,27 @@ def _check_letters(n, words, what):
         )
 
 
-def _lifts(q, word, starts):
-    """The rewrites of a base word into cover generators of q, one per start coset.
+def _walk(q, word):
+    """The one walk of a base word from coset 0, as ((g, +-1), offset) per letter.
 
-    One walk from coset 0 records each letter's shared run and coset offset;
-    the lift from coset c reads each run at c + offset.
+    The letter lifts to g@(c + offset) in the rewrite from coset c.
     """
-    n = q.n
+    n, degrees = q.n, q.degrees
     coset = 0
-    pattern = []
-    letters = q.letters
-    for g, step in word.single_letters():
+    for letter in word.single_letters():
+        g, step = letter
         if step > 0:
-            pattern.append((letters[g, 1], coset))
-            coset = (coset + q.degrees[g]) % n
+            yield letter, coset
+            coset = (coset + degrees[g]) % n
         else:
-            coset = (coset - q.degrees[g]) % n
-            pattern.append((letters[g, -1], coset))
+            coset = (coset - degrees[g]) % n
+            yield letter, coset
+
+
+def _lifts(q, word, starts):
+    """The rewrites of a base word into cover generators of q, one per start coset."""
+    n, letters = q.n, q.letters
+    pattern = [(letters[letter], o) for letter, o in _walk(q, word)]
     return [Word([runs[(c + o) % n] for runs, o in pattern]) for c in starts]
 
 
@@ -169,7 +163,7 @@ def reidemeister_schreier(p, q):
         raise ValueError("quotient map built from a different presentation")
     n = q.n
     _check_letters(n, p.relators, "relators")
-    gens = tuple(cover_gen(g, c) for g in p.generators for c in range(n))
+    gens = tuple(f"{g}@{c}" for g in p.generators for c in range(n))
     relators = tuple(lift for r in p.relators for lift in _lifts(q, r, range(n)))
 
     # a spanning tree of the coset graph (g joins c to c + deg g), grown from
@@ -182,22 +176,8 @@ def reidemeister_schreier(p, q):
             if e not in seen:
                 seen.add(e)
                 reached.append(e)
-                trivial.append(Word([(cover_gen(g, c), 1)]))
+                trivial.append(Word([(f"{g}@{c}", 1)]))
     return CoverPresentation(q, Presentation(f"{p.name}~{n}fold", gens, relators + tuple(trivial)))
-
-
-def _quotient(cover, columns, *passive):
-    """The chain coker[M | columns] ->> coker[M | columns | B1] ->> ... as a list.
-
-    M is the kernel presentation's relator matrix.  ``columns`` and each
-    passive block B1, ... are lists of vectors over the cover generators:
-    the columns are appended to M after its cell check, and the blocks ride
-    along in the one elimination of [M | columns].
-    """
-    matrix = cover.presentation.relator_matrix()
-    for i, row in enumerate(matrix):
-        matrix[i] = row + [c[i] for c in columns]
-    return cokernel_chain(matrix, passive)
 
 
 def h1_cover(cover):
@@ -232,52 +212,59 @@ class FillingSpec:
         object.__setattr__(self, "slopes", tuple(self.slopes))
         if not self.slopes:
             raise ValueError("no slopes to fill")
-        for s in self.slopes:
-            if not s:
-                raise ValueError("empty slope word")
+        if not all(self.slopes):
+            raise ValueError("empty slope word")
 
 
 def filled_relators(cover, spec):
-    """Filling relators: one rewritten lift of w^o per shift orbit.
+    """Filling columns: the class of one lift of w^(n/o) per shift orbit.
 
-    For a slope w of degree d, o is the order of d in Z/n, and the orbits of
-    the shift c -> c + d are the residues mod n/o.  The relator at orbit
-    representative c is the rewrite of w^o from coset c.  Its column is that
-    of t_c w^o t_c^-1 rewritten from coset 0, t_c the transversal
-    representative, since the letters of t_c and t_c^-1 cancel.  Raises
-    ``ValueError`` when n times the slope letters passes
-    ``MAX_COVER_LETTERS``.
+    For a slope w of degree d, the o = gcd(n, d) orbits of c -> c + d are
+    the residues mod o.  The lift of w^(n/o) from c visits each letter g^step
+    of w at g@x for every x = c + offset (mod o): a partial transfer (Fox).
+    Raises ``ValueError`` when n times the slope letters passes
+    ``MAX_COVER_LETTERS``, or before any column is built when [M | columns]
+    passes ``MAX_MATRIX_CELLS``.
     """
-    if not isinstance(spec, FillingSpec):
-        spec = FillingSpec(tuple(spec))
-    _check_letters(cover.n, spec.slopes, "slopes")
+    spec = spec if isinstance(spec, FillingSpec) else FillingSpec(spec)
+    n, q, p = cover.n, cover.quotient, cover.presentation
+    _check_letters(n, spec.slopes, "slopes")
+    orbits = [gcd(n, q.word_degree(w)) for w in spec.slopes]
+    check_cells(len(p.generators), len(p.relators) + sum(orbits))
+    first = {g: i * n for i, g in enumerate(cover.base.generators)}
     out = []
-    for w in spec.slopes:
-        orbits = gcd(cover.n, cover.quotient.word_degree(w))
-        power = w ** (cover.n // orbits)
-        out.extend(_lifts(cover.quotient, power, range(orbits)))
+    for w, o in zip(spec.slopes, orbits):
+        steps = {}
+        for (g, step), offset in _walk(q, w):
+            key = g, offset % o
+            steps[key] = steps.get(key, 0) + step
+        for c in range(o):
+            column = [0] * len(p.generators)
+            for (g, r), total in steps.items():
+                column[first[g] + (c + r) % o : first[g] + n : o] = [total] * (n // o)
+            out.append(column)
     return out
 
 
 def fill(cover, spec):
-    """Homology after filling the given slopes in the cover.
-
-    Each filled relator imposes its class as a relation; the result is the
-    abelianization of the augmented kernel presentation.
-    """
-    p = cover.presentation
-    extra = tuple(filled_relators(cover, spec))
-    return abelianize(Presentation(p.name, p.generators, p.relators + extra))
+    """Homology after filling the given slopes in the cover."""
+    return cokernel(cover.presentation.relator_matrix(filled_relators(cover, spec)))
 
 
-def _sakuma_columns(cover, meridian, doubled):
-    """tr(meridian), then 2 tr(g) for each doubled g, as vectors."""
+def sakuma_transfers(base, meridian="m", doubled=("s", "t")):
+    """(g, k) for each sakuma column k tr(g); ``ValueError`` names a missing g."""
     for g in (meridian, *doubled):
-        if g not in cover.base.generators:
+        if g not in base.generators:
             raise ValueError(f"no base generator named {g!r}")
-    columns = [transfer(cover, Word([(meridian, 1)]))]
-    columns.extend([2 * v for v in transfer(cover, Word([(g, 1)]))] for g in doubled)
-    return columns
+    return [(meridian, 1), *((g, 2) for g in doubled)]
+
+
+def _transfer_blocks(cover, *blocks):
+    """Blocks of (g, k) pairs as columns k tr(g), built after [M | all]'s cell check."""
+    p = cover.presentation
+    check_cells(len(p.generators), len(p.relators) + sum(map(len, blocks)))
+    return [[[k * v for v in transfer(cover, Word([(g, 1)]))] for g, k in block]
+            for block in blocks]
 
 
 def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
@@ -287,7 +274,8 @@ def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
     tr(2t)> for the bundled data; the generator names are parameters so the
     construction is reusable.
     """
-    return _quotient(cover, _sakuma_columns(cover, meridian, doubled))[0]
+    [columns] = _transfer_blocks(cover, sakuma_transfers(cover.base, meridian, doubled))
+    return cokernel(cover.presentation.relator_matrix(columns))
 
 
 def h_n_module(cover):
@@ -295,22 +283,21 @@ def h_n_module(cover):
 
     For n = 1 the transfers generate everything and the result is trivial.
     """
-    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators]
-    return _quotient(cover, transfers)[0]
+    [columns] = _transfer_blocks(cover, [(g, 1) for g in cover.base.generators])
+    return cokernel(cover.presentation.relator_matrix(columns))
 
 
 def transfer_quotients(cover, meridian="m", doubled=("s", "t")):
     """(sakuma_quotient, h_n_module) of a cover, from one elimination.
 
-    The sakuma columns lie in the span of the transfers, so the transfer
-    module is the transfer quotient modulo every transfer.  The sakuma
-    columns already hold tr(meridian), so the transfers of the other base
-    generators ride along as passive columns in the Smith form of the
-    transfer quotient: coker[M | S | T - tr(meridian)] = coker[M | T].
+    The sakuma columns S lie in the span of the transfers and hold
+    tr(meridian), so the transfers T of the other base generators ride
+    along as passive columns: coker[M | S | T] = coker[M | every transfer].
     """
-    columns = _sakuma_columns(cover, meridian, doubled)
-    transfers = [transfer(cover, Word([(g, 1)])) for g in cover.base.generators if g != meridian]
-    return tuple(_quotient(cover, columns, transfers))
+    others = [(g, 1) for g in cover.base.generators if g != meridian]
+    columns, transfers = _transfer_blocks(
+        cover, sakuma_transfers(cover.base, meridian, doubled), others)
+    return tuple(cokernel_chain(cover.presentation.relator_matrix(columns), [transfers]))
 
 
 def branched_betti(delta, k, n):

@@ -15,10 +15,16 @@ from dataclasses import dataclass
 from .abelian import cokernel
 from .words import Word, parse_word
 
-# the most cells a relator matrix may hold; it is dense, and the bundled
-# cover job peaks at 9 015 000 (fill at level 500; sakuma's 3000 x 2999
-# matrix has 8 997 000, and its transfer columns are appended after the check)
+# the most cells a relator matrix may hold, appended columns included; it is
+# dense, and the bundled cover job peaks at 9 021 000 (sakuma at level 500:
+# 3000 rows by 2999 relators, 3 transfer columns and 5 passive ones)
 MAX_MATRIX_CELLS = 10_000_000
+
+
+def check_cells(rows, cols):
+    """Raise ValueError when a rows x cols matrix passes MAX_MATRIX_CELLS."""
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise ValueError(f"relator matrix of {rows} x {cols} exceeds {MAX_MATRIX_CELLS} cells")
 
 
 def _check_name(name):
@@ -53,22 +59,23 @@ class Presentation:
             if stray:
                 raise ValueError(f"relator uses unknown generators {sorted(stray)}")
 
-    def relator_matrix(self):
+    def relator_matrix(self, columns=()):
         """Exponent-sum matrix, generators as rows and relators as columns.
 
-        Raises ValueError before it allocates when the matrix would hold
-        more than MAX_MATRIX_CELLS cells.
+        Each of ``columns``, a vector over the generators, is appended after
+        the relators.  Raises ValueError before it allocates when the matrix
+        would hold more than MAX_MATRIX_CELLS cells.
         """
         rows, cols = len(self.generators), len(self.relators)
-        if rows * cols > MAX_MATRIX_CELLS:
-            raise ValueError(
-                f"relator matrix of {rows} x {cols} exceeds {MAX_MATRIX_CELLS} cells"
-            )
+        check_cells(rows, cols + len(columns))
         index = {g: i for i, g in enumerate(self.generators)}
-        matrix = [[0] * cols for _ in range(rows)]
+        matrix = [[0] * (cols + len(columns)) for _ in range(rows)]
         for j, r in enumerate(self.relators):
             for g, e in r.runs:
                 matrix[index[g]][j] += e
+        for j, column in enumerate(columns, cols):
+            for row, v in zip(matrix, column, strict=True):
+                row[j] = v
         return matrix
 
     def to_json(self):

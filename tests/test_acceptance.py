@@ -35,7 +35,7 @@ from foxhom.laurent import LaurentPoly, nu_poly, substitute_monomial
 from foxhom.polygcd import laurent_divexact, shared_root_count
 from foxhom.presentations import abelianize
 from foxhom.snf import smith_normal_form
-from foxhom.words import Word, exponent_vector
+from foxhom.words import Word
 
 
 def report(name, ok, elapsed, budget):
@@ -247,10 +247,7 @@ def _transfer_filling_suite(cover_job, same_row_lattice):
             [matrix[i][j] for i in range(len(gens))]
             for j in range(len(matrix[0]) if matrix else 0)
         ]
-        fill_rows = [
-            exponent_vector(r, gens)
-            for r in filled_relators(cover, FillingSpec(cover_job["fill"]))
-        ]
+        fill_rows = filled_relators(cover, FillingSpec(cover_job["fill"]))
         transfer_rows = [transfer(cover, Word([("m", 1)]))]
         for g in ("s", "t"):
             transfer_rows.append([2 * v for v in transfer(cover, Word([(g, 1)]))])

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import foxhom
-from foxhom import cli, covers, datasets, fox, polygcd, verify
+from foxhom import cli, covers, datasets, fox, polygcd, presentations, verify
 from foxhom.cli import main
 
 
@@ -194,16 +195,24 @@ def test_job_degree_for_a_generator_the_presentation_lacks_is_exit_2(capsys, tmp
     assert set(loaded["degrees"]) == set(loaded["presentation"].generators)
 
 
-def test_sakuma_job_without_its_generators_is_exit_2(capsys, tmp_path):
-    # the transfer relators name m, s and t, checked before any elimination
+def test_sakuma_job_without_its_generators_is_exit_2(capsys, monkeypatch, tmp_path):
+    # the sakuma columns name m, s and t, checked once before any cover is built
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return covers.reidemeister_schreier(*args)
+
+    monkeypatch.setattr(cli, "reidemeister_schreier", build)
     pres = tmp_path / "torus.json"
     pres.write_text(json.dumps(
         {"name": "torus", "generators": ["a", "b"], "relators": ["a b a^-1 b^-1"]}))
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"presentation": str(pres), "degrees": {"a": 1, "b": 0}}))
-    code, out, err = run(capsys, "sakuma", str(job), "--n", "3")
+    code, out, err = run(capsys, "sakuma", str(job), "--n", "3..9")
     assert code == 2 and out == ""
     assert err == "error: no base generator named 'm'\n"
+    assert built == []
 
 
 # ---- alexander --------------------------------------------------------------
@@ -784,6 +793,43 @@ def test_fill_job_without_slopes_builds_no_cover(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "fill", str(path), "--n", "3")
     assert (code, out, err) == (2, "", "error: job spec has no fill slopes\n")
     assert built == []
+
+
+def test_sakuma_transfers_are_capped_before_they_are_built(capsys, monkeypatch, tmp_path):
+    # 43 generators at level 30: M is 1290 x 59 and fits the cap, and so
+    # does [M | S] with its 3 sakuma columns, but not with the 42 passive
+    # transfers that ride along
+    gens = ["m", "s", "t", *(f"a{i}" for i in range(40))]
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"name": "wide", "generators": gens, "relators": ["m s m^-1 s^-1"]}))
+    path = tmp_path / "wide-job.json"
+    path.write_text(json.dumps({"presentation": "wide.json", "degrees": dict.fromkeys(gens, 1)}))
+    calls = []
+    monkeypatch.setattr(covers, "transfer", lambda *args: calls.append(args))
+    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 1290 * (59 + 3))
+    code, out, err = run(capsys, "sakuma", str(path), "--n", "30")
+    assert (code, out) == (2, "")
+    assert err == f"error: relator matrix of 1290 x 104 exceeds {1290 * 62} cells\n"
+    assert calls == []
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    roots = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        roots.append(kwargs.get("prog") == "foxhom")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        first = run(capsys, "rhs-sweep", "--n", "3..5")
+        second = run(capsys, "rhs-sweep", "--n", "3..5")
+    finally:
+        cli.build_parser.cache_clear()
+    assert first[0] == 0 and first == second
+    assert roots.count(True) == 1
 
 
 @pytest.mark.parametrize("n", ("5", "5..41"))

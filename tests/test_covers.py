@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
 
-from foxhom import abelian, datasets
+from foxhom import abelian, datasets, presentations
 from foxhom import covers as covers_module
 from foxhom.abelian import AbelianGroup, cokernel
 from foxhom.covers import (
@@ -175,6 +176,7 @@ def test_rewrite_letters_are_capped_before_rewriting(monkeypatch):
         raise AssertionError("a word was rewritten")
 
     monkeypatch.setattr(covers_module, "_lifts", refuse)
+    monkeypatch.setattr(covers_module, "_walk", refuse)
     with pytest.raises(ValueError, match="4 cosets of relators make 20 letters"):
         reidemeister_schreier(p, CyclicQuotientMap(p, 4, {"a": 1, "b": 0}))
     with pytest.raises(ValueError, match="2 cosets of slopes make 12 letters"):
@@ -272,7 +274,9 @@ def test_shared_letters_rewrite_as_letter_by_letter(cover_job):
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, 9, cover_job["degrees"]))
     slopes = list(cover_job["fill"])
     assert filled_relators(cover, slopes) == [
-        rewrite_letter_by_letter(cover.quotient, w ** (9 // gcd(9, cover.quotient.word_degree(w))), c)
+        exponent_vector(rewrite_letter_by_letter(
+            cover.quotient, w ** (9 // gcd(9, cover.quotient.word_degree(w))), c),
+            cover.presentation.generators)
         for w in slopes
         for c in range(gcd(9, cover.quotient.word_degree(w)))
     ]
@@ -434,12 +438,10 @@ def test_filled_relator_count_and_orbits(cover_job):
     q = CyclicQuotientMap(p, 4, cover_job["degrees"])
     cover = reidemeister_schreier(p, q)
     spec = FillingSpec((Word([("m", 1)]),))
-    relators = filled_relators(cover, spec)
-    assert len(relators) == 2  # gcd(4, 2) orbits
-    # chain of each relator is the partial transfer over one shift orbit;
-    # the conjugating transversal letters cancel in the exponent vector
+    chains = filled_relators(cover, spec)
+    assert len(chains) == 2  # gcd(4, 2) orbits
+    # the chain of each filling is the partial transfer over one shift orbit
     gens = cover.presentation.generators
-    chains = [exponent_vector(r, gens) for r in relators]
     for orbit, chain in zip(((0, 2), (1, 3)), chains):
         expected = [
             1 if g in {f"m@{c}" for c in orbit} else 0 for g in gens
@@ -460,7 +462,7 @@ def test_filled_relators_match_conjugated_rewrite(cover_job, n):
             t = _transversal_word(cover, c)
             expected.append(exponent_vector(cover.rewrite(t * w ** (n // orbits) * ~t), gens))
     got = filled_relators(cover, FillingSpec(cover_job["fill"]))
-    assert [exponent_vector(r, gens) for r in got] == expected
+    assert got == expected
 
 
 def test_fill_independent_of_orbit_representative(paper_cover):
@@ -537,12 +539,11 @@ def test_extra_relators_match_dense_columns(cover_job):
     spec = FillingSpec(cover_job["fill"])
     for n in range(1, 16):
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
-        gens = cover.presentation.generators
 
         def tr(g, k=1):
             return transfer_column(cover, g, k)
 
-        fill_rows = [exponent_vector(r, gens) for r in filled_relators(cover, spec)]
+        fill_rows = filled_relators(cover, spec)
         assert fill(cover, spec) == dense_quotient(cover, fill_rows), n
         assert sakuma_quotient(cover) == dense_quotient(
             cover, [tr("m"), tr("s", 2), tr("t", 2)]), n
@@ -618,6 +619,59 @@ def test_transfer_columns_match_relator_word_route(monkeypatch, cover_job):
         assert matrix == word_route_matrix(cover, words), n
 
 
+def test_fill_columns_match_relator_word_route(monkeypatch, cover_job):
+    # fill's Smith form must receive the augmented presentation's matrix:
+    # the relators, then the letter-by-letter rewrite of w^(n/o) from each
+    # orbit representative, entry for entry and in the same column order
+    seen = []
+
+    def record(matrix, passive=()):
+        seen.append(matrix)
+        return smith_normal_form(matrix, passive)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+
+    def check(p, degrees, n, slopes):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
+        words = []
+        for w in slopes:
+            orbits = gcd(n, cover.quotient.word_degree(w))
+            power = w ** (n // orbits)
+            words += [rewrite_letter_by_letter(cover.quotient, power, c) for c in range(orbits)]
+        seen.clear()
+        fill(cover, FillingSpec(slopes))
+        assert seen == [word_route_matrix(cover, words)], (p.name, n)
+        return len(words)
+
+    p = cover_job["presentation"]
+    for n in range(1, 42):
+        check(p, cover_job["degrees"], n, cover_job["fill"])
+    # u and m u s^-2 have degree 0: one orbit per coset
+    slopes = [parse_word(text, p.generators) for text in ("u", "m u s^-2")]
+    assert check(p, cover_job["degrees"], 12, slopes) == 24
+    gens = ("a", "b")
+    torus = Presentation("torus", gens, (parse_word("a b a^-1 b^-1", gens),))
+    slopes = [parse_word(text, gens) for text in ("a", "b", "a b", "a^3 b^-2")]
+    assert check(torus, {"a": 2, "b": 3}, 6, slopes) == 2 + 3 + 1 + 6
+
+
+def test_filling_columns_are_capped_before_they_are_built(monkeypatch):
+    # u has degree 0, so its slope has one orbit per coset: 500 columns of
+    # 1000 entries, some 4 MB, next to a relator matrix M that fits the cap
+    p = free_presentation("a", "u")
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 500, {"a": 1, "u": 0}))
+    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 1000 * 600)
+    assert len(cover.presentation.relator_matrix()[0]) == 499
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="relator matrix of 1000 x 999 exceeds 600000 cells"):
+            fill(cover, FillingSpec((Word([("u", 1)]),)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 # ---- filling classes generate the same subgroup as the transfers -------------
 
 
@@ -631,9 +685,7 @@ def test_transfer_filling_subgroup_equivalence(paper_cover, same_row_lattice, n)
         [relator_rows[i][j] for i in range(len(gens))]
         for j in range(len(relator_rows[0]) if relator_rows else 0)
     ]
-    fill_rows = [
-        exponent_vector(r, gens) for r in filled_relators(cover, FillingSpec(job["fill"]))
-    ]
+    fill_rows = filled_relators(cover, FillingSpec(job["fill"]))
     transfer_rows = [transfer(cover, Word([("m", 1)]))]
     for g in ("s", "t"):
         transfer_rows.append([2 * v for v in transfer(cover, Word([(g, 1)]))])
@@ -653,8 +705,7 @@ def test_filling_columns_are_the_sakuma_transfers_at_odd_levels(cover_job):
     spec = FillingSpec(cover_job["fill"])
     for n in range(1, 62, 2):
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
-        gens = cover.presentation.generators
-        fill_columns = [exponent_vector(r, gens) for r in filled_relators(cover, spec)]
+        fill_columns = filled_relators(cover, spec)
         expected = [transfer_column(cover, "m"), transfer_column(cover, "t", 2),
                     transfer_column(cover, "s", -2)]
         assert fill_columns == expected, n

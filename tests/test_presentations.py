@@ -71,6 +71,17 @@ def test_relator_matrix_cap_admits_its_bound(monkeypatch):
         p.relator_matrix()
 
 
+def test_relator_matrix_appends_columns_inside_its_cap(monkeypatch):
+    p = P("t", "ab", "a b a^-1 b^-1", "a^2", "b^3")
+    assert p.relator_matrix([[1, -1], [0, 4]]) == [[0, 2, 0, 1, 0], [0, 0, 3, -1, 4]]
+    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 8)
+    assert p.relator_matrix([[5, 6]]) == [[0, 2, 0, 5], [0, 0, 3, 6]]
+    with pytest.raises(ValueError, match="2 x 5 exceeds 8 cells"):
+        p.relator_matrix([[1, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        p.relator_matrix([[1]])  # one entry short of the two generators
+
+
 def test_abelianize_no_relators():
     assert abelianize(P("free", "abc")) == AbelianGroup(3)
     assert abelianize(Presentation("empty", (), ())) == AbelianGroup(0)
