@@ -25,7 +25,7 @@ print(grid.table())
 
 print()
 print("row-deletion minors, in normal form:")
-minors = minor_polys(grid)
+minors = minor_polys(grid, phi)
 for g in p.generators:
     print(f"  delete {g:>3}: {minors[g]}")
 

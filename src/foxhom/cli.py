@@ -161,13 +161,13 @@ def _cmd_alexander(args):
     result = {"presentation": p.name, "matrix": grid.to_json()}
     lines = [grid.table()]
     if args.minors:
-        minors = minor_polys(grid)
+        minors = minor_polys(grid, phi)
         delta = laurent_gcd(minors.values())
         result["minors"] = {g: str(minors[g]) for g in p.generators}
         lines.append("")
         lines.extend(f"minor[{g}] = {minors[g]}" for g in p.generators)
     else:
-        delta = laurent_gcd(codim_one_minors(grid))
+        delta = laurent_gcd(codim_one_minors(grid, phi))
     result["alexander_polynomial"] = str(delta)
     lines.append("")
     lines.append(f"alexander polynomial = {delta}")

@@ -8,6 +8,12 @@ map (never in the group ring of the free group): for a word w = l_1...l_k,
 with d(g)/dg = 1, d(g^-1)/dg = -phi(g)^-1 and d(h)/dg = 0 otherwise.
 
 The matrix orientation is rows = generators, columns = relators.
+
+Fox's fundamental formula, sum over g of phi(d(r)/dg) (phi(g) - 1) = 0 for
+every relator r, makes v = (phi(g) - 1)_g a left null vector of that
+matrix.  ``codim_one_minors`` checks it before any determinant, and on a
+deficiency-one matrix it turns one row-deletion minor into all of them by
+exact division; see there.
 """
 
 from __future__ import annotations
@@ -17,14 +23,16 @@ from itertools import combinations
 from math import comb
 
 from .laurent import LaurentPoly, json_int, json_ints, json_vars
-from .polygcd import laurent_gcd
+from .polygcd import laurent_divexact, laurent_gcd
 from .polymat import LaurentMatrix, determinant
 
-# Cap on C(g, s)·C(r, s), the number of codimension-one minors of size s.
-# Each is one Bareiss determinant, about 2 ms at size 6 in one variable, so
+# Cap on C(g, s)·C(r, s), the number of codimension-one minors of size s,
+# checked before any determinant.  A deficiency-one matrix takes one Bareiss
+# determinant whatever the count, unless its map sends every generator to 1;
+# other shapes take one per minor, about 2 ms at size 6 in one variable, so
 # 10 000 of them take tens of seconds.  A 24-generator, 12-relator
-# presentation has C(24, 12) ≈ 2.7·10^6 minors of size 12, about 11 ms each:
-# over eight hours.
+# presentation has C(24, 12) ≈ 2.7·10^6 minors of size 12, about 3 ms each
+# (2-CPU host, Python 3.11.7): over two hours.
 MAX_MINORS = 10_000
 # Cap on the letters of the relators, checked before any Fox derivative is
 # taken.  A word of L letters has derivatives of up to L terms, and the gcd of
@@ -133,26 +141,36 @@ def alexander_matrix(p, phi):
     return LaurentMatrix(phi.vars, p.generators, col_labels, entries)
 
 
-def minor_polys(grid):
+def minor_polys(grid, phi):
     """Row-deletion minors of a deficiency-one Alexander matrix, in normal form.
 
     For each generator g, the determinant of the matrix with row g deleted.
+    ``grid`` must be the Fox matrix of ``phi``; see ``codim_one_minors``.
     """
     nrows, ncols = grid.shape
     if nrows != ncols + 1:
         raise ValueError(f"minors need a deficiency-one matrix, got {nrows}x{ncols}")
     # codim_one_minors deletes the last row first
-    minors = reversed(codim_one_minors(grid))
+    minors = reversed(codim_one_minors(grid, phi))
     return {g: m.normal_form() for g, m in zip(grid.row_labels, minors)}
 
 
-def codim_one_minors(grid):
+def codim_one_minors(grid, phi):
     """The minors of size min(#generators - 1, #relators), unnormalized.
 
     For a deficiency-one matrix these are the row-deletion minors, last row
     deleted first.  When that size is 0 or less the one minor is the empty
     determinant, 1.  More than ``MAX_MINORS`` minors raise ``ValueError``
     before any determinant is taken.
+
+    ``grid`` must be the Fox matrix of ``phi``: v = (phi(g) - 1)_g is then a
+    left null vector of it (Fox's fundamental formula), and a grid that
+    fails v·J = 0 raises ``ValueError``, as does a map that does not send
+    every relator to 1.  On a deficiency-one grid the signed minors
+    (-1)^i D_i span the same line as v, so one determinant D_j with
+    v_j != 0 gives D_i = (-1)^(i+j) D_j v_i / v_j, each an exact division.
+    Other shapes, and maps with every v_g = 0, take every minor's
+    determinant.
     """
     nrows, ncols = grid.shape
     size = min(nrows - 1, ncols)
@@ -161,18 +179,33 @@ def codim_one_minors(grid):
     count = comb(nrows, size) * comb(ncols, size)
     if count > MAX_MINORS:
         raise ValueError(f"{count} codimension-one minors exceed {MAX_MINORS}")
+    if not set(grid.row_labels) <= set(phi.images):
+        raise ValueError("the grid is not the Fox matrix of the map")
+    v = [LaurentPoly.monomial(phi.vars, exp, sign) - LaurentPoly.constant(phi.vars, 1)
+         for sign, exp in map(phi.image_monomial, grid.row_labels)]
+    zero = LaurentPoly.zero(phi.vars)
+    if any(sum((vi * row[k] for vi, row in zip(v, grid.entries)), zero)
+           for k in range(ncols)):
+        raise ValueError("the grid is not the Fox matrix of the map")
+    if nrows != ncols + 1 or not any(v):
+        return [determinant(_minor(grid, rows, cols))
+                for rows in combinations(range(nrows), size)
+                for cols in combinations(range(ncols), size)]
+    j = min((i for i in range(nrows) if v[i]), key=lambda i: len(v[i].terms))
+    d_j = determinant(_minor(grid, [i for i in range(nrows) if i != j], range(ncols)))
     return [
-        determinant(
-            LaurentMatrix(
-                grid.vars,
-                tuple(grid.row_labels[i] for i in rows),
-                tuple(grid.col_labels[j] for j in cols),
-                tuple(tuple(grid.entries[i][j] for j in cols) for i in rows),
-            )
-        )
-        for rows in combinations(range(nrows), size)
-        for cols in combinations(range(ncols), size)
+        d_j if i == j else laurent_divexact(d_j * v[i], v[j]) * (-1) ** (i + j)
+        for i in reversed(range(nrows))
     ]
+
+
+def _minor(grid, rows, cols):
+    return LaurentMatrix(
+        grid.vars,
+        tuple(grid.row_labels[i] for i in rows),
+        tuple(grid.col_labels[j] for j in cols),
+        tuple(tuple(grid.entries[i][j] for j in cols) for i in rows),
+    )
 
 
 def alexander_poly(p, phi):
@@ -186,4 +219,4 @@ def alexander_poly(p, phi):
     gcd, and the result is the zero polynomial exactly when every minor
     vanishes.
     """
-    return laurent_gcd(codim_one_minors(alexander_matrix(p, phi)))
+    return laurent_gcd(codim_one_minors(alexander_matrix(p, phi), phi))

@@ -83,7 +83,7 @@ class _Inputs:
 
     @cached_property
     def minors(self):
-        return minor_polys(self.matrix)
+        return minor_polys(self.matrix, self.phi)
 
     @cached_property
     def delta(self):

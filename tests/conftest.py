@@ -1,6 +1,7 @@
 import pytest
 
 from foxhom import datasets
+from foxhom.polymat import LaurentMatrix, determinant
 from foxhom.snf import smith_normal_form
 
 
@@ -43,3 +44,27 @@ def same_row_lattice():
         return len({smith_normal_form(rows).divisors for rows in (a, a + b, b)}) == 1
 
     return same
+
+
+@pytest.fixture(scope="session")
+def all_minors():
+    """The row-deletion minors of a deficiency-one grid, one determinant each.
+
+    The oracle for ``fox.codim_one_minors``, which takes one determinant and
+    gets the other minors by exact division: generator -> exact minor.
+    """
+
+    def minors(grid):
+        out = {}
+        for i, g in enumerate(grid.row_labels):
+            keep = [k for k in range(len(grid.row_labels)) if k != i]
+            rest = LaurentMatrix(
+                grid.vars,
+                [grid.row_labels[k] for k in keep],
+                grid.col_labels,
+                [grid.entries[k] for k in keep],
+            )
+            out[g] = determinant(rest)
+        return out
+
+    return minors

@@ -53,7 +53,7 @@ def test_01_alexander_matrix_golden(n_final, free_abelian_map, reference):
 
 def test_02_minors_golden(n_final, free_abelian_map, reference):
     start = time.time()
-    minors = minor_polys(alexander_matrix(n_final, free_abelian_map))
+    minors = minor_polys(alexander_matrix(n_final, free_abelian_map), free_abelian_map)
     ok = minors["u"].is_zero
     for g in ("m", "m1", "m2", "s", "t"):
         ok = ok and minors[g].unit_equivalent(reference["minors"][g])

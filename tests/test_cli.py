@@ -324,6 +324,19 @@ def test_alexander_minors_shape_guard(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags", ((), ("--minors",)))
+def test_alexander_refuses_a_map_that_keeps_a_relator(capsys, tmp_path, flags):
+    # a -> x, b -> x sends the relator a b to x^2: no map of the group
+    pres = tmp_path / "ab.json"
+    pres.write_text(json.dumps({"name": "ab", "generators": ["a", "b"], "relators": ["a b"]}))
+    map_file = tmp_path / "map.json"
+    images = {g: {"sign": 1, "exp": [1]} for g in "ab"}
+    map_file.write_text(json.dumps({"vars": ["x"], "images": images}))
+    code, out, err = run(capsys, "alexander", str(pres), "--map", str(map_file), *flags)
+    assert code == 2 and out == ""
+    assert "the grid is not the Fox matrix of the map" in err
+
+
+@pytest.mark.parametrize("flags", ((), ("--minors",)))
 def test_alexander_builds_matrix_and_minors_once(capsys, monkeypatch, flags):
     calls = {"alexander_matrix": 0, "determinant": 0}
 
@@ -341,7 +354,8 @@ def test_alexander_builds_matrix_and_minors_once(capsys, monkeypatch, flags):
     counted(fox, "determinant")
     code, _, _ = run(capsys, "alexander", "n-final", "--map", "map-free-abelian", *flags)
     assert code == 0
-    assert calls == {"alexander_matrix": 1, "determinant": 6}
+    # one Bareiss determinant; the other five minors are exact divisions
+    assert calls == {"alexander_matrix": 1, "determinant": 1}
 
 
 def test_alexander_minor_count_is_capped_before_any_determinant(
@@ -362,6 +376,14 @@ def test_alexander_minor_count_is_capped_before_any_determinant(
     code, _, err = run(capsys, "alexander", str(pres), "--map", str(map_file))
     assert code == 2
     assert "2704156 codimension-one minors exceed 10000" in err
+    # a deficiency-one grid takes one determinant, but its six minors still
+    # count against the cap before it
+    monkeypatch.setattr(fox, "MAX_MINORS", 5)
+    code, _, err = run(
+        capsys, "alexander", "n-final", "--map", "map-free-abelian", "--minors"
+    )
+    assert code == 2
+    assert "6 codimension-one minors exceed 5" in err
 
 
 # ---- cover / fill / sakuma ---------------------------------------------------

@@ -8,11 +8,12 @@ from foxhom.fox import (
     MissingImages,
     alexander_matrix,
     alexander_poly,
+    codim_one_minors,
     fox_derivative,
     minor_polys,
 )
 from foxhom.laurent import LaurentPoly, parse_poly, substitute_monomial
-from foxhom.polygcd import laurent_divexact
+from foxhom.polygcd import laurent_divexact, laurent_gcd
 from foxhom.presentations import Presentation
 from foxhom.words import Word, parse_word
 
@@ -176,7 +177,7 @@ def test_relator_letters_are_capped_before_any_derivative(monkeypatch):
 
 
 def test_minors_match_reference(n_final, free_abelian_map, reference):
-    minors = minor_polys(alexander_matrix(n_final, free_abelian_map))
+    minors = minor_polys(alexander_matrix(n_final, free_abelian_map), free_abelian_map)
     for g in n_final.generators:
         expected = reference["minors"][g]
         if expected.is_zero:
@@ -186,7 +187,7 @@ def test_minors_match_reference(n_final, free_abelian_map, reference):
 
 
 def test_minor_of_u_row_is_zero(n_final, free_abelian_map):
-    minors = minor_polys(alexander_matrix(n_final, free_abelian_map))
+    minors = minor_polys(alexander_matrix(n_final, free_abelian_map), free_abelian_map)
     assert minors["u"].is_zero
 
 
@@ -194,19 +195,93 @@ def test_minors_two_by_one():
     # deleting row a leaves the b-derivative and vice versa, in normal form
     p = Presentation("p", ("a", "b"), (parse_word("a b a^-1 b^-1", ("a", "b")),))
     phi = simple_map()
-    minors = minor_polys(alexander_matrix(p, phi))
+    minors = minor_polys(alexander_matrix(p, phi), phi)
     assert minors["a"] == parse_poly("x - 1", XY)  # the b-derivative
     assert minors["b"] == parse_poly("y - 1", XY)  # the a-derivative, sign fixed
     p = Presentation("p", ("a", "b"), (parse_word("a b", ("a", "b")),))
-    minors = minor_polys(alexander_matrix(p, phi))
+    phi = AbelianizationMap(("a", "b"), XY, {"a": (1, (1, 0)), "b": (1, (-1, 0))})
+    minors = minor_polys(alexander_matrix(p, phi), phi)
     assert minors["a"] == parse_poly("1", XY)  # normal form of the monomial x
     assert minors["b"] == parse_poly("1", XY)
+    # a -> x, b -> y sends the relator a b to x*y, not 1: no map of the group
+    with pytest.raises(ValueError, match="not the Fox matrix of the map"):
+        minor_polys(alexander_matrix(p, simple_map()), simple_map())
 
 
 def test_minors_shape_error(n_final, free_abelian_map):
     p = Presentation("free2", ("a", "b"), ())
     with pytest.raises(ValueError):
-        minor_polys(alexander_matrix(p, simple_map()))
+        minor_polys(alexander_matrix(p, simple_map()), simple_map())
+
+
+def test_minors_refuse_the_grid_of_another_map(monkeypatch, n_final, free_abelian_map):
+    images = dict(free_abelian_map.images)
+    images["s"], images["t"] = images["t"], images["s"]
+    swapped = AbelianizationMap(n_final.generators, free_abelian_map.vars, images)
+    grid = alexander_matrix(n_final, free_abelian_map)
+
+    def refuse(*args):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(fox, "determinant", refuse)
+    with pytest.raises(ValueError, match="the grid is not the Fox matrix of the map"):
+        minor_polys(grid, swapped)
+
+
+def random_deficiency_one(rng):
+    """2-4 generators, one relator fewer, and a map to signed monomials.
+
+    Each relator is a product of one or two commutators, and the map is over
+    1-3 variables.
+    Every commutator goes to 1 under any such map.  A quarter of the draws
+    send one generator to +1, and one in ten sends every generator there.
+    """
+    gens = tuple(f"a{i}" for i in range(rng.randint(2, 4)))
+
+    def word():
+        return Word([(rng.choice(gens), rng.choice((-2, -1, 1, 2)))
+                     for _ in range(rng.randint(1, 3))])
+
+    def commutator():
+        u, w = word(), word()
+        return u * w * ~u * ~w
+
+    relators = [commutator() for _ in gens[1:]]
+    relators = [r * commutator() if rng.random() < 0.5 else r for r in relators]
+    vars = ("x", "y", "z")[: rng.randint(1, 3)]
+    images = {
+        g: (rng.choice((1, -1)), tuple(rng.randint(-2, 2) for _ in vars)) for g in gens
+    }
+    draw = rng.random()
+    if draw < 0.1:
+        images = dict.fromkeys(gens, (1, (0,) * len(vars)))
+    elif draw < 0.35:
+        images[rng.choice(gens)] = (1, (0,) * len(vars))
+    return Presentation("draw", gens, relators), AbelianizationMap(gens, vars, images)
+
+
+def test_minors_match_every_determinant(monkeypatch, all_minors):
+    # one determinant and exact divisions give what a determinant per
+    # row deletion gives, sign and monomial included, and so does the gcd;
+    # maps with every image +1 take a determinant per minor
+    rng = random.Random(20061)
+    dets = []
+    real = fox.determinant
+    monkeypatch.setattr(fox, "determinant", lambda m: dets.append(m) or real(m))
+    nonzero = trivial = 0
+    for _ in range(240):
+        p, phi = random_deficiency_one(rng)
+        grid = alexander_matrix(p, phi)
+        oracle = all_minors(grid)
+        dets.clear()
+        assert minor_polys(grid, phi) == {g: m.normal_form() for g, m in oracle.items()}
+        moving = any(phi.image_monomial(g) != (1, (0,) * len(phi.vars)) for g in p.generators)
+        assert len(dets) == (1 if moving else len(p.generators))
+        assert codim_one_minors(grid, phi) == list(reversed(oracle.values()))
+        assert alexander_poly(p, phi) == laurent_gcd(oracle.values())
+        nonzero += any(oracle.values())
+        trivial += not moving
+    assert nonzero >= 100 and trivial >= 10
 
 
 # ---- the gcd of minors -----------------------------------------------------

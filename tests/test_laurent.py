@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from foxhom import datasets, polygcd, polymat
 from foxhom.covers import branched_betti
-from foxhom.fox import alexander_matrix, codim_one_minors, minor_polys
+from foxhom.fox import alexander_matrix, codim_one_minors
 from foxhom.laurent import LaurentPoly, nu_poly, parse_poly, substitute_monomial
 from foxhom.polygcd import (
     ExactDivisionError,
@@ -403,7 +403,7 @@ def test_divexact_of_bareiss_size_against_oracle():
         assert ours == oracle
 
 
-def test_divexact_of_reference_minors_against_oracle(monkeypatch, reference):
+def test_divexact_of_reference_minors_against_oracle(monkeypatch, reference, all_minors):
     # every division the six Bareiss minors of the reference matrix make
     divisions = []
     real = polymat.poly_divexact
@@ -413,7 +413,7 @@ def test_divexact_of_reference_minors_against_oracle(monkeypatch, reference):
         return real(f, g)
 
     monkeypatch.setattr(polymat, "poly_divexact", recorded)
-    minor_polys(reference["matrix"])
+    all_minors(reference["matrix"])
     assert len(divisions) == 6 * 14
     quotients = [_divexact_by_polynomials(f, g) for f, g in divisions]
     assert max(len(q.terms) for q in quotients) >= 30
@@ -596,7 +596,7 @@ def test_multivariate_gcd_of_random_products_is_fast():
 
 
 def n_final_minors(n_final, free_abelian_map):
-    minors = codim_one_minors(alexander_matrix(n_final, free_abelian_map))
+    minors = codim_one_minors(alexander_matrix(n_final, free_abelian_map), free_abelian_map)
     return [m.normal_form() for m in minors if m]
 
 
