@@ -5,10 +5,11 @@ primitive-part gcd over Z.  Every gcd tries the heuristic gcd first:
 GCDHEU (Char, Geddes and Gonnet, JSC 1989) sets the main variable to an
 integer xi, takes the gcd of the two evaluations, reads its symmetric
 xi-adic digits back as powers of that variable, and keeps the result only if
-it divides both inputs.  With one variable the evaluations are integers;
-with several they are polynomials in one variable fewer, whose gcd is this
-same gcd (Geddes, Czapor and Labahn, "Algorithms for Computer Algebra",
-1992, section 7.7).  When six evaluation points fail, a primitive remainder
+it divides both inputs; a constant candidate divides everything, so it is
+returned at once, unchecked.  With one variable the evaluations are
+integers; with several they are polynomials in one variable fewer, whose
+gcd is this same gcd (Geddes, Czapor and Labahn, "Algorithms for Computer
+Algebra", 1992, section 7.7).  When six evaluation points fail, a primitive remainder
 sequence in the main variable decides (Brown, "On Euclid's algorithm and
 the computation of polynomial greatest common divisors", JACM 1971): with
 integer coefficients over one variable, and over several with polynomial
@@ -24,7 +25,7 @@ without scanning the map.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, neg, sub
@@ -133,6 +134,8 @@ def _cont(p):
     c = 0
     for v in p.values():
         c = gcd(c, v)
+        if c == 1:  # no later gcd can change it
+            break
     return c
 
 
@@ -206,7 +209,8 @@ def _heu_gcd(a, b):
     Geddes and Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on
     integer GCD computation", JSC 1989) prove that once
     xi >= 2 * min(|a|, |b|) + 2, with |p| the largest absolute coefficient
-    of p, a primitive part that divides both a and b is their gcd.  None
+    of p, a primitive part that divides both a and b is their gcd; a
+    constant one divides them trivially and is returned unchecked.  None
     after six rejected evaluation points leaves the gcd to the remainder
     sequence.
     """
@@ -214,9 +218,10 @@ def _heu_gcd(a, b):
         cand = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
         if cand:
             cand = _divc(cand, _cont(cand))
-            # a common divisor read off at such a xi is the gcd (Char,
-            # Geddes and Gonnet 1989), so this test makes the answer exact
-            if _divides(cand, a) and _divides(cand, b):
+            # a constant divides both at once; any other candidate read off
+            # at such a xi is the gcd once it divides both (Char, Geddes and
+            # Gonnet 1989), so this test makes the answer exact
+            if cand.keys() == {0} or (_divides(cand, a) and _divides(cand, b)):
                 return cand
     return None
 
@@ -281,9 +286,9 @@ def _mv_heu_gcd(f, g, i):
     removed, set x_i to an integer xi, take the exact ``poly_gcd`` of the
     two evaluations, which have one variable fewer, and read the symmetric
     xi-adic digits of each of its coefficients back as powers of x_i, at
-    the points of ``_heu_gcd``.  A primitive part that divides
-    both inputs is their gcd; None after six rejected points leaves the gcd
-    to the remainder sequence.
+    the points of ``_heu_gcd``.  A primitive part that divides both inputs
+    is their gcd, and a constant one is returned unchecked; None after six
+    rejected points leaves the gcd to the remainder sequence.
     """
     cf, cg = _cont(f.terms), _cont(g.terms)
     a = LaurentPoly._of(f.vars, _divc(f.terms, cf))
@@ -296,7 +301,10 @@ def _mv_heu_gcd(f, g, i):
             for d, c in _digits(v, xi).items()
         }
         cand = LaurentPoly._of(f.vars, _divc(cand, _cont(cand)))
-        if _poly_divides(cand, a) and _poly_divides(cand, b):
+        # a constant divides both at once, as in _heu_gcd
+        if cand.terms.keys() == {(0,) * len(f.vars)} or (
+            _poly_divides(cand, a) and _poly_divides(cand, b)
+        ):
             return cand * gcd(cf, cg)
     return None
 
@@ -392,6 +400,11 @@ def laurent_gcd(ps):
     return acc.normal_form()
 
 
+# nu_n by (n, var); sweeps visit their cells level by level, so a few
+# entries serve every k of a level and the cache stays small
+_nu_poly = lru_cache(maxsize=4)(nu_poly)
+
+
 class RootCount(int):
     """An integer count that remembers the degenerate all-roots case.
 
@@ -434,5 +447,5 @@ def shared_root_count(p, n):
     for (e,), c in p.terms.items():
         key = (e % n,)
         folded[key] = folded.get(key, 0) + c
-    g = poly_gcd(LaurentPoly(p.vars, folded), nu_poly(n, p.vars[0]))
+    g = poly_gcd(LaurentPoly(p.vars, folded), _nu_poly(n, p.vars[0]))
     return RootCount(max(g.terms)[0], all_roots=p.is_zero)

@@ -160,10 +160,11 @@ def _check_factorization(inputs):
     delta = inputs.delta_L
     a, b = delta.vars
     t = LaurentPoly.variable(("t",), "t")
+    boundary = (t - 1) ** 5
     for k in FACTORIZATION_RANGE:
         spec = substitute_monomial(delta, {a: (1, (k,)), b: (1, (1,))}, ("t",))
         nus = nu_poly(k - 1) * nu_poly(k) * nu_poly(k + 1)
-        product = (t - 1) ** 5 * nus
+        product = boundary * nus
         expected = product.shift((-(3 * k - 1),))
         if spec != expected:
             return False, f"factorization fails at k={k}"

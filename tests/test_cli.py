@@ -544,6 +544,29 @@ def test_branched_sweep_without_heuristic_gcd(capsys, monkeypatch):
     assert calls
 
 
+def test_branched_sweep_keeps_the_nu_cache_bounded(capsys):
+    polygcd._nu_poly.cache_clear()
+    code, _, _ = run(capsys, "branched", "delta_L", "--n", "1..64", "--k", "all", "--format", "json")
+    info = polygcd._nu_poly.cache_info()
+    assert code == 0 and info.maxsize is not None
+    assert info.currsize <= info.maxsize <= 8
+    # levels 2..64 miss once each, and every other cell of a level hits
+    assert info.misses == 63 and info.hits > 1000
+
+
+@pytest.mark.parametrize("argv", (
+    ("branched", "delta_L", "--n", "5..13", "--k", "all"),
+    ("verify-paper", "--item", "matrix"),
+), ids=("branched", "verify-paper"))
+def test_json_report_builds_no_table(capsys, monkeypatch, argv):
+    calls, table = [], cli._table
+    monkeypatch.setattr(cli, "_table", lambda *args: calls.append(1) or table(*args))
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert calls == []
+    assert run(capsys, *argv, "--format", "table")[0] == 0
+    assert len(calls) == 1
+
+
 def test_branched_folds_a_large_exponent(tmp_path):
     """Delta = x^(10^9) - 1 is answered at once, not by a degree-10^9 gcd."""
     delta = tmp_path / "delta.json"

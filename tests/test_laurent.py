@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -790,6 +791,78 @@ def test_poly_gcd_without_heuristic_agrees(monkeypatch):
     assert [poly_gcd(p, q) for p, q in cases] == fast
 
 
+def spy(monkeypatch, name):
+    """Every call's arguments of polygcd.<name>, which still does its work."""
+    calls, real = [], getattr(polygcd, name)
+    monkeypatch.setattr(polygcd, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_constant_heuristic_gcd_skips_the_division_check(monkeypatch):
+    calls = spy(monkeypatch, "_divides")
+    a, b = primitive_maps(nu_poly(7), poly("t - 1", ("t",)))
+    assert polygcd._heu_gcd(a, b) == {0: 1}
+    assert calls == []
+    # a nonconstant candidate is still checked against both inputs
+    a, b = primitive_maps(poly("t^2 + t - 2", ("t",)), poly("t^2 + 2*t - 3", ("t",)))
+    assert polygcd._heu_gcd(a, b) == {1: 1, 0: -1}
+    assert [q for q, _ in calls] == [{1: 1, 0: -1}] * 2
+    # every branched cell of delta_L at n = 7 is coprime to nu_7
+    calls.clear()
+    delta = datasets.load_poly("delta_L")
+    assert [int(branched_betti(delta, k, 7)) for k in range(2, 6)] == [0] * 4
+    assert calls == []
+
+
+def test_constant_multivariate_candidate_skips_the_division_check(monkeypatch):
+    rng = random.Random(53)
+    pairs = []
+    while len(pairs) < 100:
+        f, g = (random_poly(rng, XY, 4, 2, 5).normal_form() for _ in range(2))
+        if all(any(e[1] for e in p.terms) for p in (f, g)):  # both reach y
+            pairs.append((f, g))
+    with monkeypatch.context() as m:
+        m.setattr(polygcd, "_heu_gcd", lambda a, b: None)
+        m.setattr(polygcd, "_mv_heu_gcd", lambda f, g, i: None)
+        oracle = [poly_gcd(f, g) for f, g in pairs]
+    calls = spy(monkeypatch, "_poly_divides")
+    constant = 0
+    for (f, g), want in zip(pairs, oracle):
+        calls.clear()
+        got = polygcd._mv_heu_gcd(f, g, 1)
+        assert got is None or got == want or got == -want
+        # only a nonconstant candidate is divided into the inputs
+        assert all(any(map(any, q.terms)) for q, _ in calls)
+        if got is not None and not any(map(any, want.terms)):
+            constant += 1
+            assert calls == []
+    assert constant >= 90
+    # a nonconstant gcd is still checked against both inputs
+    shared = poly("x + y")
+    assert polygcd._mv_heu_gcd(shared * poly("y + 1"), shared * poly("x*y + 2"), 1) == shared
+    assert [q for q, _ in calls] == [shared] * 2
+
+
+@pytest.mark.parametrize("values, content", (
+    ((6, 10, 15), 1),  # 1 first appears at the last entry
+    ((4, 6, 3, 12, 8), 1),
+    ((-4, -6), 2),
+    ((-9, 12, -15), 3),
+    ((0, -7), 7),
+    ((), 0),
+))
+def test_content_examples(values, content):
+    assert polygcd._cont(dict(enumerate(values))) == content
+
+
+def test_content_against_reduce():
+    rng = random.Random(59)
+    for _ in range(300):
+        values = [rng.choice((-1, 1)) * rng.randrange(12) * rng.choice((1, 6))
+                  for _ in range(rng.randrange(7))]
+        assert polygcd._cont(dict(enumerate(values))) == reduce(gcd, values, 0)
+
+
 # ---- shared roots ----------------------------------------------------------
 
 
@@ -862,6 +935,25 @@ def test_shared_root_count_folds_like_unfolded():
         p = random_poly(rng, ("t",), max_terms=3, span=n, coef=4) or poly("1", ("t",))
         p = p * (poly(f"t^{n} - 1", ("t",)))
         assert same_count(shared_root_count(p, n), unfolded_root_count(p, n)), (n, p)
+
+
+def test_nu_cache_is_order_blind(monkeypatch):
+    # six levels against a cache of fewer entries: the interleaved orders
+    # evict an entry at nearly every cell, the grouped one at each new level
+    delta = datasets.load_poly("delta_L")
+    levels = (7, 11, 13, 17, 19, 23)
+    grouped = [(n, k) for n in levels for k in range(1, n)]
+    interleaved = sorted(grouped, key=lambda c: (c[1], c[0]))  # n = 7, 11, 13, ..., 7, 11, ...
+    orders = (grouped, interleaved, random.Random(61).sample(grouped, len(grouped)))
+    with monkeypatch.context() as m:
+        m.setattr(polygcd, "_nu_poly", nu_poly)
+        want = {(n, k): branched_betti(delta, k, n) for n, k in grouped}
+    for order in orders:
+        polygcd._nu_poly.cache_clear()
+        assert {(n, k): branched_betti(delta, k, n) for n, k in order} == want
+    assert polygcd._nu_poly.cache_info().maxsize < len(levels)
+    # no gcd changed a cached nu_n in place
+    assert all(polygcd._nu_poly(n, "t") == nu_poly(n) for n in levels)
 
 
 def test_branched_betti_against_unfolded_boundary_product():
