@@ -11,9 +11,10 @@ kernel presentation has the n * (base relators) rewritten relators, then
 n - 1 one-letter relators that trivialize the tree edges; their exponent
 sums are the columns of the relator matrix M.  Every cover group here is
 the cokernel of one ``relator_matrix(columns)``: filled slopes and transfers
-are vectors appended to M inside its cell check.  ``transfer_quotients``
-lets the transfers ride along as passive columns (see ``snf``), so that one
-Smith form gives the transfer quotient and the transfer module.
+are vectors appended to M inside its cell check.  The transfer quotient
+appends the paper's tr(m), 2 tr(s) and 2 tr(t) (``SAKUMA_TRANSFERS``), the
+transfer module every tr(g); ``transfer_quotients`` lets the transfers ride
+along as passive columns (see ``snf``), so one Smith form gives both.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .words import Word, exponent_vector
 # letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
 # foxhom.cli alone peaks at 20 MB).  The bundled job needs 499 · (62 + 9).
 MAX_COVER_LETTERS = 500_000
+
+# the paper's sakuma columns k tr(g) as (g, k): tr(m), 2 tr(s) and 2 tr(t)
+SAKUMA_TRANSFERS = (("m", 1), ("s", 2), ("t", 2))
 
 
 @dataclass(frozen=True)
@@ -251,31 +255,33 @@ def fill(cover, spec):
     return cokernel(cover.presentation.relator_matrix(filled_relators(cover, spec)))
 
 
-def sakuma_transfers(base, meridian="m", doubled=("s", "t")):
-    """(g, k) for each sakuma column k tr(g); ``ValueError`` names a missing g."""
-    for g in (meridian, *doubled):
+def sakuma_transfers(base):
+    """``SAKUMA_TRANSFERS``; ``ValueError`` names a g that base lacks."""
+    for g, _ in SAKUMA_TRANSFERS:
         if g not in base.generators:
             raise ValueError(f"no base generator named {g!r}")
-    return [(meridian, 1), *((g, 2) for g in doubled)]
+    return SAKUMA_TRANSFERS
 
 
-def _transfer_blocks(cover, *blocks):
-    """Blocks of (g, k) pairs as columns k tr(g), built after [M | all]'s cell check."""
+def _transfer_chain(cover, *blocks):
+    """Cokernels of [M | B1], [M | B1 | B2], ... for blocks of (g, k) as k tr(g).
+
+    [M | every block] passes the cell check before any column is built.
+    """
     p = cover.presentation
     check_cells(len(p.generators), len(p.relators) + sum(map(len, blocks)))
-    return [[[k * v for v in transfer(cover, Word([(g, 1)]))] for g, k in block]
-            for block in blocks]
+    first, *rest = [[[k * v for v in transfer(cover, Word([(g, 1)]))] for g, k in block]
+                    for block in blocks]
+    return cokernel_chain(p.relator_matrix(first), rest)
 
 
-def sakuma_quotient(cover, meridian="m", doubled=("s", "t")):
-    """Quotient of the cover homology by tr(meridian) and doubled transfers.
+def sakuma_quotient(cover):
+    """Quotient of the cover homology by the paper's tr(m), 2 tr(s) and 2 tr(t).
 
-    Models the filled manifold's homology as H_1(cover) / <tr(m), tr(2s),
-    tr(2t)> for the bundled data; the generator names are parameters so the
-    construction is reusable.
+    The filled manifold's homology for the bundled data (``verify-paper``'s
+    ``rhs`` item checks this); the base must have generators m, s and t.
     """
-    [columns] = _transfer_blocks(cover, sakuma_transfers(cover.base, meridian, doubled))
-    return cokernel(cover.presentation.relator_matrix(columns))
+    return _transfer_chain(cover, sakuma_transfers(cover.base))[0]
 
 
 def h_n_module(cover):
@@ -283,21 +289,18 @@ def h_n_module(cover):
 
     For n = 1 the transfers generate everything and the result is trivial.
     """
-    [columns] = _transfer_blocks(cover, [(g, 1) for g in cover.base.generators])
-    return cokernel(cover.presentation.relator_matrix(columns))
+    return _transfer_chain(cover, [(g, 1) for g in cover.base.generators])[0]
 
 
-def transfer_quotients(cover, meridian="m", doubled=("s", "t")):
+def transfer_quotients(cover):
     """(sakuma_quotient, h_n_module) of a cover, from one elimination.
 
-    The sakuma columns S lie in the span of the transfers and hold
-    tr(meridian), so the transfers T of the other base generators ride
-    along as passive columns: coker[M | S | T] = coker[M | every transfer].
+    The sakuma columns S lie in the span of the transfers and hold tr(m), so
+    the transfers T of the other base generators ride along as passive
+    columns: coker[M | S | T] = coker[M | every transfer].
     """
-    others = [(g, 1) for g in cover.base.generators if g != meridian]
-    columns, transfers = _transfer_blocks(
-        cover, sakuma_transfers(cover.base, meridian, doubled), others)
-    return tuple(cokernel_chain(cover.presentation.relator_matrix(columns), [transfers]))
+    others = [(g, 1) for g in cover.base.generators if (g, 1) not in SAKUMA_TRANSFERS]
+    return tuple(_transfer_chain(cover, sakuma_transfers(cover.base), others))
 
 
 def branched_betti(delta, k, n):

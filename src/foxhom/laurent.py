@@ -132,14 +132,18 @@ class LaurentPoly:
 
     # ---- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
+        """self + sign * other, for an int or a polynomial other and sign +-1."""
         if isinstance(other, int):
             other = LaurentPoly.constant(self.vars, other)
         self._check_same_ring(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0) + coef
+            out[exp] = out.get(exp, 0) + sign * coef
         return LaurentPoly(self.vars, out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -147,13 +151,7 @@ class LaurentPoly:
         return LaurentPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.vars, other)
-        self._check_same_ring(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0) - coef
-        return LaurentPoly(self.vars, out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

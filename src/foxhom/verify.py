@@ -16,7 +16,6 @@ Items and the data files they read:
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 
 from . import datasets
 from .covers import (
@@ -37,6 +36,7 @@ INPUT_FILES = ("n-final", "nb", "rst", "alexander-reference", "delta_L",
                "map-free-abelian", "map-infinite-cyclic", "cover-job")
 
 RHS_LEVELS = (3, 5, 7, 9)
+# prime levels, so every k in 1..n - 1 is a coprime residue
 BRANCHED_PRIMES = (5, 7, 11, 13)
 FACTORIZATION_RANGE = range(2, 13)
 
@@ -193,8 +193,6 @@ def _check_branched(inputs):
     delta = inputs.delta_L
     for n in BRANCHED_PRIMES:
         for k in range(1, n):
-            if gcd(k, n) != 1:
-                continue
             count = branched_betti(delta, k, n)
             if k in (1, n - 1):
                 if int(count) <= 0:

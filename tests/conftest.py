@@ -1,7 +1,12 @@
+from math import gcd
+
 import pytest
 
 from foxhom import datasets
+from foxhom.abelian import AbelianGroup, cokernel
+from foxhom.fox import AbelianizationMap, alexander_matrix
 from foxhom.polymat import LaurentMatrix, determinant
+from foxhom.presentations import Presentation
 from foxhom.snf import smith_normal_form
 
 
@@ -68,3 +73,49 @@ def all_minors():
         return out
 
     return minors
+
+
+@pytest.fixture(scope="session")
+def fox_cover_group():
+    """The cover groups of ``covers`` by the Fox route, with no rewriting at all.
+
+    ``fox_cover_group(p, degrees, n, slopes=(), transfers=())`` is H_1 of the
+    n-fold cyclic cover graded by the integer ``degrees``, with each slope
+    filled and the relation k tr(g) = 0 for each (g, k) in ``transfers``.
+
+    The cover's cellular chains are the Fox complex over Z[Z/n]: the Fox
+    matrix under g -> t^deg(g), exponents folded mod n and each relator
+    column expanded at the n shifts, is the boundary of the 2-cells, with
+    row i * n + c for t^c times generator i.  Its cokernel is H_1 + Z^(n - 1),
+    the second summand being the augmentation ideal of Z[Z/n], which the
+    1-cells map onto and which is free.  A slope w of degree d closes up as
+    w^(n/o), o = gcd(n, d), whose Fox column is N_o dw with
+    N_o = 1 + t^o + ... + t^(n - o), at shifts 0..o - 1.  k tr(g) is k times
+    the all-ones vector on generator g's block.
+    """
+
+    def group(p, degrees, n, slopes=(), transfers=()):
+        gens = p.generators
+        phi = AbelianizationMap(gens, ("t",), {g: (1, (degrees[g],)) for g in gens})
+        grid = alexander_matrix(Presentation(p.name, gens, p.relators + tuple(slopes)), phi)
+        lifts = [((0,), range(n))] * len(p.relators)  # (norm exponents, shifts) per column
+        for w in slopes:
+            o = gcd(n, sum(e * degrees[g] for g, e in w.runs))
+            lifts.append((range(0, n, o), range(o)))
+        columns = []
+        for j, (norm, shifts) in enumerate(lifts):
+            for c in shifts:
+                column = [0] * (len(gens) * n)
+                for i, row in enumerate(grid.entries):
+                    for (e,), coef in row[j].terms.items():
+                        for s in norm:
+                            column[i * n + (e + s + c) % n] += coef
+                columns.append(column)
+        for g, k in transfers:
+            i = gens.index(g)
+            columns.append([k * (i * n <= r < (i + 1) * n) for r in range(len(gens) * n)])
+        rows = [list(r) for r in zip(*columns)] if columns else [[] for _ in gens * n]
+        h = cokernel(rows)
+        return AbelianGroup(h.rank - (n - 1), h.torsion)
+
+    return group

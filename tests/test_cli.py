@@ -13,6 +13,7 @@ import pytest
 import foxhom
 from foxhom import cli, covers, datasets, fox, polygcd, presentations, verify
 from foxhom.cli import main
+from foxhom.laurent import parse_poly
 
 
 def run(capsys, *argv):
@@ -567,6 +568,14 @@ def test_json_report_builds_no_table(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("vars", (["x"], ["x", "y", "z"]), ids=("one", "three"))
+def test_branched_needs_a_two_variable_polynomial(capsys, tmp_path, vars):
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps({"vars": vars, "terms": [{"exp": [1] * len(vars), "coef": 1}]}))
+    code, out, err = run(capsys, "branched", str(path), "--n", "5", "--k", "all")
+    assert (code, out, err) == (2, "", "error: branched sweeps need a two-variable polynomial\n")
+
+
 def test_branched_folds_a_large_exponent(tmp_path):
     """Delta = x^(10^9) - 1 is answered at once, not by a degree-10^9 gcd."""
     delta = tmp_path / "delta.json"
@@ -1092,6 +1101,108 @@ def test_verify_paper_long_relator_fails_its_items(capsys, monkeypatch, tmp_path
         False, f"error: 3 cosets of relators make 90000186 letters, more than {covers.MAX_COVER_LETTERS}"
     )
     assert all(results[item][0] for item in ("h1", "factorization", "branched"))
+
+
+def test_verify_paper_without_an_input_file(capsys, tmp_path):
+    """A deleted data file leaves the report's inputs and fails its item."""
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    (alt / "nb.json").unlink()
+    code, out, err = run(capsys, "verify-paper", "--data-dir", str(alt), "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert set(report["inputs"]) == set(verify.INPUT_FILES) - {"nb"}
+    results = {r["item"]: (r["pass"], r["detail"]) for r in report["results"]}
+    assert results.pop("h1") == (False, (
+        "error: no such input file or bundled dataset: 'nb' "
+        f"(looked for {alt / 'nb.json'})"))
+    assert all(ok for ok, _ in results.values())
+
+
+def _negate_entry(raw):
+    raw["entries"][0][0] = [{**t, "coef": -t["coef"]} for t in raw["entries"][0][0]]
+
+
+def _bump(*keys):
+    def edit(raw):
+        for key in keys:
+            raw = raw[key]
+        raw["coef"] += 1
+    return edit
+
+
+def _set_terms(*terms):
+    def edit(raw):
+        raw["terms"] = [{"exp": list(e), "coef": c} for e, c in terms]
+    return edit
+
+
+def _square_relator(raw):
+    raw["relators"].append(f"{raw['generators'][0]}^2")
+
+
+def _product_job(*fill):
+    """The cover job on Z x <a | a^3>, graded by m alone; sakuma gives Z/3.
+
+    The transfer of a is n a, so the transfer module is 0 at levels prime to
+    3, and the order ratio is 3.
+    """
+    def edit(raw):
+        return {"presentation": "product", "degrees": {"m": 1, "s": 0, "t": 0, "a": 0},
+                "fill": list(fill)}
+    return edit
+
+
+_PRODUCT = {"name": "product", "generators": ["m", "s", "t", "a"], "relators": [
+    "m s m^-1 s^-1", "m t m^-1 t^-1", "m a m^-1 a^-1", "s", "t", "a^3"]}
+
+
+# Every failure detail of every item, each from one edit of one data file.
+# The order-ratio check also fails when hn's order does not divide sak's;
+# hn is a quotient of sak, so no data reaches that half of the condition
+@pytest.mark.parametrize("name, edit, item, detail", (
+    ("alexander-reference", _negate_entry, "matrix",
+     "entries agree only up to units (lift convention mismatch)"),
+    ("alexander-reference", _bump("entries", 0, 0, 0), "matrix", "1 entries differ"),
+    ("alexander-reference", _bump("minors", "m", 0), "minors", "minors differ for rows ['m']"),
+    ("alexander-reference", _bump("delta", 0), "delta", "gcd of minors is "),
+    ("alexander-reference", _bump("delta_inf", "terms", 0), "delta-inf",
+     "specialization is 2*x^7 - 6*x^5 + 6*x^3 - 2*x"),
+    ("nb", _square_relator, "h1", "nb: Z^2 x Z/2"),
+    ("delta_L", _set_terms(((0, 0), 1)), "factorization", "factorization fails at k=2"),
+    ("delta_L", _set_terms(((0, 0), 1)), "branched", "(n=5, k=1): expected positive count"),
+    ("delta_L", _set_terms(), "branched", "(n=5, k=2): count 4"),
+    ("cover-job", _product_job("s"), "rhs", "n=3: filled homology has rank 1"),
+    ("cover-job", _product_job("m", "a"), "rhs", "n=3: transfer quotient disagrees with filling"),
+    ("cover-job", _product_job("m"), "rhs", "n=5: order ratio 3/1"),
+), ids=(
+    "matrix-units", "matrix-entry", "minors", "delta", "delta-inf", "h1",
+    "factorization", "branched-positive", "branched-zero",
+    "rhs-rank", "rhs-disagree", "rhs-ratio",
+))
+def test_verify_paper_failure_details(capsys, tmp_path, name, edit, item, detail):
+    alt = tmp_path / "data"
+    shutil.copytree(datasets.data_dir(), alt)
+    (alt / "product.json").write_text(json.dumps(_PRODUCT))
+    path = alt / f"{name}.json"
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(raw) or raw))
+    code, out, err = run(
+        capsys, "verify-paper", "--data-dir", str(alt), "--item", item, "--format", "json")
+    assert (code, err) == (1, "")
+    [result] = json.loads(out)["results"]
+    assert result["pass"] is False
+    if item == "delta":  # the detail prints the fresh gcd, which the edit leaves alone
+        assert result["detail"].startswith(detail)
+        fresh = parse_poly(result["detail"].removeprefix(detail), ("x", "y", "z"))
+        assert fresh.unit_equivalent(datasets.load_reference()["delta"])
+    else:
+        assert result["detail"] == detail
+
+
+def test_run_items_rejects_an_unknown_item():
+    with pytest.raises(ValueError, match="unknown item 'bogus'"):
+        verify.run_items(["matrix", "bogus"])
 
 
 def test_verify_paper_derives_the_fox_chain_once_per_run(monkeypatch):

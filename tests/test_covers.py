@@ -65,6 +65,14 @@ def test_quotient_map_validation(cover_job):
 # ---- Reidemeister-Schreier ------------------------------------------------
 
 
+def test_reidemeister_schreier_needs_a_map_of_its_presentation():
+    free, other = free_presentation("a", "b"), free_presentation("a", "c")
+    with pytest.raises(TypeError, match="need a CyclicQuotientMap"):
+        reidemeister_schreier(free, {"a": 1, "b": 0})
+    with pytest.raises(ValueError, match="quotient map built from a different presentation"):
+        reidemeister_schreier(free, CyclicQuotientMap(other, 2, {"a": 1, "c": 0}))
+
+
 def torus(*extra_gens):
     """<a, b | a b a^-1 b^-1>, with each extra generator c tied to c = a^-1 b."""
     gens = ("a", "b", *extra_gens)
@@ -498,9 +506,13 @@ def test_sakuma_finite(paper_cover, n):
     assert sakuma_quotient(paper_cover[1][n]).rank == 0
 
 
-def test_sakuma_name_validation(paper_cover):
-    with pytest.raises(ValueError):
-        sakuma_quotient(paper_cover[1][3], meridian="nope")
+def test_sakuma_name_validation():
+    p = free_presentation("a", "s", "t")
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 3, {"a": 1, "s": 0, "t": 0}))
+    with pytest.raises(ValueError, match="no base generator named 'm'"):
+        sakuma_quotient(cover)
+    with pytest.raises(ValueError, match="no base generator named 'm'"):
+        transfer_quotients(cover)
 
 
 def test_h_n_level_one_trivial(paper_cover):
@@ -547,28 +559,85 @@ def test_extra_relators_match_dense_columns(cover_job):
         assert fill(cover, spec) == dense_quotient(cover, fill_rows), n
         assert sakuma_quotient(cover) == dense_quotient(
             cover, [tr("m"), tr("s", 2), tr("t", 2)]), n
-        assert sakuma_quotient(cover, meridian="s", doubled=("m", "t")) == dense_quotient(
-            cover, [tr("s"), tr("m", 2), tr("t", 2)]), n
         assert h_n_module(cover) == dense_quotient(
             cover, [tr(g) for g in p.generators]), n
 
 
-
-@pytest.mark.parametrize("meridian, doubled", [("m", ("s", "t")), ("s", ("m", "t"))])
-def test_transfer_chain_matches_separate_quotients(cover_job, meridian, doubled):
+def test_transfer_chain_matches_separate_quotients(cover_job):
     # the transfers ride along passively in the transfer quotient's
     # elimination; both groups must be those of the column-append route and
     # of the two separate quotients
     p = cover_job["presentation"]
     for n in range(1, 42):
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
-        sak, hn = transfer_quotients(cover, meridian, doubled)
-        sakuma_columns = [transfer_column(cover, meridian)]
-        sakuma_columns += [transfer_column(cover, g, 2) for g in doubled]
-        assert sak == sakuma_quotient(cover, meridian, doubled), n
+        sak, hn = transfer_quotients(cover)
+        sakuma_columns = [transfer_column(cover, "m")]
+        sakuma_columns += [transfer_column(cover, g, 2) for g in ("s", "t")]
+        assert sak == sakuma_quotient(cover), n
         assert sak == dense_quotient(cover, sakuma_columns), n
         assert hn == h_n_module(cover), n
         assert hn == dense_quotient(cover, [transfer_column(cover, g) for g in p.generators]), n
+
+
+# ---- every cover group against the Fox route --------------------------------
+
+SAKUMA = (("m", 1), ("s", 2), ("t", 2))
+
+
+def check_fox_route(fox_cover_group, p, degrees, n, slopes):
+    """h1_cover, fill and the transfer quotients against ``fox_cover_group``."""
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
+    at = (p.name, degrees, n)
+    assert h1_cover(cover) == fox_cover_group(p, degrees, n), at
+    assert fill(cover, FillingSpec(slopes)) == fox_cover_group(p, degrees, n, slopes), at
+    hn = fox_cover_group(p, degrees, n, transfers=[(g, 1) for g in p.generators])
+    assert h_n_module(cover) == hn, at
+    if {"m", "s", "t"} <= set(p.generators):
+        sak = fox_cover_group(p, degrees, n, transfers=SAKUMA)
+        assert sakuma_quotient(cover) == sak, at
+        assert transfer_quotients(cover) == (sak, hn), at
+        return True
+    return False
+
+
+def random_graded_word(rng, gens, degrees, degree=0):
+    """A nonempty reduced word of at most 7 letters and the given integer degree."""
+    while True:
+        w = Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randrange(1, 8)))
+        if w and sum(e * degrees[g] for g, e in w.runs) == degree:
+            return w
+
+
+def test_cover_groups_match_the_fox_route(cover_job, fox_cover_group):
+    # The Fox route builds each group from the Fox matrix over Z[Z/n], with
+    # no transversal, no tree relators and no rewritten words, so it checks
+    # the Reidemeister-Schreier route and the transfer and slope columns
+    p, degrees = cover_job["presentation"], cover_job["degrees"]
+    for n in range(1, 42):
+        check_fox_route(fox_cover_group, p, degrees, n, cover_job["fill"])
+    tor, graded = torus(), {"a": 2, "b": 3}
+    slopes = [parse_word("a^3 b^-2", "ab"), parse_word("a b", "ab")]
+    for n in (1, 2, 3, 5, 6, 7, 12):
+        check_fox_route(fox_cover_group, tor, graded, n, slopes)
+    rng = random.Random(27)
+    sakuma = without_coprime = 0
+    gradings = [(2, 3), (3, 2, 0), (6, 10, 15), (4, 6, 9)]
+    for draw in range(100):
+        gens = ("m", "s", "t")[: rng.choice((2, 3))]
+        if draw % 4 == 0:
+            degrees = dict(zip(gens, rng.choice([d for d in gradings if len(d) == len(gens)])))
+        else:
+            degrees = {g: rng.randrange(-3, 4) for g in gens}
+        levels = [n for n in range(1, 31) if gcd(n, *degrees.values()) == 1]  # holds 1
+        relators = tuple(random_graded_word(rng, gens, degrees)
+                         for _ in range(rng.randrange(0, 4)))
+        p = Presentation(f"random{draw}", gens, relators)
+        for n in rng.sample(levels[:12], min(2, len(levels[:12]))) + levels[-1:]:
+            slopes = [random_graded_word(rng, gens, degrees),
+                      random_graded_word(rng, gens, degrees, rng.choice(list(degrees.values())))]
+            sakuma += check_fox_route(fox_cover_group, p, degrees, n, slopes)
+            without_coprime += all(gcd(d, n) != 1 for d in degrees.values())
+    assert sakuma > 100 and without_coprime > 5, (sakuma, without_coprime)
 
 
 # ---- transfer columns against the relator-word route ---------------------------
@@ -601,16 +670,15 @@ def test_transfer_columns_match_relator_word_route(monkeypatch, cover_job):
     p = cover_job["presentation"]
     for n in range(1, 42):
         cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
-        for meridian, doubled in (("m", ("s", "t")), ("s", ("m", "t"))):
-            sakuma = [transfer_relator(cover, meridian)]
-            sakuma += [transfer_relator(cover, g, 2) for g in doubled]
-            others = [transfer_relator(cover, g) for g in p.generators if g != meridian]
-            seen.clear()
-            transfer_quotients(cover, meridian, doubled)
-            [(matrix, (block,))] = seen
-            assert matrix == word_route_matrix(cover, sakuma), (n, meridian)
-            extended = [row + [v[i] for v in block] for i, row in enumerate(matrix)]
-            assert extended == word_route_matrix(cover, sakuma + others), (n, meridian)
+        sakuma = [transfer_relator(cover, "m")]
+        sakuma += [transfer_relator(cover, g, 2) for g in ("s", "t")]
+        others = [transfer_relator(cover, g) for g in p.generators if g != "m"]
+        seen.clear()
+        transfer_quotients(cover)
+        [(matrix, (block,))] = seen
+        assert matrix == word_route_matrix(cover, sakuma), n
+        extended = [row + [v[i] for v in block] for i, row in enumerate(matrix)]
+        assert extended == word_route_matrix(cover, sakuma + others), n
         seen.clear()
         h_n_module(cover)
         [(matrix, passive)] = seen
@@ -766,3 +834,11 @@ def test_mutation_invariance(delta_L):
     b = parse_poly("y - 1", ("x", "y"))
     assert mutation_invariance_check(a, b)
     assert not mutation_invariance_check(a, parse_poly("x*y - 2", ("x", "y")))
+
+
+@pytest.mark.parametrize("vars", (("x",), ("x", "y", "z")), ids=("one", "three"))
+def test_mutation_invariance_needs_two_variables(delta_L, vars):
+    other = parse_poly("x - 1", vars)
+    for pair in ((delta_L, other), (other, delta_L)):
+        with pytest.raises(ValueError, match="need two-variable polynomials"):
+            mutation_invariance_check(*pair)

@@ -228,6 +228,18 @@ def test_minors_refuse_the_grid_of_another_map(monkeypatch, n_final, free_abelia
         minor_polys(grid, swapped)
 
 
+def test_minors_refuse_a_map_that_lacks_a_row(monkeypatch, n_final, free_abelian_map):
+    # a map on fewer generators than the grid's rows is refused before the
+    # fundamental-formula check reads a missing image
+    images = dict(free_abelian_map.images)
+    del images["u"]
+    partial = AbelianizationMap(n_final.generators[:-1], free_abelian_map.vars, images)
+    grid = alexander_matrix(n_final, free_abelian_map)
+    monkeypatch.setattr(fox, "determinant", lambda *args: pytest.fail("a determinant was taken"))
+    with pytest.raises(ValueError, match="the grid is not the Fox matrix of the map"):
+        codim_one_minors(grid, partial)
+
+
 def random_deficiency_one(rng):
     """2-4 generators, one relator fewer, and a map to signed monomials.
 

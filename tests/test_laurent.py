@@ -216,6 +216,12 @@ def test_parse_errors():
         parse_poly("x + q", XY)
     with pytest.raises(ValueError):
         parse_poly("x^a", XY)
+    with pytest.raises(ValueError, match="dangling sign in 'x -'"):
+        parse_poly("x -", XY)
+    with pytest.raises(ValueError, match=r"empty factor in term '2\*\*x'"):
+        parse_poly("2**x", XY)
+    with pytest.raises(ValueError, match=r"unknown variable 'z' in 'z\^2'"):
+        parse_poly("x + z^2", XY)
 
 
 def test_json_roundtrip():
@@ -260,6 +266,15 @@ def test_substitute_rejects_image_of_wrong_length():
         substitute_monomial(p, {"x": (1, ()), "y": (1, (1,))}, ("t",))
     with pytest.raises(ValueError, match="image of 'y' has 2 exponents, expected 1"):
         substitute_monomial(p, {"x": (1, (1,)), "y": (1, (1, 0))}, ("t",))
+
+
+@pytest.mark.parametrize("images, message", (
+    ({"x": (1, (1,))}, "no image given for variable 'y'"),
+    ({"x": (1, (1,)), "y": (2, (1,))}, r"image sign must be \+1 or -1"),
+), ids=("missing-image", "sign-two"))
+def test_substitute_monomial_rejects_bad_images(images, message):
+    with pytest.raises(ValueError, match=message):
+        substitute_monomial(poly("x*y - 1"), images, ("t",))
 
 
 def test_factorization_of_bundled_specializations():
@@ -986,6 +1001,7 @@ def test_determinant_examples():
     assert determinant(zero_row).is_zero
     with pytest.raises(ValueError):
         determinant(lmat([["x", "y"]]))
+    assert determinant(LaurentMatrix(XY, (), (), ())) == poly("1")  # the empty product
 
 
 def test_determinant_of_reference_submatrix(reference):
@@ -1098,6 +1114,8 @@ def test_matrix_validation():
         LaurentMatrix(XY, ("a",), ("b", "c"), ((poly("x"), poly("x", ("x",))),))
     with pytest.raises(ValueError):
         LaurentMatrix(("x",), ("a",), ("b",), ((poly("x"),),))
+    with pytest.raises(ValueError, match="row count does not match row labels"):
+        LaurentMatrix(XY, ("a", "b"), ("c",), ((poly("x"),),))
     with pytest.raises(ValueError, match="listed twice"):
         LaurentMatrix.from_json(
             {"vars": ["x", "x"], "row_labels": ["a"], "col_labels": [], "entries": [[]]}

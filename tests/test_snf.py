@@ -198,6 +198,22 @@ def test_snf_empty():
     assert smith_normal_form([[], []]).cokernel_rank == 2
 
 
+@pytest.mark.parametrize("rank, torsion, message", (
+    (-1, (), "rank must be nonnegative"),
+    (0, (1,), "torsion divisors must be >= 2"),
+    (0, (2, 3), "torsion chain violated: 2 does not divide 3"),
+), ids=("negative-rank", "divisor-one", "broken-chain"))
+def test_abelian_group_rejects_a_bad_invariant(rank, torsion, message):
+    with pytest.raises(ValueError, match=message):
+        abelian.AbelianGroup(rank, torsion)
+
+
+def test_infinite_group_has_no_order():
+    assert abelian.AbelianGroup(0, (2, 4)).order == 8
+    with pytest.raises(ValueError, match="infinite group has no order"):
+        abelian.AbelianGroup(1, (2,)).order
+
+
 def test_snf_chain_condition():
     rng = random.Random(5)
     for _ in range(100):

@@ -29,6 +29,8 @@ def test_parse_errors():
         parse_word("s^x", ["s"])
     with pytest.raises(ParseError):
         parse_word("s^0", ["s"])
+    with pytest.raises(ParseError, match=r"token 0: empty generator name in '\^2'"):
+        parse_word("^2", ["s"])
     err = None
     try:
         parse_word("s t^bad", ["s", "t"])
