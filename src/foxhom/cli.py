@@ -205,7 +205,7 @@ def _cover_level(task):
         if sak.is_finite and hn.is_finite:
             entry["order_ratio"] = sak.order // hn.order
         return entry, (n, _group_line(sak), _group_line(hn), entry.get("order_ratio", "-"))
-    group = h1_cover(cover) if mode == "h1" else fill(cover, FillingSpec(job["fill"]))
+    group = h1_cover(cover) if mode == "h1" else fill(cover, job["fill"])
     entry = {"n": n, **_group_fields(group)}
     row = (n, group.rank, list(group.torsion))
     if mode == "rhs":
@@ -244,8 +244,8 @@ def _cmd_cover_family(args, mode, command):
     job_path = datasets.data_path(args.job)
     job = datasets.load_job(job_path)
     n_values = _parse_levels(args.n or str(job["n"]), MAX_COVER_LEVEL)
-    if mode == "fill" and not job["fill"]:
-        raise InputError("job spec has no fill slopes")
+    if mode == "fill":
+        FillingSpec(job["fill"])  # raises on no slopes or an empty slope word
     if mode == "sakuma":
         sakuma_transfers(job["presentation"])  # raises on a missing generator name
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}

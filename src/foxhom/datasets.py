@@ -8,9 +8,9 @@ to the bundled ``foxhom/data``.  Pointing ``dir`` at a copy of the data
 once.  Bundled names: rst, nb, amalgam, n-final, constants, delta_L,
 alexander-reference, map-free-abelian, map-infinite-cyclic, cover-job.
 
-A file that cannot be decoded raises ``MalformedInput`` naming it; a
-well-formed map with no image for some generators it is read for raises
-``fox.MissingImages`` naming it.
+``_load`` names the file in every error it passes out: a file that cannot
+be decoded raises ``MalformedInput``, and a well-formed map with no image
+for some generators it is read for raises ``fox.MissingImages``.
 """
 
 from __future__ import annotations
@@ -59,15 +59,18 @@ def _load(name, decode, dir=None):
     This is the one place where a malformed file (not JSON, a missing field,
     a list where an object belongs, a value the decoder rejects) becomes a
     ``MalformedInput`` naming the file.  A file loaded inside ``decode``
-    names itself, so its error passes through unwrapped, and so does a
-    ``MissingImages``, which is not a fault of the file.
+    names itself, so its error passes through unwrapped.  A map's
+    ``MissingImages`` is not a fault of the file: it stays a
+    ``MissingImages`` and is named as ``map <path> has ...``.
     """
     path = data_path(name, dir)
     try:
         with open(path) as f:
             return decode(json.load(f))
-    except (MalformedInput, MissingImages):
+    except MalformedInput:
         raise
+    except MissingImages as exc:
+        raise MissingImages(f"map {path} has {exc}") from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed input {path}: {type(exc).__name__}: {exc}") from None
 
@@ -92,15 +95,7 @@ def load_map(name, source, dir=None):
     presentation; the ``MissingImages`` it raises names the file and the
     generators the map lacks.
     """
-    path = data_path(name, dir)
-
-    def decode(raw):
-        try:
-            return AbelianizationMap.from_json(raw, source)
-        except MissingImages as exc:
-            raise MissingImages(f"map {path} has {exc}") from None
-
-    return _load(path, decode)
+    return _load(name, lambda raw: AbelianizationMap.from_json(raw, source), dir)
 
 
 def load_constants(dir=None):

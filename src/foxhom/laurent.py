@@ -14,6 +14,7 @@ Text format: a sum of terms ``c*x^a*y^b`` (exponent 1 may be omitted), e.g.
 
 from __future__ import annotations
 
+import re
 from operator import add, neg
 
 
@@ -295,35 +296,22 @@ def json_vars(value):
 def parse_poly(text, vars):
     """Parse the ``c*x^a*y^b`` sum syntax.
 
+    A term is an optional sign and a nonempty ``*``-product of integers,
+    ``var`` and ``var^int``; a sign with no product after it is an error.
+
     >>> print(parse_poly("2*x^2*y - x + 1", ("x", "y")))
     2*x^2*y - x + 1
     """
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
-    out = LaurentPoly.zero(vars)
     stripped = text.replace(" ", "")
-    if not stripped or stripped == "0":
-        return out
-    # split at +/- signs, except signs that belong to an exponent (after ^)
-    chunks = []
-    current = []
-    for i, ch in enumerate(stripped):
-        if ch in "+-" and i > 0 and stripped[i - 1] != "^":
-            chunks.append("".join(current))
-            current = [] if ch == "+" else ["-"]
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
-    for raw in chunks:
-        if not raw:
-            continue
-        sign = 1
-        if raw.startswith("-"):
-            sign = -1
-            raw = raw[1:]
+    out = {}
+    # a term starts at each sign that is not an exponent's (after ^)
+    for term in re.split(r"(?<=[^^])(?=[+-])", stripped) if stripped else ():
+        raw = term[1:] if term[0] in "+-" else term
         if not raw:
             raise ValueError(f"dangling sign in {text!r}")
-        coef = sign
+        coef = -1 if term[0] == "-" else 1
         exp = [0] * len(vars)
         for factor in raw.split("*"):
             if not factor:
@@ -344,8 +332,9 @@ def parse_poly(text, vars):
                     coef *= int(factor)
                 except ValueError:
                     raise ValueError(f"unknown factor {factor!r} in {raw!r}") from None
-        out = out + LaurentPoly.monomial(vars, tuple(exp), coef)
-    return out
+        exp = tuple(exp)
+        out[exp] = out.get(exp, 0) + coef
+    return LaurentPoly(vars, out)
 
 
 def substitute_monomial(p, images, new_vars):

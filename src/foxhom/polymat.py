@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, json_vars
+from .laurent import LaurentPoly, json_list, json_vars
 from .polygcd import poly_divexact
 
 
@@ -61,9 +61,9 @@ class LaurentMatrix:
         vars = json_vars(data["vars"])
         rows = [
             tuple(LaurentPoly.from_json({"vars": data["vars"], "terms": t}) for t in row)
-            for row in data["entries"]
+            for row in json_list(data["entries"])
         ]
-        return cls(vars, tuple(data["row_labels"]), tuple(data["col_labels"]), rows)
+        return cls(vars, json_list(data["row_labels"]), json_list(data["col_labels"]), rows)
 
     def table(self):
         """Aligned plain-text rendering."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import cokernel
+from .laurent import json_list
 from .words import Word, parse_word
 
 # the most cells a relator matrix may hold, appended columns included; it is
@@ -87,11 +88,8 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data):
-        gens, texts = data["generators"], data["relators"]
-        if not (isinstance(gens, list) and isinstance(texts, list)):
-            raise TypeError("generators and relators must be JSON lists")
-        gens = tuple(gens)
-        relators = tuple(parse_word(text, gens) for text in texts)
+        gens = tuple(json_list(data["generators"]))
+        relators = tuple(parse_word(text, gens) for text in json_list(data["relators"]))
         return cls(data["name"], gens, relators)
 
 

@@ -265,6 +265,19 @@ def test_alexander_json(capsys):
     assert poly == "2*x^7 - 2*x^6 - 6*x^5 + 6*x^4 + 6*x^3 - 6*x^2 - 2*x + 2"
 
 
+@pytest.mark.parametrize("map_name", ("map-free-abelian", "map-infinite-cyclic"))
+def test_alexander_branches_agree(capsys, map_name):
+    # without --minors the gcd is taken over codim_one_minors, with it over
+    # minor_polys; both must print the same polynomial
+    lines = []
+    for extra in ((), ("--minors",)):
+        code, out, _ = run(capsys, "alexander", "n-final", "--map", map_name, *extra)
+        assert code == 0
+        lines.append(out.splitlines()[-1])
+    assert lines[0].startswith("alexander polynomial = ")
+    assert lines[0] == lines[1]
+
+
 def test_alexander_free_presentation(capsys, tmp_path):
     map_file = tmp_path / "map.json"
     map_file.write_text(
@@ -842,10 +855,12 @@ def test_fill_job_without_slopes_builds_no_cover(capsys, monkeypatch, tmp_path):
         return covers.reidemeister_schreier(*args)
 
     monkeypatch.setattr(cli, "reidemeister_schreier", build)
-    path = tmp_path / "no-slopes.json"
-    path.write_text(json.dumps(_bundled("cover-job", fill=[])))
-    code, out, err = run(capsys, "fill", str(path), "--n", "3")
-    assert (code, out, err) == (2, "", "error: job spec has no fill slopes\n")
+    # both slope rules of FillingSpec run before the first level's cover
+    for fill, message in (([], "no slopes to fill"), (["m", "s s^-1"], "empty slope word")):
+        path = tmp_path / "slopes.json"
+        path.write_text(json.dumps(_bundled("cover-job", fill=fill)))
+        code, out, err = run(capsys, "fill", str(path), "--n", "400..402")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
     assert built == []
 
 
@@ -1119,6 +1134,10 @@ def test_verify_paper_without_an_input_file(capsys, tmp_path):
     assert all(ok for ok, _ in results.values())
 
 
+def _string_row_labels(raw):
+    raw["row_labels"] = "".join(label[0] for label in raw["row_labels"])
+
+
 def _negate_entry(raw):
     raw["entries"][0][0] = [{**t, "coef": -t["coef"]} for t in raw["entries"][0][0]]
 
@@ -1164,6 +1183,9 @@ _PRODUCT = {"name": "product", "generators": ["m", "s", "t", "a"], "relators": [
     ("alexander-reference", _negate_entry, "matrix",
      "entries agree only up to units (lift convention mismatch)"),
     ("alexander-reference", _bump("entries", 0, 0, 0), "matrix", "1 entries differ"),
+    # labels as a string of the right length are a malformed file, not six labels
+    ("alexander-reference", _string_row_labels, "matrix",
+     "error: malformed input {}: TypeError: expected a list, got 'mmmstu'"),
     ("alexander-reference", _bump("minors", "m", 0), "minors", "minors differ for rows ['m']"),
     ("alexander-reference", _bump("delta", 0), "delta", "gcd of minors is "),
     ("alexander-reference", _bump("delta_inf", "terms", 0), "delta-inf",
@@ -1176,7 +1198,7 @@ _PRODUCT = {"name": "product", "generators": ["m", "s", "t", "a"], "relators": [
     ("cover-job", _product_job("m", "a"), "rhs", "n=3: transfer quotient disagrees with filling"),
     ("cover-job", _product_job("m"), "rhs", "n=5: order ratio 3/1"),
 ), ids=(
-    "matrix-units", "matrix-entry", "minors", "delta", "delta-inf", "h1",
+    "matrix-units", "matrix-entry", "matrix-string-labels", "minors", "delta", "delta-inf", "h1",
     "factorization", "branched-positive", "branched-zero",
     "rhs-rank", "rhs-disagree", "rhs-ratio",
 ))
@@ -1197,7 +1219,7 @@ def test_verify_paper_failure_details(capsys, tmp_path, name, edit, item, detail
         fresh = parse_poly(result["detail"].removeprefix(detail), ("x", "y", "z"))
         assert fresh.unit_equivalent(datasets.load_reference()["delta"])
     else:
-        assert result["detail"] == detail
+        assert result["detail"] == detail.format(path)
 
 
 def test_run_items_rejects_an_unknown_item():

@@ -211,17 +211,48 @@ def test_parse_str_roundtrip():
         assert parse_poly(str(p), XY) == p
 
 
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_poly("x + q", XY)
-    with pytest.raises(ValueError):
-        parse_poly("x^a", XY)
-    with pytest.raises(ValueError, match="dangling sign in 'x -'"):
-        parse_poly("x -", XY)
-    with pytest.raises(ValueError, match=r"empty factor in term '2\*\*x'"):
-        parse_poly("2**x", XY)
-    with pytest.raises(ValueError, match=r"unknown variable 'z' in 'z\^2'"):
-        parse_poly("x + z^2", XY)
+@pytest.mark.parametrize("text, terms", (
+    ("-x", {(1, 0): -1}),
+    ("+x", {(1, 0): 1}),
+    ("x^-2*y - 3", {(-2, 1): 1, (0, 0): -3}),
+    ("2*3*x", {(1, 0): 6}),
+    ("", {}),
+    ("0", {}),
+), ids=("minus", "plus", "negative-exponent", "product", "empty", "zero"))
+def test_parse_accepts(text, terms):
+    assert parse_poly(text, XY) == LaurentPoly(XY, terms)
+
+
+@pytest.mark.parametrize("text, message", (
+    ("x +", "dangling sign in 'x +'"),
+    ("x ++ y", "dangling sign in 'x ++ y'"),
+    ("x +- y", "dangling sign in 'x +- y'"),
+    ("x -", "dangling sign in 'x -'"),
+    ("2**x", "empty factor in term '2**x'"),
+    ("x + z^2", "unknown variable 'z' in 'z^2'"),
+    ("x^", "bad exponent '' in 'x^'"),
+    ("^2", "unknown variable '' in '^2'"),
+    ("x + q", "unknown factor 'q' in 'q'"),
+    ("x^a", "bad exponent 'a' in 'x^a'"),
+), ids=(
+    "trailing-plus", "doubled-plus", "plus-minus", "trailing-minus", "empty-factor",
+    "unknown-variable", "empty-exponent", "no-variable", "unknown-factor", "bad-exponent",
+))
+def test_parse_errors(text, message):
+    # every term is a sign and a nonempty product, so no term is dropped
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, XY)
+    assert str(err.value) == message
+
+
+def test_protocol_edges():
+    x, _ = LaurentPoly.variables(XY)
+    assert poly("3") == 3 and x != 3
+    assert LaurentPoly.zero(XY).lead() is None
+    assert 1 - x == poly("1 - x")
+    assert repr(x - 1) == "LaurentPoly(('x', 'y'), 'x - 1')"
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+        x.terms = {}
 
 
 def test_json_roundtrip():

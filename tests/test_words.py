@@ -55,6 +55,13 @@ def test_runs_are_kept_or_made_tuples():
     assert hash(w) == hash(Word([("a", 1), ("b", 3)]))
 
 
+def test_words_are_immutable():
+    w = Word([("a", 1)])
+    with pytest.raises(AttributeError, match="Word is immutable"):
+        w.runs = ()
+    assert w.runs == (("a", 1),)
+
+
 def test_inverse_and_concat():
     rng = random.Random(7)
     for _ in range(200):
