@@ -15,6 +15,14 @@ are vectors appended to M inside its cell check.  The transfer quotient
 appends the paper's tr(m), 2 tr(s) and 2 tr(t) (``SAKUMA_TRANSFERS``), the
 transfer module every tr(g); ``transfer_quotients`` lets the transfers ride
 along as passive columns (see ``snf``), so one Smith form gives both.
+
+Lifts need no free reduction.  A lift is built run by run: a run of degree
+0 mod n stays at one coset and lifts to one run, any other run steps to a
+new coset at each letter, and adjacent runs of a reduced base word name
+distinct generators.  So the rewrite of a freely reduced word is freely
+reduced (Magnus, Karrass and Solitar), and the rewrite builds its words
+and its kernel presentation with the trusted ``Word._of`` and
+``Presentation._of``; ``Word`` and ``Presentation`` check outside input.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from .presentations import Presentation, abelianize, check_cells
 from .words import Word, exponent_vector
 
 # Cap on n times the letters of the words rewritten into an n-fold cover,
-# checked for the relators and for the slopes; a relator letter becomes one
-# pointer to a run shared through `CyclicQuotientMap.letters`.  At 499 998
-# letters `cover --n 3` of <a, b | a^166665 b> takes 0.35-0.5 s and 37 MB
+# checked for the relators and for the slopes; a relator letter becomes at
+# most one pointer to a run shared through `CyclicQuotientMap.letters`.  At
+# 499 998 letters `cover --n 3` of <a, b | a^166665 b> takes 0.35-0.5 s and 37 MB
 # peak RSS, `fill` with a slope at the cap 0.45-0.5 s and 38 MB, and 3·10^6
 # letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
 # foxhom.cli alone peaks at 20 MB).  The bundled job needs 499 · (62 + 9).
@@ -140,10 +148,30 @@ def _walk(q, word):
 
 
 def _lifts(q, word, starts):
-    """The rewrites of a base word into cover generators of q, one per start coset."""
-    n, letters = q.n, q.letters
-    pattern = [(letters[letter], o) for letter, o in _walk(q, word)]
-    return [Word([runs[(c + o) % n] for runs, o in pattern]) for c in starts]
+    """The rewrites of a base word into cover generators of q, one per start coset.
+
+    A run (g, e) of degree 0 mod n lifts to the one run (g@c, e), any other
+    run to |e| one-letter runs at successive cosets; each lift is reduced
+    and maximal as built (see the module docstring).
+    """
+    n, degrees, letters = q.n, q.degrees, q.letters
+    pattern = []  # (the lifted run at each coset, offset from the start coset)
+    coset = 0
+    for g, e in word.runs:
+        d = degrees[g]
+        if not d and e != 1 and e != -1:
+            pattern.append((tuple((name, e) for name, _ in letters[g, 1]), coset))
+        elif e > 0:
+            runs = letters[g, 1]
+            for _ in range(e):
+                pattern.append((runs, coset))
+                coset = (coset + d) % n
+        else:
+            runs = letters[g, -1]
+            for _ in range(-e):
+                coset = (coset - d) % n
+                pattern.append((runs, coset))
+    return [Word._of(tuple([runs[(c + o) % n] for runs, o in pattern])) for c in starts]
 
 
 def reidemeister_schreier(p, q):
@@ -167,7 +195,7 @@ def reidemeister_schreier(p, q):
         raise ValueError("quotient map built from a different presentation")
     n = q.n
     _check_letters(n, p.relators, "relators")
-    gens = tuple(f"{g}@{c}" for g in p.generators for c in range(n))
+    gens = tuple(name for g in p.generators for name, _ in q.letters[g, 1])
     relators = tuple(lift for r in p.relators for lift in _lifts(q, r, range(n)))
 
     # a spanning tree of the coset graph (g joins c to c + deg g), grown from
@@ -180,8 +208,11 @@ def reidemeister_schreier(p, q):
             if e not in seen:
                 seen.add(e)
                 reached.append(e)
-                trivial.append(Word([(f"{g}@{c}", 1)]))
-    return CoverPresentation(q, Presentation(f"{p.name}~{n}fold", gens, relators + tuple(trivial)))
+                trivial.append(Word._of((q.letters[g, 1][c],)))
+    # the names g@c are valid and distinct (the text after the last @ is c),
+    # and every letter is one of them, taken from q.letters: no check needed
+    kernel = Presentation._of(f"{p.name}~{n}fold", gens, relators + tuple(trivial))
+    return CoverPresentation(q, kernel)
 
 
 def h1_cover(cover):

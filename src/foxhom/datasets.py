@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -29,8 +30,9 @@ from .words import parse_word
 PRESENTATIONS = ("rst", "nb", "amalgam", "n-final")
 
 
+@cache
 def data_dir():
-    """Directory holding the bundled data files."""
+    """Directory holding the bundled data files, resolved once per process."""
     return Path(resources.files("foxhom") / "data")
 
 

@@ -280,6 +280,21 @@ def json_int(value):
     return value
 
 
+# an optional sign and ASCII digits, the one integer syntax of text input;
+# int() alone also takes "1_0", other scripts' digits and padding whitespace
+_TEXT_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def text_int(text):
+    """The integer ``text`` spells as an optional sign and ASCII digits.
+
+    Raises ``ValueError`` for anything else, such as ``"1_0"`` or ``"٣"``.
+    """
+    if not _TEXT_INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def json_ints(values):
     """A JSON list of integers, as a tuple."""
     return tuple(json_int(v) for v in json_list(values))
@@ -298,13 +313,15 @@ def parse_poly(text, vars):
 
     A term is an optional sign and a nonempty ``*``-product of integers,
     ``var`` and ``var^int``; a sign with no product after it is an error.
+    Integers are ASCII digits (``text_int``), exponents with an optional
+    sign, and every whitespace character is ignored.
 
     >>> print(parse_poly("2*x^2*y - x + 1", ("x", "y")))
     2*x^2*y - x + 1
     """
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
-    stripped = text.replace(" ", "")
+    stripped = "".join(text.split())
     out = {}
     # a term starts at each sign that is not an exponent's (after ^)
     for term in re.split(r"(?<=[^^])(?=[+-])", stripped) if stripped else ():
@@ -321,7 +338,7 @@ def parse_poly(text, vars):
                 e = 1
                 if caret:
                     try:
-                        e = int(tail)
+                        e = text_int(tail)
                     except ValueError:
                         raise ValueError(f"bad exponent {tail!r} in {raw!r}") from None
                 exp[index[name]] += e
@@ -329,7 +346,7 @@ def parse_poly(text, vars):
                 if caret:
                     raise ValueError(f"unknown variable {name!r} in {raw!r}")
                 try:
-                    coef *= int(factor)
+                    coef *= text_int(factor)
                 except ValueError:
                     raise ValueError(f"unknown factor {factor!r} in {raw!r}") from None
         exp = tuple(exp)

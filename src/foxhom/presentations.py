@@ -60,6 +60,19 @@ class Presentation:
             if stray:
                 raise ValueError(f"relator uses unknown generators {sorted(stray)}")
 
+    @classmethod
+    def _of(cls, name, generators, relators):
+        """A presentation from tuples whose names and relator letters are known good.
+
+        Skips the checks of ``__post_init__``, for a presentation built from
+        names it formatted itself and words over them.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        return self
+
     def relator_matrix(self, columns=()):
         """Exponent-sum matrix, generators as rows and relators as columns.
 

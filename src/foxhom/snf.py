@@ -13,10 +13,17 @@ are computed, no transforms.  See Havas, Holt and Rees, "Recognizing badly
 presented Z-modules" (1993), and Dumas, Saunders and Villard, "On efficient
 sparse integer matrix Smith normal form computations" (2001).
 
-Pivots come from two sources, and together they take the pivots of one
-rule: the least key (least |entry|, nnz, index) over the live columns, in
-the row of that value with the fewest nonzeros, lowest index on ties,
-counted when the step runs.  The pivot row is what a step adds into the
+A column that is a lone +-1 needs no row operation: its row goes, every
+other entry of that row with it, and a divisor 1 is recorded.  Every
+such column of the input (on a cover matrix, the n - 1 transversal-tree
+relators) is taken this way before the pivot heap is built.  Removing a
+row only deletes entries, so a lone column stays lone or empties, and
+the matrix left is the one the rule below reaches after the same pivots.
+
+The other pivots come from two sources, and together they take the pivots
+of one rule: the least key (least |entry|, nnz, index) over the live
+columns, in the row of that value with the fewest nonzeros, lowest index on
+ties, counted when the step runs.  The pivot row is what a step adds into the
 other rows of the pivot column, so a short one keeps fill-in low.
 
 - A unit pivot comes from a lazy heap of (nnz, column) entries.  It starts
@@ -36,7 +43,8 @@ other rows of the pivot column, so a short one keeps fill-in low.
 
 Both steps make their row operations in one kernel, ``_row_ops``.  A unit
 step skips the sign flip, the quotients and the column pass of the Euclid
-path, which a +-1 pivot does not need.
+path, which a +-1 pivot does not need; it and the lone-column step drop
+the pivot row in one helper, ``_drop_row``.
 
 Passive columns.  ``smith_normal_form(matrix, passive)`` also takes blocks
 B1, ..., Bk of columns that ride along in the elimination of the matrix A:
@@ -149,6 +157,33 @@ def _passive_row_ops(parked, r, factors):
     return targets
 
 
+def _drop_row(columns, in_row, r, parked, units=None):
+    """Remove row r once its unit pivot column, now +-e_r, is gone.
+
+    Reducing mod 1 empties the row, so every column in it, passive ones
+    too, loses its row-r entry with no arithmetic.  Return the live columns
+    that did; each one left nonempty is pushed to ``units`` when given.
+    """
+    written = in_row[r]
+    in_row[r] = set()
+    for j in written:
+        col = columns[j]
+        del col[r]
+        if not col:
+            del columns[j]
+        elif units is not None:
+            heappush(units, (len(col), j))
+    if parked:
+        cols, rows = parked
+        for k in rows[r]:
+            col = cols[k]
+            del col[r]
+            if not col:
+                del cols[k]
+        rows[r] = set()
+    return written
+
+
 def _unit_step(columns, in_row, units, c, parked):
     """Pivot on a +-1 of column c in one Schur step; return the columns written.
 
@@ -160,21 +195,12 @@ def _unit_step(columns, in_row, units, c, parked):
     s = pivot_col.pop(r)
     for i in pivot_col:
         in_row[i].discard(c)
-    written = in_row[r]
-    in_row[r] = set()
-    written.discard(c)
+    in_row[r].discard(c)
     factors = [(i, s * v) for i, v in pivot_col.items()]
-    _row_ops(columns, in_row, r, factors, written)
-    for j in written:
-        col = columns[j]
-        del col[r]
-        if col:
-            heappush(units, (len(col), j))
-        else:
-            del columns[j]
+    _row_ops(columns, in_row, r, factors, in_row[r])
     if parked:
-        # mod 1: the pivot column is now s * e_r
-        _reduce_row(*parked, r, 1, _passive_row_ops(parked, r, factors))
+        _passive_row_ops(parked, r, factors)
+    written = _drop_row(columns, in_row, r, parked, units)
     written.add(c)
     return written
 
@@ -221,7 +247,18 @@ def smith_normal_form(matrix, passive=()):
             parked_cols[k] = {i: v[i] for i in nonzero}
             for i in nonzero:
                 parked_in_row[i].add(k)
+    # lone +-1 columns first (see the module docstring); a row removal only
+    # deletes entries, so a column listed here is still lone or gone
     ones = 0
+    for c in [j for j, col in columns.items() if len(col) == 1]:
+        col = columns.get(c)
+        if col is not None:
+            (r, v), = col.items()
+            if v == 1 or v == -1:
+                del columns[c]
+                in_row[r].discard(c)
+                _drop_row(columns, in_row, r, parked)
+                ones += 1
     pivots = {}  # row -> nonunit pivot
     units = [(len(col), j) for j, col in columns.items()]  # lazy: (nnz, column)
     heapify(units)

@@ -8,6 +8,8 @@ reduced from the moment it exists.
 
 from __future__ import annotations
 
+from .laurent import text_int
+
 
 class ParseError(ValueError):
     """Raised on malformed word text; carries the offending token position."""
@@ -54,6 +56,17 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    @classmethod
+    def _of(cls, runs):
+        """A word from a tuple of runs that is already reduced and maximal.
+
+        Skips the reduction, for words built run by run that can hold no
+        zero exponent and no two adjacent runs of one generator.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "runs", runs)
+        return self
 
     def __reduce__(self):
         return Word, (self.runs,)
@@ -111,6 +124,8 @@ class Word:
 def parse_word(text, alphabet):
     """Parse whitespace-separated tokens ``name`` or ``name^int`` into a Word.
 
+    The exponent is an optional sign and ASCII digits (``text_int``).
+
     >>> str(parse_word("s t s^-1 t", ["s", "t"]))
     's t s^-1 t'
     >>> parse_word("s s^-1", ["s"])
@@ -128,7 +143,7 @@ def parse_word(text, alphabet):
             raise ParseError(f"token {pos}: unknown generator {name!r}", pos)
         if caret:
             try:
-                exp = int(tail)
+                exp = text_int(tail)
             except ValueError:
                 raise ParseError(
                     f"token {pos}: malformed exponent {tail!r} in {token!r}", pos

@@ -129,12 +129,16 @@ def _duplicate_generator_presentation():
     (("alexander", "n-final", "--map", "{}"), _map_image("t", exp=[0, 1])),
     # malformed and lacking the image of u: the file's own fault wins
     (("alexander", "n-final", "--map", "{}"), _map_image("s", sign=0, drop="u")),
+    # int() would read these exponents as a^10 and a^3
+    (("abelianize", "{}"), {"name": "p", "generators": ["a"], "relators": ["a^1_0"]}),
+    (("abelianize", "{}"), {"name": "p", "generators": ["a"], "relators": ["a^\u0663"]}),
 ), ids=(
     "no-relators", "text-terms", "top-level-list", "no-degrees",
     "string-generators", "float-coefficient", "float-degree", "float-n",
     "not-json", "long-exponent", "duplicate-generator", "duplicate-exponent",
     "repeated-variable-poly", "repeated-variable-map", "map-bad-sign",
-    "map-short-exponent", "map-bad-sign-and-lacking",
+    "map-short-exponent", "map-bad-sign-and-lacking", "underscore-exponent",
+    "arabic-indic-exponent",
 ))
 def test_malformed_input_is_exit_2(capsys, tmp_path, argv, data):
     # not JSON, valid JSON of the wrong shape, a mistyped field that int()

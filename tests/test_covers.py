@@ -342,6 +342,44 @@ def test_lifts_equal_rewrites_from_every_coset(cover_job):
     assert merged
 
 
+def test_trusted_cover_equals_its_checked_rebuild(cover_job):
+    # the rewrite builds its words and presentation unchecked; rebuilding
+    # them through Word and Presentation must change nothing
+    def check(p, q):
+        kernel = reidemeister_schreier(p, q).presentation
+        for r in kernel.relators:
+            assert r == Word(r.runs), (q.n, r)
+        assert kernel == Presentation(
+            kernel.name, list(kernel.generators), [Word(r.runs) for r in kernel.relators])
+        return kernel
+
+    cases = [(cover_job["presentation"], cover_job["degrees"], n) for n in (1, 2, 3, 7)]
+    cases.append((torus(), {"a": 2, "b": 3}, 6))
+    rng = random.Random(101)
+    gens = ("a", "b", "u")
+    for n in (1, 2, 3, 6, 7) * 8:
+        degrees = {"a": 2, "b": 3, "u": 0} if n == 6 else {"a": rng.randrange(n), "b": 1, "u": 0}
+        relators = []
+        for _ in range(3):
+            runs = [(rng.choice(gens), rng.choice((-2, -1, 1, 3))) for _ in range(rng.randrange(1, 8))]
+            w = Word([("u", 3)] + runs + [("u", -2)])
+            d = sum(e * degrees[g] for g, e in w.runs)
+            # b^-d, or a^d b^-d under the (2, 3) grading, has degree -d
+            relators.append(w * Word([("a", d if n == 6 else 0), ("b", -d)]))
+        cases.append((Presentation("random", gens, tuple(relators)), degrees, n))
+    merged = 0
+    for p, degrees, n in cases:
+        kernel = check(p, CyclicQuotientMap(p, n, degrees))
+        merged += any(g.startswith("u@") and abs(e) > 1 for r in kernel.relators for g, e in r.runs)
+    assert merged > 30
+    # outside input still meets every check
+    with pytest.raises(ValueError, match=r"relator uses unknown generators \['z@0'\]"):
+        Presentation(kernel.name, kernel.generators, kernel.relators + (Word([("z@0", 1)]),))
+    with pytest.raises(ValueError, match="duplicate generator 'a@0'"):
+        Presentation(kernel.name, kernel.generators + ("a@0",), ())
+    assert Word([("u@0", 2), ("u@0", -2)]) == Word()
+
+
 # ---- homology of covers -----------------------------------------------------
 
 

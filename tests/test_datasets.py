@@ -33,6 +33,24 @@ def test_load_by_path(tmp_path):
     assert p.name == "rst"
 
 
+def test_data_dir_is_resolved_once(monkeypatch):
+    calls = []
+    files = datasets.resources.files
+
+    def spy(package):
+        calls.append(package)
+        return files(package)
+
+    monkeypatch.setattr(datasets.resources, "files", spy)
+    datasets.data_dir.cache_clear()
+    try:
+        for name in ("rst", "nb", "cover-job"):
+            assert datasets.data_path(name).parent == datasets.data_dir()
+    finally:
+        datasets.data_dir.cache_clear()
+    assert calls == ["foxhom"]
+
+
 def test_digest_is_stable():
     path = datasets.data_path("delta_L")
     assert datasets.file_digest(path) == datasets.file_digest(path)

@@ -218,7 +218,10 @@ def test_parse_str_roundtrip():
     ("2*3*x", {(1, 0): 6}),
     ("", {}),
     ("0", {}),
-), ids=("minus", "plus", "negative-exponent", "product", "empty", "zero"))
+    ("x\t+ 1\n", {(1, 0): 1, (0, 0): 1}),
+    ("x^ +2 *\u00a0y", {(2, 1): 1}),
+), ids=("minus", "plus", "negative-exponent", "product", "empty", "zero", "tab-newline",
+        "signed-exponent-nbsp"))
 def test_parse_accepts(text, terms):
     assert parse_poly(text, XY) == LaurentPoly(XY, terms)
 
@@ -234,9 +237,16 @@ def test_parse_accepts(text, terms):
     ("^2", "unknown variable '' in '^2'"),
     ("x + q", "unknown factor 'q' in 'q'"),
     ("x^a", "bad exponent 'a' in 'x^a'"),
+    # an integer is an optional sign and ASCII digits, not all int() takes
+    ("1_000*x", "unknown factor '1_000' in '1_000*x'"),
+    ("x^1_0", "bad exponent '1_0' in 'x^1_0'"),
+    ("\u0663*x", "unknown factor '\u0663' in '\u0663*x'"),
+    ("x^\u0663", "bad exponent '\u0663' in 'x^\u0663'"),
 ), ids=(
     "trailing-plus", "doubled-plus", "plus-minus", "trailing-minus", "empty-factor",
     "unknown-variable", "empty-exponent", "no-variable", "unknown-factor", "bad-exponent",
+    "underscore-coefficient", "underscore-exponent", "arabic-indic-coefficient",
+    "arabic-indic-exponent",
 ))
 def test_parse_errors(text, message):
     # every term is a sign and a nonempty product, so no term is dropped

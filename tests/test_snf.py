@@ -183,6 +183,21 @@ def sparse_matrix(rng, rows, cols, density):
     ]
 
 
+# (matrix, passive blocks) with columns that are a lone entry, the first
+# of them a +-1 that is taken before the pivot heap is built
+LONE_COLUMN_CASES = (
+    # a lone -1, whose row holds a 2 of another column
+    ([[-1, 2], [0, 3]], [[[5, 6]]]),
+    # two lone units in one row: the second column empties with that row
+    ([[1, -1, 2], [0, 0, 4]], [[[0, 6]], [[7, 1]]]),
+    # a lone 2 stays for the least-entry loop, once with a unit step's fill-in
+    ([[2, 1], [0, 3]], [[[1, 1]]]),
+    ([[2, 0, 0], [0, -1, 3]], [[[4, 5]]]),
+    # a lone unit whose row holds passive entries, one column's only entry
+    ([[1, 2], [0, 4]], [[[3, 2], [5, 0]], [[2, 2]]]),
+)
+
+
 # ---- examples ---------------------------------------------------------
 
 
@@ -246,6 +261,7 @@ def test_snf_handles_entry_growth():
 def test_sparse_matches_dense_on_random_sparse_matrices():
     rng = random.Random(59)
     cases = [[], [[]], [[0, 0, 0]], [[0], [0]], [[0] * 4 for _ in range(3)]]
+    cases += [m for m, _ in LONE_COLUMN_CASES]
     for k in range(1, 7):
         cases.append([[rng.randrange(-6, 7) for _ in range(k)]])
         cases.append([[rng.randrange(-6, 7)] for _ in range(k)])
@@ -421,7 +437,11 @@ def test_two_phase_matches_single_loop_on_mixed_sparse_matrices():
 
 
 def passive_cases(rng, count):
-    """Sparse matrices with one or two passive blocks: units beside +-2, +-3."""
+    """Sparse matrices with one or two passive blocks: units beside +-2, +-3.
+
+    The lone-column cases come first.
+    """
+    yield from LONE_COLUMN_CASES
     values = (-3, -2, -1, 1, 2, 3)
     for _ in range(count):
         rows, cols = rng.randrange(1, 13), rng.randrange(0, 13)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,11 @@ def test_parse_errors():
         parse_word("s^x", ["s"])
     with pytest.raises(ParseError):
         parse_word("s^0", ["s"])
+    # an exponent is an optional sign and ASCII digits, not all int() takes
+    assert parse_word("s^+2 s^-1", ["s"]).runs == (("s", 1),)
+    for tail in ("1_0", "\u0663", "2.0", "+", "--1"):
+        with pytest.raises(ParseError, match=re.escape(f"malformed exponent {tail!r}")):
+            parse_word(f"s^{tail}", ["s"])
     with pytest.raises(ParseError, match=r"token 0: empty generator name in '\^2'"):
         parse_word("^2", ["s"])
     err = None
