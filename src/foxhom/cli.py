@@ -32,6 +32,7 @@ from .covers import (
     transfer_quotients,
 )
 from .fox import MissingImages, alexander_matrix, codim_one_minors, minor_polys
+from .laurent import text_int
 from .polygcd import laurent_gcd
 from .presentations import abelianize
 
@@ -57,16 +58,18 @@ class InputError(Exception):
 def _parse_levels(text, limit, odd_ranges=False):
     """Levels from '5', '3..9' (inclusive) or '3,5,7', sorted and distinct.
 
-    Every level lies in 1..limit: each chunk is checked on its bounds before
-    a range is expanded, so no input expands more than ``limit`` levels.
-    With ``odd_ranges`` an a..b range walks its odd levels only.
+    Each end of a chunk is a ``text_int``, with the whitespace around the
+    chunk stripped.  Every level lies in 1..limit: each chunk is checked on
+    its bounds before a range is expanded, so no input expands more than
+    ``limit`` levels.  With ``odd_ranges`` an a..b range walks its odd
+    levels only.
     """
     levels = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
         lo, dots, hi = chunk.partition("..")
         try:
-            lo, hi = int(lo), int(hi if dots else lo)
+            lo, hi = text_int(lo), text_int(hi if dots else lo)
         except ValueError:
             raise InputError(f"bad {'range' if dots else 'integer'} {chunk!r}") from None
         if hi < lo:
@@ -284,7 +287,7 @@ def _cmd_branched(args):
         raise InputError("branched sweeps need a two-variable polynomial")
     n_values = _parse_levels(args.n, MAX_RANGE)
     try:
-        ks = None if args.k == "all" else [int(args.k)]
+        ks = None if args.k == "all" else [text_int(args.k)]
     except ValueError:
         raise InputError(f"--k must be an integer or 'all', got {args.k!r}") from None
     cells = []
@@ -362,7 +365,7 @@ def build_parser():
     p = sub.add_parser("rhs-sweep", help="filled-cover homology sweep on the bundled data")
     p.add_argument("--n", default="3..9", help="levels: INT, a..b or comma list")
     p.add_argument("--force", action="store_true", help="allow even levels")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=text_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_rhs_sweep)
 
@@ -370,7 +373,7 @@ def build_parser():
     p.add_argument("delta", help="polynomial file or bundled name (delta_L)")
     p.add_argument("--n", required=True, help="levels: INT, a..b or comma list")
     p.add_argument("--k", default="all", help="residue k, or 'all' coprime residues")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=text_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_branched)
 

@@ -23,6 +23,7 @@ distinct generators.  So the rewrite of a freely reduced word is freely
 reduced (Magnus, Karrass and Solitar), and the rewrite builds its words
 and its kernel presentation with the trusted ``Word._of`` and
 ``Presentation._of``; ``Word`` and ``Presentation`` check outside input.
+The filling columns read the same run pattern, summed per shift orbit.
 """
 
 from __future__ import annotations
@@ -130,47 +131,38 @@ def _check_letters(n, words, what):
         )
 
 
-def _walk(q, word):
-    """The one walk of a base word from coset 0, as ((g, +-1), offset) per letter.
+def _lifted_runs(q, word):
+    """The one walk of a base word from coset 0, as (g, e, offset) per lifted run.
 
-    The letter lifts to g@(c + offset) in the rewrite from coset c.
+    The rewrite from coset c holds (g@(c + offset), e).  A run of degree 0
+    mod n lifts to one run, any other run (g, e) to |e| runs of +-1 at
+    successive cosets.  ``ValueError`` names a letter outside the base.
     """
     n, degrees = q.n, q.degrees
     coset = 0
-    for letter in word.single_letters():
-        g, step = letter
-        if step > 0:
-            yield letter, coset
-            coset = (coset + degrees[g]) % n
+    for g, e in word.runs:
+        d = degrees.get(g)
+        if d is None:
+            raise ValueError(f"letter {g!r} is not a generator of {q.base.name}")
+        if not d:
+            yield g, e, coset
+        elif e > 0:
+            for _ in range(e):
+                yield g, 1, coset
+                coset = (coset + d) % n
         else:
-            coset = (coset - degrees[g]) % n
-            yield letter, coset
+            for _ in range(-e):
+                coset = (coset - d) % n
+                yield g, -1, coset
 
 
 def _lifts(q, word, starts):
-    """The rewrites of a base word into cover generators of q, one per start coset.
-
-    A run (g, e) of degree 0 mod n lifts to the one run (g@c, e), any other
-    run to |e| one-letter runs at successive cosets; each lift is reduced
-    and maximal as built (see the module docstring).
-    """
-    n, degrees, letters = q.n, q.degrees, q.letters
-    pattern = []  # (the lifted run at each coset, offset from the start coset)
-    coset = 0
-    for g, e in word.runs:
-        d = degrees[g]
-        if not d and e != 1 and e != -1:
-            pattern.append((tuple((name, e) for name, _ in letters[g, 1]), coset))
-        elif e > 0:
-            runs = letters[g, 1]
-            for _ in range(e):
-                pattern.append((runs, coset))
-                coset = (coset + d) % n
-        else:
-            runs = letters[g, -1]
-            for _ in range(-e):
-                coset = (coset - d) % n
-                pattern.append((runs, coset))
+    """The rewrites of a base word from each start coset, reduced and maximal as built."""
+    n, letters = q.n, q.letters
+    pattern = [  # (the lifted run at each coset, offset from the start coset)
+        (letters[g, e] if e in (1, -1) else tuple((x, e) for x, _ in letters[g, 1]), offset)
+        for g, e, offset in _lifted_runs(q, word)
+    ]
     return [Word._of(tuple([runs[(c + o) % n] for runs, o in pattern])) for c in starts]
 
 
@@ -255,24 +247,31 @@ def filled_relators(cover, spec):
     """Filling columns: the class of one lift of w^(n/o) per shift orbit.
 
     For a slope w of degree d, the o = gcd(n, d) orbits of c -> c + d are
-    the residues mod o.  The lift of w^(n/o) from c visits each letter g^step
-    of w at g@x for every x = c + offset (mod o): a partial transfer (Fox).
-    Raises ``ValueError`` when n times the slope letters passes
-    ``MAX_COVER_LETTERS``, or before any column is built when [M | columns]
-    passes ``MAX_MATRIX_CELLS``.
+    the residues mod o.  The lift of w^(n/o) from c holds each lifted run
+    (g, e, offset) of w at g@x for every x = c + offset (mod o): a partial
+    transfer (Fox).  ``ValueError`` before any column is built when n times
+    the slope letters passes ``MAX_COVER_LETTERS``, a slope letter is not a
+    base generator, or [M | columns] passes ``MAX_MATRIX_CELLS``.
     """
     spec = spec if isinstance(spec, FillingSpec) else FillingSpec(spec)
     n, q, p = cover.n, cover.quotient, cover.presentation
     _check_letters(n, spec.slopes, "slopes")
+    # {(g, offset): summed e} per slope, walked before any degree is read, so
+    # that the walk and not word_degree meets a letter outside the base
+    walks = []
+    for w in spec.slopes:
+        sums = {}
+        for g, e, offset in _lifted_runs(q, w):
+            sums[g, offset] = sums.get((g, offset), 0) + e
+        walks.append(sums)
     orbits = [gcd(n, q.word_degree(w)) for w in spec.slopes]
     check_cells(len(p.generators), len(p.relators) + sum(orbits))
     first = {g: i * n for i, g in enumerate(cover.base.generators)}
     out = []
-    for w, o in zip(spec.slopes, orbits):
+    for sums, o in zip(walks, orbits):
         steps = {}
-        for (g, step), offset in _walk(q, w):
-            key = g, offset % o
-            steps[key] = steps.get(key, 0) + step
+        for (g, offset), e in sums.items():
+            steps[g, offset % o] = steps.get((g, offset % o), 0) + e
         for c in range(o):
             column = [0] * len(p.generators)
             for (g, r), total in steps.items():

@@ -20,8 +20,8 @@ class ParseError(ValueError):
 
 
 def _reduce(runs):
-    # a tuple run that survives is kept as it is, so the rewriting of covers
-    # can share one run per letter
+    # a tuple run that survives is kept as it is, not copied; the rewriting
+    # of covers shares one run per letter through ``Word._of``, not here
     stack = []
     for run in runs:
         gen, exp = run

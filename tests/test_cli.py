@@ -624,6 +624,17 @@ def test_jobs_below_one_is_exit_2(capsys, command):
     assert "--jobs must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", (("rhs-sweep",), ("branched", "delta_L", "--n", "5")))
+def test_jobs_is_a_text_int(capsys, monkeypatch, command):
+    # argparse refuses the value with its own exit 2, before any task runs
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a task ran"))
+    with pytest.raises(SystemExit) as raised:
+        main([*command, "--jobs", "1_0"])
+    captured = capsys.readouterr()
+    assert raised.value.code == 2 and captured.out == ""
+    assert "argument --jobs: invalid text_int value: '1_0'" in captured.err
+
+
 def _fake_pool(monkeypatch, cpus, seen):
     """Run the pool's map in-process; ``seen`` gets its worker count and chunk size."""
 
@@ -776,6 +787,15 @@ def test_levels_match_the_old_parsers(capsys, monkeypatch, name):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", sorted(_LEVEL_COMMANDS))
+def test_levels_are_text_ints(capsys, monkeypatch, name):
+    # int() would read these as 10, 3 and 3..10
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a level ran"))
+    for text, kind in (("1_0", "integer"), ("\u0663", "integer"), ("3..1_0", "range")):
+        code, out, err = run(capsys, *_LEVEL_COMMANDS[name], "--n", text)
+        assert (code, out, err) == (2, "", f"error: bad {kind} {text!r}\n"), text
+
+
 def test_level_range_is_capped_before_expanding(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a level ran"))
     for command in _LEVEL_COMMANDS.values():
@@ -908,8 +928,10 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 @pytest.mark.parametrize("n", ("5", "5..41"))
 def test_branched_k_is_checked_before_any_level(capsys, monkeypatch, n):
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, jobs: pytest.fail("a cell ran"))
-    code, out, err = run(capsys, "branched", "delta_L", "--n", n, "--k", "x")
-    assert (code, out, err) == (2, "", "error: --k must be an integer or 'all', got 'x'\n")
+    # int() would read the last three as 10, 2 and 3
+    for k in ("x", "1_0", " +2", "\u0663"):
+        code, out, err = run(capsys, "branched", "delta_L", "--n", n, "--k", k)
+        assert (code, out, err) == (2, "", f"error: --k must be an integer or 'all', got {k!r}\n")
 
 
 def test_branched_rejects_noncoprime(capsys):

@@ -184,7 +184,7 @@ def test_rewrite_letters_are_capped_before_rewriting(monkeypatch):
         raise AssertionError("a word was rewritten")
 
     monkeypatch.setattr(covers_module, "_lifts", refuse)
-    monkeypatch.setattr(covers_module, "_walk", refuse)
+    monkeypatch.setattr(covers_module, "_lifted_runs", refuse)
     with pytest.raises(ValueError, match="4 cosets of relators make 20 letters"):
         reidemeister_schreier(p, CyclicQuotientMap(p, 4, {"a": 1, "b": 0}))
     with pytest.raises(ValueError, match="2 cosets of slopes make 12 letters"):
@@ -497,18 +497,45 @@ def test_filled_relator_count_and_orbits(cover_job):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_filled_relators_match_conjugated_rewrite(cover_job, n):
-    """Each filling column is that of t_c w^o t_c^-1 rewritten from coset 0."""
-    p = cover_job["presentation"]
-    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, cover_job["degrees"]))
-    gens = cover.presentation.generators
-    expected = []
-    for w in cover_job["fill"]:
-        orbits = gcd(n, cover.quotient.word_degree(w))
-        for c in range(orbits):
-            t = _transversal_word(cover, c)
-            expected.append(exponent_vector(cover.rewrite(t * w ** (n // orbits) * ~t), gens))
-    got = filled_relators(cover, FillingSpec(cover_job["fill"]))
-    assert got == expected
+    """Each filling column is that of t_c w^o t_c^-1 rewritten from coset 0.
+
+    The rewrite is the letter-by-letter oracle, not ``cover.rewrite``, which
+    shares its walk with ``filled_relators``.
+    """
+    def check(p, degrees, slopes):
+        cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
+        gens = cover.presentation.generators
+        expected = []
+        for w in slopes:
+            orbits = gcd(n, cover.quotient.word_degree(w))
+            for c in range(orbits):
+                t = _transversal_word(cover, c)
+                conjugate = t * w ** (n // orbits) * ~t
+                expected.append(exponent_vector(
+                    rewrite_letter_by_letter(cover.quotient, conjugate, 0), gens))
+        assert filled_relators(cover, FillingSpec(slopes)) == expected
+
+    check(cover_job["presentation"], cover_job["degrees"], cover_job["fill"])
+    # u has degree 0, so the slopes hold runs that lift to one merged run
+    gens = ("a", "u")
+    merge = Presentation("merge", gens, (parse_word("a u^2 a^-1 u^-2", gens),))
+    slopes = [parse_word(text, gens) for text in ("u^-3 a^3 u^3 a", "a^-2 u^2")]
+    check(merge, {"a": 1, "u": 0}, slopes)
+
+
+def test_letter_outside_the_base_is_a_value_error():
+    p = torus()
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 6, {"a": 2, "b": 3}))
+    outside = parse_word("a b^2 x^-3 a", ("a", "b", "x"))
+    with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
+        cover.rewrite(outside, 2)
+    # the second slope is walked before the degree of either is read
+    with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
+        fill(cover, FillingSpec((parse_word("a b", ("a", "b")), outside)))
+    with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
+        filled_relators(cover, [Word([("x", 1)])])
+    with pytest.raises(ValueError, match="letter 'x' outside the given ordering"):
+        transfer(cover, outside)
 
 
 def test_fill_independent_of_orbit_representative(paper_cover):
