@@ -27,6 +27,7 @@ from .covers import (
     branched_betti,
     fill,
     h1_cover,
+    reduce_job,
     reidemeister_schreier,
     sakuma_transfers,
     transfer_quotients,
@@ -45,9 +46,10 @@ MAX_RANGE = 10_000
 # --jobs 1 as a table, 46 MB as json, on a 2-CPU host, Python 3.11.7
 MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix with its filling and
-# transfer columns is dense, about (6n)^2 entries for the bundled job
-# (rhs-sweep at n = 499: 116 MB peak RSS, 3.4-3.8 s in 3 fresh processes on a
-# 2-CPU host, Python 3.11.7); a wider job meets MAX_MATRIX_CELLS first
+# transfer columns is dense, about (4n)^2 entries for the bundled job once
+# reduce_job has eliminated m1 and m2 (rhs-sweep at n = 499: 72 MB peak RSS,
+# 1.2-1.7 s in 3 fresh processes on a 2-CPU host, Python 3.11.7); a wider job
+# meets MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 
 
@@ -196,14 +198,15 @@ _COVER_HEADERS = {
 def _cover_level(task):
     """One level of a cover command: (json entry, table row).
 
-    ``task`` is (job, n, mode); mode is h1, fill, sakuma, or rhs (the fill
-    with its rational-homology-sphere verdict).
+    ``task`` is (job, n, mode), the job as loaded or from
+    ``covers.reduce_job``; mode is h1, fill, sakuma, or rhs (the fill with
+    its rational-homology-sphere verdict).
     """
     job, n, mode = task
     p = job["presentation"]
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
     if mode == "sakuma":
-        sak, hn = transfer_quotients(cover)
+        sak, hn = transfer_quotients(cover, job.get("words"))
         entry = {"n": n, "sakuma": _group_fields(sak), "hn": _group_fields(hn)}
         if sak.is_finite and hn.is_finite:
             entry["order_ratio"] = sak.order // hn.order
@@ -252,6 +255,7 @@ def _cmd_cover_family(args, mode, command):
     if mode == "sakuma":
         sakuma_transfers(job["presentation"])  # raises on a missing generator name
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
+    job = reduce_job(job)  # once per command, after every input rule has passed
     tasks = [(job, n, mode) for n in n_values]
     return _sweep(args, command, {"job": job_path}, parameters,
                   _COVER_HEADERS[mode], _cover_level, tasks)
@@ -265,7 +269,7 @@ def _cmd_rhs_sweep(args):
             f"even levels {evens} need --force; the filled-cover conclusions "
             "are asserted for odd levels only"
         )
-    job = datasets.standard_cover_job()
+    job = reduce_job(datasets.standard_cover_job())
     tasks = [(job, n, "rhs") for n in n_values]
     return _sweep(args, "rhs-sweep", {"job": datasets.data_path("cover-job")},
                   {"n": list(n_values), "force": bool(args.force)},

@@ -24,6 +24,13 @@ reduced (Magnus, Karrass and Solitar), and the rewrite builds its words
 and its kernel presentation with the trusted ``Word._of`` and
 ``Presentation._of``; ``Word`` and ``Presentation`` check outside input.
 The filling columns read the same run pattern, summed per shift orbit.
+
+The cover commands (``cover``, ``fill``, ``sakuma``, ``rhs-sweep`` and
+``verify-paper``'s ``rhs`` item) first pass their job through
+``reduce_job``, once per command: a generator that a relator defines as a
+conjugate of another, such as m1 and m2 in ``n-final``, is eliminated from
+the base before any level is rewritten, and every group is unchanged.  The
+library functions here take the base they are given and do not reduce it.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from math import gcd
 from .abelian import cokernel, cokernel_chain
 from .laurent import substitute_monomial
 from .polygcd import shared_root_count
-from .presentations import Presentation, abelianize, check_cells
+from .presentations import Presentation, abelianize, check_cells, eliminate_conjugates
 from .words import Word, exponent_vector
 
 # Cap on n times the letters of the words rewritten into an n-fold cover,
@@ -44,7 +51,8 @@ from .words import Word, exponent_vector
 # 499 998 letters `cover --n 3` of <a, b | a^166665 b> takes 0.35-0.5 s and 37 MB
 # peak RSS, `fill` with a slope at the cap 0.45-0.5 s and 38 MB, and 3·10^6
 # letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
-# foxhom.cli alone peaks at 20 MB).  The bundled job needs 499 · (62 + 9).
+# foxhom.cli alone peaks at 20 MB).  The cover commands count the relators and
+# slopes of `reduce_job`'s base: the bundled job needs 499 · (102 + 9).
 MAX_COVER_LETTERS = 500_000
 
 # the paper's sakuma columns k tr(g) as (g, k): tr(m), 2 tr(s) and 2 tr(t)
@@ -92,8 +100,15 @@ class CyclicQuotientMap:
             for s in (1, -1)
         }
 
+    def degree(self, g):
+        """The degree of base generator g; ``ValueError`` names any other letter."""
+        d = self.degrees.get(g)
+        if d is None:
+            raise ValueError(f"letter {g!r} is not a generator of {self.base.name}")
+        return d
+
     def word_degree(self, word):
-        return sum(e * self.degrees[g] for g, e in word.runs) % self.n
+        return sum(e * self.degree(g) for g, e in word.runs) % self.n
 
 
 @dataclass(frozen=True)
@@ -138,12 +153,10 @@ def _lifted_runs(q, word):
     mod n lifts to one run, any other run (g, e) to |e| runs of +-1 at
     successive cosets.  ``ValueError`` names a letter outside the base.
     """
-    n, degrees = q.n, q.degrees
+    n = q.n
     coset = 0
     for g, e in word.runs:
-        d = degrees.get(g)
-        if d is None:
-            raise ValueError(f"letter {g!r} is not a generator of {q.base.name}")
+        d = q.degree(g)
         if not d:
             yield g, e, coset
         elif e > 0:
@@ -285,22 +298,33 @@ def fill(cover, spec):
     return cokernel(cover.presentation.relator_matrix(filled_relators(cover, spec)))
 
 
-def sakuma_transfers(base):
-    """``SAKUMA_TRANSFERS``; ``ValueError`` names a g that base lacks."""
-    for g, _ in SAKUMA_TRANSFERS:
-        if g not in base.generators:
+def _letter(g):
+    return Word._of(((g, 1),))
+
+
+def sakuma_transfers(base, words=None):
+    """``SAKUMA_TRANSFERS`` as (word, k) pairs over ``base``.
+
+    A generator that ``reduce_job`` eliminated is read through its word in
+    ``words``; ``ValueError`` names a g that base lacks.
+    """
+    words = words or {}
+    out = []
+    for g, k in SAKUMA_TRANSFERS:
+        if g not in words and g not in base.generators:
             raise ValueError(f"no base generator named {g!r}")
-    return SAKUMA_TRANSFERS
+        out.append((words[g] if g in words else _letter(g), k))
+    return tuple(out)
 
 
 def _transfer_chain(cover, *blocks):
-    """Cokernels of [M | B1], [M | B1 | B2], ... for blocks of (g, k) as k tr(g).
+    """Cokernels of [M | B1], [M | B1 | B2], ... for blocks of (word, k) as k tr(word).
 
     [M | every block] passes the cell check before any column is built.
     """
     p = cover.presentation
     check_cells(len(p.generators), len(p.relators) + sum(map(len, blocks)))
-    first, *rest = [[[k * v for v in transfer(cover, Word([(g, 1)]))] for g, k in block]
+    first, *rest = [[[k * v for v in transfer(cover, w)] for w, k in block]
                     for block in blocks]
     return cokernel_chain(p.relator_matrix(first), rest)
 
@@ -319,18 +343,57 @@ def h_n_module(cover):
 
     For n = 1 the transfers generate everything and the result is trivial.
     """
-    return _transfer_chain(cover, [(g, 1) for g in cover.base.generators])[0]
+    return _transfer_chain(cover, [(_letter(g), 1) for g in cover.base.generators])[0]
 
 
-def transfer_quotients(cover):
+def transfer_quotients(cover, words=None):
     """(sakuma_quotient, h_n_module) of a cover, from one elimination.
 
     The sakuma columns S lie in the span of the transfers and hold tr(m), so
     the transfers T of the other base generators ride along as passive
-    columns: coker[M | S | T] = coker[M | every transfer].
+    columns: coker[M | S | T] = coker[M | every transfer].  ``words`` reads
+    the sakuma generators that ``reduce_job`` eliminated; the transfer of
+    such a generator, a conjugate of a base letter h, is tr(h), so the base
+    generators alone give every transfer.
     """
-    others = [(g, 1) for g in cover.base.generators if (g, 1) not in SAKUMA_TRANSFERS]
-    return tuple(_transfer_chain(cover, sakuma_transfers(cover.base), others))
+    sakuma = sakuma_transfers(cover.base, words)
+    others = [(_letter(g), 1) for g in cover.base.generators if (_letter(g), 1) not in sakuma]
+    return tuple(_transfer_chain(cover, sakuma, others))
+
+
+def reduce_job(job):
+    """A cover job over its base with the conjugate-defined generators eliminated.
+
+    The base goes through ``presentations.eliminate_conjugates``; the
+    eliminated generators lose their degrees, the slopes are rewritten
+    through their words, and ``job["words"]`` keeps the words for the
+    transfers (``transfer_quotients``).  Every cover group is a Tietze
+    invariant, so each level gives the groups of the job as it was.  The
+    cover commands call this once per command; no library function does.
+
+    The job stays as it is, with no words, unless every generator has a
+    degree, every relator has integer degree 0, and no slope rewrites to the
+    empty word.  Then an eliminated g has the degree of its word's letter h,
+    up to sign, and every level meets the same quotient map checks, in the
+    same order, as the job it came from.
+    """
+    p, degrees = job["presentation"], job["degrees"]
+    unchanged = {**job, "words": {}}
+    if any(g not in degrees for g in p.generators) or any(
+        sum(e * degrees[g] for g, e in r.runs) for r in p.relators
+    ):
+        return unchanged
+    reduced, words = eliminate_conjugates(p)
+    slopes = tuple(w.substitute_all(words) for w in job["fill"])
+    if not all(slopes):
+        return unchanged
+    return {
+        **job,
+        "presentation": reduced,
+        "degrees": {g: degrees[g] for g in reduced.generators},
+        "fill": slopes,
+        "words": words,
+    }
 
 
 def branched_betti(delta, k, n):

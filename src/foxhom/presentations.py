@@ -17,9 +17,16 @@ from .laurent import json_list
 from .words import Word, parse_word
 
 # the most cells a relator matrix may hold, appended columns included; it is
-# dense, and the bundled cover job peaks at 9 021 000 (sakuma at level 500:
-# 3000 rows by 2999 relators, 3 transfer columns and 5 passive ones)
+# dense, and the bundled cover job peaks at 4 010 000 (sakuma at level 500 on
+# the reduced base: 2000 rows by 1999 relators, 3 transfer columns and 3
+# passive ones; the unreduced base would need 3000 by 3007)
 MAX_MATRIX_CELLS = 10_000_000
+
+
+# the most relator letters eliminate_conjugates reads in all: every elimination
+# reads each relator, so a long presentation with many conjugate definitions is
+# left partly reduced instead of rewritten once per definition
+MAX_TIETZE_LETTERS = 1_000_000
 
 
 def check_cells(rows, cols):
@@ -127,6 +134,16 @@ def tietze_add_generator(p, name, definition):
     return Presentation(p.name, p.generators + (name,), p.relators + (relator,))
 
 
+def _solve(runs, i):
+    """The word that the run i, a letter g^+-1, equals in the relator ``runs``."""
+    before, after = Word(runs[:i]), Word(runs[i + 1 :])
+    if runs[i][1] == 1:
+        # A g B = 1  =>  g = A^-1 B^-1
+        return ~before * ~after
+    # A g^-1 B = 1  =>  g = B A
+    return after * before
+
+
 def tietze_eliminate(p, gen, rel_index):
     """Remove ``gen`` by solving relator ``rel_index`` for it.
 
@@ -136,22 +153,13 @@ def tietze_eliminate(p, gen, rel_index):
     """
     if gen not in p.generators:
         raise ValueError(f"no generator named {gen!r}")
-    relator = p.relators[rel_index]
-    runs = relator.runs
+    runs = p.relators[rel_index].runs
     hits = [i for i, (g, _) in enumerate(runs) if g == gen]
     if len(hits) != 1 or abs(runs[hits[0]][1]) != 1:
         raise ValueError(
             f"relator {rel_index} must contain {gen!r} exactly once with exponent +-1"
         )
-    i = hits[0]
-    before = Word(runs[:i])
-    after = Word(runs[i + 1 :])
-    if runs[i][1] == 1:
-        # A g B = 1  =>  g = A^-1 B^-1
-        solution = ~before * ~after
-    else:
-        # A g^-1 B = 1  =>  g = B A
-        solution = after * before
+    solution = _solve(runs, hits[0])
     new_relators = tuple(
         r.substitute(gen, solution)
         for j, r in enumerate(p.relators)
@@ -159,3 +167,70 @@ def tietze_eliminate(p, gen, rel_index):
     )
     new_generators = tuple(g for g in p.generators if g != gen)
     return Presentation(p.name, new_generators, new_relators)
+
+
+def _conjugate_definition(relator):
+    """(g, w h^+-1 w^-1) for the first letter g that ``relator`` defines as a
+    conjugate of another letter h, or None.
+
+    Such a g occurs once, with exponent +-1, and the relator's exponent sums
+    are +-1 on g and on h and zero elsewhere, so only a relator with exactly
+    two nonzero sums, both +-1, has its solutions built.
+    """
+    runs = relator.runs
+    sums, count = {}, {}
+    for g, e in runs:
+        sums[g] = sums.get(g, 0) + e
+        count[g] = count.get(g, 0) + 1
+    moving = [s for s in sums.values() if s]
+    if len(moving) != 2 or any(abs(s) != 1 for s in moving):
+        return None
+    for i, (g, e) in enumerate(runs):
+        if count[g] == 1 and abs(e) == 1:
+            solution = _solve(runs, i)
+            middle = solution.conjugated_run()
+            if middle is not None and abs(middle[1]) == 1:
+                return g, solution
+    return None
+
+
+def eliminate_conjugates(p):
+    """Eliminate conjugate-defined generators: (reduced presentation, words).
+
+    Repeatedly takes the first relator, in relator order, that holds some g
+    once with exponent +-1 and solves to g = w h^+-1 w^-1, and removes g by
+    ``tietze_eliminate``.  It stops when no such relator is left, or before
+    an elimination could take the relators past twice the input's letters
+    (counted before free reduction, so before any word is built): each
+    elimination can double what it substitutes into, so an unbounded chain
+    of them grows exponentially.  It also stops before the letters it has
+    read pass ``MAX_TIETZE_LETTERS``.  ``words`` maps each eliminated
+    generator, in elimination order, to its word in the reduced generators;
+    substituted back, each turns its defining relator into the identity.
+
+    >>> p = Presentation("p", ("a", "b", "c"), (parse_word("c^-1 b a b^-1", "abc"),
+    ...                                          parse_word("c a c^-1 a^-1", "abc")))
+    >>> q, words = eliminate_conjugates(p)
+    >>> q.generators, [str(r) for r in q.relators], {g: str(w) for g, w in words.items()}
+    (('a', 'b'), ['b a b^-1 a b a^-1 b^-1 a^-1'], {'c': 'b a b^-1'})
+    """
+    letters = sum(map(len, p.relators))
+    limit, read = 2 * letters, letters
+    words = {}
+    while True:
+        found = next(
+            ((j, d) for j, r in enumerate(p.relators) if (d := _conjugate_definition(r))), None
+        )
+        if found is None:
+            return p, words
+        j, (gen, solution) = found
+        # the defining relator goes, and each other run of gen gains w and w^-1
+        runs = sum(g == gen for r in p.relators for g, _ in r.runs) - 1
+        grown = letters - len(p.relators[j]) + runs * (len(solution) - 1)
+        if grown > limit or read + grown > MAX_TIETZE_LETTERS:
+            return p, words
+        p = tietze_eliminate(p, gen, j)
+        letters = sum(map(len, p.relators))
+        read += letters
+        words = {g: w.substitute(gen, solution) for g, w in words.items()}
+        words[gen] = solution

@@ -23,6 +23,7 @@ from .covers import (
     FillingSpec,
     branched_betti,
     fill,
+    reduce_job,
     reidemeister_schreier,
     transfer_quotients,
 )
@@ -172,7 +173,7 @@ def _check_factorization(inputs):
 
 
 def _check_rhs(inputs):
-    job = inputs.job
+    job = reduce_job(inputs.job)
     p = job["presentation"]
     spec = FillingSpec(job["fill"])
     for n in RHS_LEVELS:
@@ -180,7 +181,7 @@ def _check_rhs(inputs):
         filled = fill(cover, spec)
         if filled.rank != 0:
             return False, f"n={n}: filled homology has rank {filled.rank}"
-        sak, hn = transfer_quotients(cover)
+        sak, hn = transfer_quotients(cover, job["words"])
         if sak.rank != 0 or sak.order != filled.order:
             return False, f"n={n}: transfer quotient disagrees with filling"
         ratio = sak.order // hn.order

@@ -91,14 +91,35 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __pow__(self, n):
+        base = self if n >= 0 else ~self
+        middle = base.conjugated_run()
+        if middle is not None and n:
+            # (u h^e u^-1)^n = u h^(e n) u^-1, no longer than the word itself
+            k = len(base.runs) // 2
+            g, e = middle
+            return Word._of(base.runs[:k] + ((g, e * abs(n)),) + base.runs[k + 1 :])
         # the reduction stack cancels across every seam of the concatenation
-        return Word((self if n >= 0 else ~self).runs * abs(n))
+        return Word(base.runs * abs(n))
 
     def __repr__(self):
         return f"Word({str(self)!r})"
 
     def __str__(self):
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.runs)
+
+    def conjugated_run(self):
+        """The middle run (h, e) when the word is u h^e u^-1, else None.
+
+        >>> Word([("s", 1), ("m", -1), ("s", -1)]).conjugated_run()
+        ('m', -1)
+        >>> Word([("s", 1), ("m", 1)]).conjugated_run() is None
+        True
+        """
+        runs = self.runs
+        k = len(runs) // 2
+        if len(runs) % 2 and all(runs[i] == (runs[-1 - i][0], -runs[-1 - i][1]) for i in range(k)):
+            return runs[k]
+        return None
 
     def generators_used(self):
         return {g for g, _ in self.runs}
@@ -112,13 +133,21 @@ class Word:
 
     def substitute(self, gen, replacement):
         """Replace every occurrence of ``gen`` by ``replacement`` (a Word)."""
-        out = Word()
+        return self.substitute_all({gen: replacement})
+
+    def substitute_all(self, words):
+        """Replace each generator g in the dict ``words`` by the Word words[g].
+
+        The runs are joined first and reduced once, so the cost is linear in
+        the length of the result.
+        """
+        runs = []
         for g, e in self.runs:
-            if g == gen:
-                out = out * replacement**e
+            if g in words:
+                runs.extend((words[g] ** e).runs)
             else:
-                out = out * Word([(g, e)])
-        return out
+                runs.append((g, e))
+        return Word(runs)
 
 
 def parse_word(text, alphabet):

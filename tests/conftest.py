@@ -8,6 +8,7 @@ from foxhom.fox import AbelianizationMap, alexander_matrix
 from foxhom.polymat import LaurentMatrix, determinant
 from foxhom.presentations import Presentation
 from foxhom.snf import smith_normal_form
+from foxhom.words import Word, exponent_vector
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +82,9 @@ def fox_cover_group():
 
     ``fox_cover_group(p, degrees, n, slopes=(), transfers=())`` is H_1 of the
     n-fold cyclic cover graded by the integer ``degrees``, with each slope
-    filled and the relation k tr(g) = 0 for each (g, k) in ``transfers``.
+    filled and the relation k tr(g) = 0 for each (g, k) in ``transfers``; g
+    is a generator's name or a Word, whose transfer is its exponent vector
+    on every coset.
 
     The cover's cellular chains are the Fox complex over Z[Z/n]: the Fox
     matrix under g -> t^deg(g), exponents folded mod n and each relator
@@ -112,10 +115,94 @@ def fox_cover_group():
                             column[i * n + (e + s + c) % n] += coef
                 columns.append(column)
         for g, k in transfers:
-            i = gens.index(g)
-            columns.append([k * (i * n <= r < (i + 1) * n) for r in range(len(gens) * n)])
+            vec = exponent_vector(g if isinstance(g, Word) else Word([(g, 1)]), gens)
+            columns.append([k * vec[r // n] for r in range(len(gens) * n)])
         rows = [list(r) for r in zip(*columns)] if columns else [[] for _ in gens * n]
         h = cokernel(rows)
         return AbelianGroup(h.rank - (n - 1), h.torsion)
 
     return group
+
+
+
+@pytest.fixture(scope="session")
+def braid_knot():
+    """The group of a braid's closure, in its Wirtinger presentation.
+
+    ``braid_knot(word, strands)`` reads ``word`` as Artin generators, i for
+    sigma_i and -i for its inverse, 1 <= i < strands.  The strands start as
+    the arcs x1, ..., xs.  The k-th crossing applies the Artin action to the
+    arcs at positions i and i + 1, sigma_i: (a, b) -> (a b a^-1, a) and its
+    inverse: (a, b) -> (b, b^-1 a b), and names the conjugate it makes as a
+    new arc yk, with the relator yk^-1 w.  The closure joins the arc that
+    ends at each position to the strand that starts there.  So every relator
+    defines one letter as a conjugate of another (Crowell and Fox,
+    "Introduction to Knot Theory", 1963; Birman, "Braids, Links, and Mapping
+    Class Groups", 1974).
+    """
+
+    def knot(word, strands):
+        start = [f"x{j}" for j in range(1, strands + 1)]
+        arcs, gens, relators = list(start), list(start), []
+        for k, s in enumerate(word, 1):
+            i = abs(s) - 1
+            a, b = Word([(arcs[i], 1)]), Word([(arcs[i + 1], 1)])
+            if s > 0:
+                conjugate, arcs[i], arcs[i + 1] = a * b * ~a, f"y{k}", arcs[i]
+            else:
+                conjugate, arcs[i], arcs[i + 1] = ~b * a * b, arcs[i + 1], f"y{k}"
+            gens.append(f"y{k}")
+            relators.append(Word([(f"y{k}", -1)]) * conjugate)
+        relators += [Word([(end, -1), (first, 1)]) for end, first in zip(arcs, start)
+                     if end != first]
+        return Presentation(f"braid{list(word)}", tuple(gens), tuple(relators))
+
+    return knot
+
+
+@pytest.fixture(scope="session")
+def cover_order():
+    """|det(C^n - I)| for the companion matrix C of a monic delta.
+
+    ``cover_order(delta, n)`` reads ``delta`` as integer coefficients from
+    the constant term up.  For a knot's Alexander polynomial, when it is
+    nonzero, this is the order |T_n| of the torsion of H_1 = Z + T_n of the
+    n-fold cyclic cover of the complement: the product of delta over the
+    n-th roots of unity, delta(1) being +-1 (Fox 1956; Weber 1979).  It is
+    zero when some root of delta is an n-th root of unity, and then H_1 has
+    a larger rank.  An integer matrix power and a Bareiss determinant: no
+    Smith form.
+    """
+
+    def order(delta, n):
+        *low, lead = delta
+        if lead not in (1, -1):
+            raise ValueError("need a monic polynomial")
+        d = len(low)
+        # C e_i = e_(i + 1) for i < d - 1, and C e_(d - 1) = -low / lead
+        base = [[int(i == j + 1) for j in range(d - 1)] + [-a * lead] for i, a in enumerate(low)]
+        power = [[int(i == j) for j in range(d)] for i in range(d)]
+
+        def mul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)]
+                    for i in range(d)]
+
+        while n:
+            if n & 1:
+                power = mul(power, base)
+            base, n = mul(base, base), n >> 1
+        m = [[power[i][j] - (i == j) for j in range(d)] for i in range(d)]
+        sign, prev = 1, 1
+        for k in range(d):
+            pivot = next((i for i in range(k, d) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            if pivot != k:
+                m[k], m[pivot], sign = m[pivot], m[k], -sign
+            for i in range(k + 1, d):
+                for j in range(k + 1, d):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return abs(sign * prev)
+
+    return order

@@ -433,6 +433,51 @@ def test_sakuma_report(capsys):
     assert entry["order_ratio"] == 8
 
 
+@pytest.mark.parametrize("argv", (
+    ("cover", "cover-job", "--n", "1..5"),
+    ("fill", "cover-job", "--n", "1..5"),
+    ("sakuma", "cover-job", "--n", "1..5"),
+    ("rhs-sweep", "--n", "3..9"),
+    ("verify-paper", "--item", "rhs"),
+))
+def test_cover_commands_reduce_their_base_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(p):
+        calls.append(p.name)
+        return presentations.eliminate_conjugates(p)
+
+    monkeypatch.setattr(covers, "eliminate_conjugates", counted)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert calls == ["n-final"]
+    calls.clear()
+    # and the body is that of the unreduced job, kept as reduce_job keeps one
+    monkeypatch.setattr(cli, "reduce_job", lambda job: {**job, "words": {}})
+    monkeypatch.setattr(verify, "reduce_job", lambda job: {**job, "words": {}})
+    assert run(capsys, *argv, "--format", "json") == (0, out, "")
+    assert calls == []
+
+
+def test_conjugate_chain_job_is_reduced_within_its_bound(capsys, tmp_path):
+    # x_(i+1) = x_i a x_i^-1 doubles at every elimination; the bound stops it
+    # after a few steps, and the cover is that of the unreduced chain
+    k = 30
+    gens = ["a", *(f"x{i}" for i in range(k + 1))]
+    relators = [f"x{i + 1}^-1 x{i} a x{i}^-1" for i in range(k)] + [f"x{k} a x{k}^-1 a^-1"]
+    (tmp_path / "chain.json").write_text(
+        json.dumps({"name": "chain", "generators": gens, "relators": relators}))
+    path = tmp_path / "chain-job.json"
+    path.write_text(json.dumps({"presentation": "chain.json", "degrees": dict.fromkeys(gens, 1)}))
+    code, out, err = run(capsys, "cover", str(path), "--n", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    p = datasets.load_presentation(tmp_path / "chain.json")
+    group = covers.h1_cover(covers.reidemeister_schreier(
+        p, covers.CyclicQuotientMap(p, 3, dict.fromkeys(gens, 1))))
+    assert json.loads(out)["results"] == [
+        {"n": 3, "rank": group.rank, "torsion": list(group.torsion)}]
+
+
 def _torus_job(tmp_path, relator="a b a^-1 b^-1", degrees=None, fill=()):
     pres = tmp_path / "torus.json"
     pres.write_text(json.dumps({"name": "torus", "generators": ["a", "b"], "relators": [relator]}))

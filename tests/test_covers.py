@@ -16,8 +16,10 @@ from foxhom.covers import (
     h1_cover,
     h_n_module,
     mutation_invariance_check,
+    reduce_job,
     reidemeister_schreier,
     sakuma_quotient,
+    sakuma_transfers,
     transfer,
     transfer_quotients,
 )
@@ -538,6 +540,13 @@ def test_letter_outside_the_base_is_a_value_error():
         transfer(cover, outside)
 
 
+def test_word_degree_names_a_letter_outside_the_base():
+    q = CyclicQuotientMap(Presentation("cyclic", ("a",), ()), 3, {"a": 1})
+    assert q.word_degree(Word([("a", 5)])) == 2
+    with pytest.raises(ValueError, match="letter 'x' is not a generator of cyclic"):
+        q.word_degree(Word([("a", 1), ("x", 1)]))
+
+
 def test_fill_independent_of_orbit_representative(paper_cover):
     """Conjugating the filled slope by any transversal word fixes the result."""
     job, covers = paper_cover
@@ -703,6 +712,119 @@ def test_cover_groups_match_the_fox_route(cover_job, fox_cover_group):
             sakuma += check_fox_route(fox_cover_group, p, degrees, n, slopes)
             without_coprime += all(gcd(d, n) != 1 for d in degrees.values())
     assert sakuma > 100 and without_coprime > 5, (sakuma, without_coprime)
+
+
+# ---- the reduced base of the cover commands ------------------------------------
+
+
+def cover_groups(job, n):
+    """h1_cover, fill and transfer_quotients of a job at level n."""
+    p = job["presentation"]
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
+    return h1_cover(cover), fill(cover, FillingSpec(job["fill"])), transfer_quotients(
+        cover, job.get("words"))
+
+
+def test_reduce_job_eliminates_m1_and_m2(cover_job):
+    job = reduce_job(cover_job)
+    assert job["presentation"].generators == ("m", "s", "t", "u")
+    assert list(job["words"]) == ["m1", "m2"]
+    assert job["degrees"] == {"m": 2, "s": 1, "t": 1, "u": 0}
+    assert job["fill"] == cover_job["fill"]  # the slopes hold no m1 or m2
+    assert job["n"] == cover_job["n"]
+    # the sakuma transfers read tr(m) from m itself
+    assert sakuma_transfers(job["presentation"], job["words"]) == tuple(
+        (Word([(g, 1)]), k) for g, k in SAKUMA)
+
+
+def test_reduced_job_matches_the_unreduced_job(cover_job):
+    job = reduce_job(cover_job)
+    for n in range(1, 42):
+        assert cover_groups(job, n) == cover_groups(cover_job, n), n
+
+
+def test_fox_route_agrees_on_the_reduced_base(cover_job, fox_cover_group):
+    # the Fox route never sees a transversal, so this checks the reduction
+    # apart from the Reidemeister-Schreier rewrite
+    job = reduce_job(cover_job)
+    p, degrees, slopes = job["presentation"], job["degrees"], job["fill"]
+    sakuma = sakuma_transfers(p, job["words"])
+    base = cover_job["presentation"], cover_job["degrees"]
+    for n in range(1, 42):
+        assert fox_cover_group(p, degrees, n) == fox_cover_group(*base, n), n
+        assert fox_cover_group(p, degrees, n, slopes) == fox_cover_group(
+            *base, n, cover_job["fill"]), n
+        assert fox_cover_group(p, degrees, n, transfers=sakuma) == fox_cover_group(
+            *base, n, transfers=SAKUMA), n
+
+
+def test_eliminated_sakuma_generators_are_read_through_their_words(fox_cover_group):
+    # m = s t s^-1 is eliminated, so tr(m) is read as tr(t)
+    gens = ("m", "s", "t")
+    p = Presentation("conj", gens, tuple(parse_word(r, gens) for r in (
+        "m^-1 s t s^-1", "s t s^-1 t^-1 s^-1 t")))
+    degrees = {"m": 1, "s": 1, "t": 1}
+    job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1})
+    assert job["presentation"].generators == ("s", "t")
+    assert {g: str(w) for g, w in job["words"].items()} == {"m": "s t s^-1"}
+    with pytest.raises(ValueError, match="no base generator named 'm'"):
+        sakuma_transfers(job["presentation"])
+    for n in range(1, 13):
+        q = job["presentation"]
+        cover = reidemeister_schreier(q, CyclicQuotientMap(q, n, job["degrees"]))
+        unreduced = reidemeister_schreier(p, CyclicQuotientMap(p, n, degrees))
+        assert transfer_quotients(cover, job["words"]) == transfer_quotients(unreduced), n
+        assert transfer_quotients(unreduced)[0] == fox_cover_group(p, degrees, n, transfers=SAKUMA)
+
+
+@pytest.mark.parametrize("change", ("relator degree", "missing degree", "empty slope"))
+def test_reduce_job_keeps_a_job_its_levels_would_treat_differently(change):
+    # c = a b a^-1 is a conjugate definition in every case
+    gens = ("a", "b", "c")
+    relators = ["c^-1 a b a^-1", "a b a^-1 b^-1"]
+    degrees, fill = {"a": 1, "b": 1, "c": 1}, ["a"]
+    if change == "relator degree":
+        relators.append("a^2")  # degree 2: levels past 2 refuse it by its index
+    elif change == "missing degree":
+        del degrees["c"]
+    else:
+        fill = ["c a b^-1 a^-1"]  # c = a b a^-1 makes this slope nothing
+    p = Presentation("keep", gens, tuple(parse_word(r, gens) for r in relators))
+    job = {"presentation": p, "degrees": degrees, "n": 1,
+           "fill": tuple(parse_word(w, gens) for w in fill)}
+    assert reduce_job(job) == {**job, "words": {}}
+    if change == "relator degree":  # without it, the job reduces
+        plain = Presentation("keep", gens, p.relators[:2])
+        assert reduce_job({**job, "presentation": plain})["words"]
+
+
+def test_planted_conjugates_keep_every_cover_group():
+    # a seeded differential: random graded relators over m, s, t and planted
+    # x_i = w h^+-1 w^-1, reduced and unreduced, at a few levels each
+    rng = random.Random(59)
+    eliminated = 0
+    for draw in range(60):
+        gens = ["m", "s", "t"]
+        degrees = {g: rng.randrange(-3, 4) for g in gens}
+        relators = [random_graded_word(rng, gens, degrees) for _ in range(rng.randrange(0, 3))]
+        for i in range(rng.randrange(1, 4)):
+            w = Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randrange(4)))
+            h, e = rng.choice(gens), rng.choice((1, -1))
+            x = f"x{i}"
+            gens.append(x)
+            degrees[x] = e * degrees[h]
+            relators.insert(rng.randrange(len(relators) + 1),
+                            Word([(x, -1)]) * w * Word([(h, e)]) * ~w)
+        relators.append(random_graded_word(rng, gens, degrees))
+        p = Presentation(f"planted{draw}", tuple(gens), tuple(relators))
+        slopes = (random_graded_word(rng, gens, degrees),)
+        job = {"presentation": p, "degrees": degrees, "fill": slopes, "n": 1}
+        reduced = reduce_job(job)
+        eliminated += len(reduced["words"])
+        levels = [n for n in range(1, 13) if gcd(n, *degrees.values()) == 1]
+        for n in rng.sample(levels, min(3, len(levels))):
+            assert cover_groups(reduced, n) == cover_groups(job, n), (draw, n)
+    assert eliminated > 60, eliminated
 
 
 # ---- transfer columns against the relator-word route ---------------------------

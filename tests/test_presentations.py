@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -233,3 +234,122 @@ def test_tietze_moves_preserve_abelianization():
             p = apply_random_move(rng, p, counter)
             after = abelianize(p)
             assert (after.rank, after.torsion) == (reference.rank, reference.torsion)
+
+
+# ---- conjugate elimination ----------------------------------------------------
+
+
+def letters(p):
+    return sum(map(len, p.relators))
+
+
+def check_words(p, q, words):
+    """The words of ``eliminate_conjugates(p) == (q, words)`` undo its moves.
+
+    Each word is a conjugate of one letter of q.  Substituted back into p,
+    the words turn each defining relator into the identity after free
+    reduction, and every other relator into q's, in order.
+    """
+    assert q.generators == tuple(g for g in p.generators if g not in words)
+    for w in words.values():
+        assert w.generators_used() <= set(q.generators)
+        assert abs(w.conjugated_run()[1]) == 1
+    kept, defining = 0, 0
+    for r in p.relators:
+        back = r.substitute_all(words)
+        if kept < len(q.relators) and back == q.relators[kept]:
+            kept += 1
+        else:
+            assert back == Word(), r
+            defining += 1
+    assert (kept, defining) == (len(q.relators), len(words))
+
+
+def conjugate_chain(k):
+    """x_(i+1) = x_i a x_i^-1 for i < k, closed by x_k a x_k^-1 a^-1."""
+    gens = ("a", *(f"x{i}" for i in range(k + 1)))
+    relators = [f"x{i + 1}^-1 x{i} a x{i}^-1" for i in range(k)] + [f"x{k} a x{k}^-1 a^-1"]
+    return P(f"chain{k}", gens, *relators)
+
+
+def test_eliminate_conjugates_on_n_final(n_final):
+    # m1 by relator 0, then m2 by relator 1 (relator 2 of the input)
+    q, words = presentations.eliminate_conjugates(n_final)
+    assert q.generators == ("m", "s", "t", "u")
+    assert list(words) == ["m1", "m2"]
+    assert (letters(n_final), letters(q), len(q.relators)) == (62, 102, 3)
+    assert str(words["m1"]) == "m^-1 u^-1 t^-1 s^-1 m s t u m"
+    check_words(n_final, q, words)
+    assert abelianize(q) == abelianize(n_final)
+
+
+def test_conjugate_chain_stops_before_twice_its_letters():
+    # unbounded, the chain doubles at each elimination: 1 024 letters at
+    # k = 8, 16 384 at k = 12, and k = 16 does not finish in a minute
+    for k in (8, 12, 16, 30):
+        p = conjugate_chain(k)
+        start = time.perf_counter()
+        q, words = presentations.eliminate_conjugates(p)
+        assert time.perf_counter() - start < 0.5, k
+        assert letters(q) <= 2 * letters(p), k
+        # the bound stopped it: a conjugate definition is left
+        assert any(presentations._conjugate_definition(r) for r in q.relators), k
+        check_words(p, q, words)
+        assert abelianize(q) == abelianize(p)
+
+
+def test_huge_exponents_cost_nothing_to_eliminate(monkeypatch):
+    # a^30000000 b solves b to a power, not a conjugate of a letter
+    p = P("long", "ab", "a^30000000 b")
+    assert presentations.eliminate_conjugates(p) == (p, {})
+    # 30 000 005 letters pass the reading budget before the first step
+    p = P("power", "abc", "c^-1 b a b^-1", "c^30000000 a")
+    assert presentations.eliminate_conjugates(p) == (p, {})
+    # past it, c = b a b^-1 substitutes into c^30000000 as one run
+    monkeypatch.setattr(presentations, "MAX_TIETZE_LETTERS", 10**9)
+    q, words = presentations.eliminate_conjugates(p)
+    assert [str(r) for r in q.relators] == ["b a^30000000 b^-1 a"]
+    check_words(p, q, words)
+
+
+def test_elimination_stops_at_its_reading_budget(monkeypatch):
+    # every x_i = b a b^-1 is substituted into the long first relator, which
+    # the reduction reads again at each step
+    gens = ("a", "b", *(f"x{i}" for i in range(10)))
+    long = " ".join(f"x{i}" for i in range(10)) + " a b" * 100
+    p = P("budget", gens, long, *(f"x{i}^-1 b a b^-1" for i in range(10)))
+    q, words = presentations.eliminate_conjugates(p)
+    assert len(words) == 10
+    check_words(p, q, words)
+    monkeypatch.setattr(presentations, "MAX_TIETZE_LETTERS", 4 * letters(p))
+    q, words = presentations.eliminate_conjugates(p)
+    assert 0 < len(words) < 10
+    check_words(p, q, words)
+
+
+def planted_presentation(rng, draw):
+    """Random relators over a, b, c and planted x_i = w h^+-1 w^-1, with w and
+    h over the letters before x_i, and the x_i used in the random relators."""
+    gens = ["a", "b", "c"]
+    relators = []
+    for i in range(rng.randrange(1, 5)):
+        w = random_word_over(rng, gens)
+        h = Word([(rng.choice(gens), rng.choice((1, -1)))])
+        gens.append(f"x{i}")
+        relators.insert(rng.randrange(len(relators) + 1), Word([(gens[-1], -1)]) * w * h * ~w)
+    for _ in range(rng.randrange(0, 4)):
+        relators.insert(rng.randrange(len(relators) + 1), random_word_over(rng, gens))
+    return Presentation(f"planted{draw}", tuple(gens), tuple(relators))
+
+
+def test_planted_conjugates_are_eliminated_soundly():
+    rng = random.Random(31)
+    eliminated = 0
+    for draw in range(200):
+        p = planted_presentation(rng, draw)
+        q, words = presentations.eliminate_conjugates(p)
+        check_words(p, q, words)
+        assert letters(q) <= 2 * letters(p)
+        assert abelianize(q) == abelianize(p)
+        eliminated += len(words)
+    assert eliminated > 300

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from foxhom import abelian, cli, snf
+from foxhom import abelian, cli, covers, snf
 from foxhom.snf import smith_normal_form
 
 # ---- independent oracles (kept free of the code under test) ----------
@@ -307,6 +307,14 @@ def cover_smith_forms(monkeypatch, cover_job, levels):
 def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
     # every matrix the cover, fill and sakuma commands reduce
     forms = cover_smith_forms(monkeypatch, cover_job, range(1, 16))
+    assert len(forms) == 15 * 4
+    for m, divisors in forms:
+        assert divisors == dense_smith_divisors(m)
+
+
+def test_sparse_matches_dense_on_reduced_cover_matrices(monkeypatch, cover_job):
+    # the cover commands reduce the matrices of the job's reduced base
+    forms = cover_smith_forms(monkeypatch, covers.reduce_job(cover_job), range(1, 16))
     assert len(forms) == 15 * 4
     for m, divisors in forms:
         assert divisors == dense_smith_divisors(m)

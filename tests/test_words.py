@@ -105,12 +105,37 @@ def test_power():
             assert w**n == want, (w, n)
 
 
+def test_conjugated_run():
+    assert parse_word("a b^-2 a^-1", ABC).conjugated_run() == ("b", -2)
+    assert parse_word("c", ABC).conjugated_run() == ("c", 1)
+    for text in ("", "a b", "a b a", "a b c a^-1", "a b a^-2"):
+        assert parse_word(text, ABC).conjugated_run() is None, text
+
+
+def test_power_of_a_conjugate_is_one_run_long():
+    # 3 * 10^7 copies of its runs would take gigabytes
+    w = parse_word("a c b^2 c^-1 a^-1", ABC)
+    assert w**30_000_000 == parse_word("a c b^60000000 c^-1 a^-1", ABC)
+    assert w**-30_000_000 == parse_word("a c b^-60000000 c^-1 a^-1", ABC)
+
+
 def test_substitute():
     w = parse_word("a b a^-1", ABC)
     assert w.substitute("a", parse_word("b c", ABC)) == parse_word(
         "b c b c^-1 b^-1", ABC
     )
     assert w.substitute("b", Word()) == Word()  # a a^-1 cancels
+
+
+def test_substitute_all_matches_run_by_run_products():
+    rng = random.Random(23)
+    for _ in range(300):
+        w = random_word(rng)
+        words = {g: random_word(rng, ABC, 3) for g in rng.sample(ABC, rng.randrange(4))}
+        want = Word()
+        for g, e in w.runs:
+            want = want * (words[g] ** e if g in words else Word([(g, e)]))
+        assert w.substitute_all(words) == want
 
 
 def test_exponent_vector_examples():
