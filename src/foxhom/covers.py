@@ -357,7 +357,7 @@ def transfer_quotients(cover, words=None):
     generators alone give every transfer.
     """
     sakuma = sakuma_transfers(cover.base, words)
-    others = [(_letter(g), 1) for g in cover.base.generators if (_letter(g), 1) not in sakuma]
+    others = [(w, 1) for w in map(_letter, cover.base.generators) if (w, 1) not in sakuma]
     return tuple(_transfer_chain(cover, sakuma, others))
 
 
