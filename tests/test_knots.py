@@ -13,6 +13,7 @@ relator defines one letter as a conjugate of another: the presentations
 that ``covers.reduce_job`` reduces hardest.
 """
 
+import random
 from math import gcd, prod
 
 import pytest
@@ -111,3 +112,20 @@ def test_cover_order_is_the_resultant(cover_order, name):
     poly = sum(c * t**i for i, c in enumerate(delta))
     for n in (*range(1, 31), 97):
         assert cover_order(delta, n) == abs(sp.resultant(poly, t**n - 1, t)), n
+
+
+def test_random_braid_closures_match_the_fox_route(braid_knot, fox_cover_group):
+    # a closure may be a link; with every meridian of degree 1 its cyclic
+    # covers are still defined, and the Fox route reads the unreduced base
+    rng = random.Random(41)
+    eliminated = 0
+    for draw in range(30):
+        strands = rng.choice((2, 3, 4))
+        word = [rng.choice((1, -1)) * rng.randrange(1, strands) for _ in range(rng.randrange(1, 9))]
+        p = braid_knot(word, strands)
+        degrees = dict.fromkeys(p.generators, 1)
+        job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1})
+        eliminated += len(job["words"])
+        for n in (1, 2, 3, 5, 6):
+            assert level_group(job, n) == fox_cover_group(p, degrees, n), (word, strands, n)
+    assert eliminated > 100, eliminated
