@@ -255,7 +255,7 @@ def _cmd_cover_family(args, mode, command):
     if mode == "sakuma":
         sakuma_transfers(job["presentation"])  # raises on a missing generator name
     parameters = {"presentation": job["presentation"].name, "n": list(n_values), "mode": mode}
-    job = reduce_job(job)  # once per command, after every input rule has passed
+    job = reduce_job(job, max(n_values))  # once per command, after every input rule has passed
     tasks = [(job, n, mode) for n in n_values]
     return _sweep(args, command, {"job": job_path}, parameters,
                   _COVER_HEADERS[mode], _cover_level, tasks)
@@ -269,7 +269,7 @@ def _cmd_rhs_sweep(args):
             f"even levels {evens} need --force; the filled-cover conclusions "
             "are asserted for odd levels only"
         )
-    job = reduce_job(datasets.standard_cover_job())
+    job = reduce_job(datasets.standard_cover_job(), max(n_values))
     tasks = [(job, n, "rhs") for n in n_values]
     return _sweep(args, "rhs-sweep", {"job": datasets.data_path("cover-job")},
                   {"n": list(n_values), "force": bool(args.force)},

@@ -52,7 +52,8 @@ from .words import Word, exponent_vector
 # peak RSS, `fill` with a slope at the cap 0.45-0.5 s and 38 MB, and 3·10^6
 # letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
 # foxhom.cli alone peaks at 20 MB).  The cover commands count the relators and
-# slopes of `reduce_job`'s base: the bundled job needs 499 · (102 + 9).
+# slopes of `reduce_job`'s base, which keeps the job as it was when the
+# reduced one would pass the cap: the bundled job needs 499 · (102 + 9).
 MAX_COVER_LETTERS = 500_000
 
 # the paper's sakuma columns k tr(g) as (g, k): tr(m), 2 tr(s) and 2 tr(t)
@@ -361,7 +362,7 @@ def transfer_quotients(cover, words=None):
     return tuple(_transfer_chain(cover, sakuma, others))
 
 
-def reduce_job(job):
+def reduce_job(job, top):
     """A cover job over its base with the conjugate-defined generators eliminated.
 
     The base goes through ``presentations.eliminate_conjugates``; the
@@ -369,13 +370,17 @@ def reduce_job(job):
     through their words, and ``job["words"]`` keeps the words for the
     transfers (``transfer_quotients``).  Every cover group is a Tietze
     invariant, so each level gives the groups of the job as it was.  The
-    cover commands call this once per command; no library function does.
+    cover commands call this once per command, with ``top`` their highest
+    level; no library function does.
 
     The job stays as it is, with no words, unless every generator has a
     degree, every relator has integer degree 0, and no slope rewrites to the
     empty word.  Then an eliminated g has the degree of its word's letter h,
     up to sign, and every level meets the same quotient map checks, in the
-    same order, as the job it came from.
+    same order, as the job it came from.  It also stays when ``top`` times
+    the reduced relator or slope letters would pass ``MAX_COVER_LETTERS``:
+    the reduction may lengthen them, and must not refuse a level that the
+    job as it was can take.
     """
     p, degrees = job["presentation"], job["degrees"]
     unchanged = {**job, "words": {}}
@@ -384,6 +389,13 @@ def reduce_job(job):
     ):
         return unchanged
     reduced, words = eliminate_conjugates(p)
+    # a word u h^+-1 u^-1 to the power e has |e| + 2 |u| letters
+    slope_letters = sum(
+        abs(e) + len(words[g]) - 1 if g in words else abs(e)
+        for w in job["fill"] for g, e in w.runs
+    )
+    if top * max(sum(map(len, reduced.relators)), slope_letters) > MAX_COVER_LETTERS:
+        return unchanged
     slopes = tuple(w.substitute_all(words) for w in job["fill"])
     if not all(slopes):
         return unchanged

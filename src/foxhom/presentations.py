@@ -23,9 +23,10 @@ from .words import Word, parse_word
 MAX_MATRIX_CELLS = 10_000_000
 
 
-# the most relator letters eliminate_conjugates reads in all: every elimination
-# reads each relator, so a long presentation with many conjugate definitions is
-# left partly reduced instead of rewritten once per definition
+# the most letters eliminate_conjugates reads and builds in all: every
+# elimination reads each relator and rewrites each word, so a long
+# presentation with many conjugate definitions is left partly reduced instead
+# of rewritten once per definition
 MAX_TIETZE_LETTERS = 1_000_000
 
 
@@ -200,13 +201,15 @@ def eliminate_conjugates(p):
     Repeatedly takes the first relator, in relator order, that holds some g
     once with exponent +-1 and solves to g = w h^+-1 w^-1, and removes g by
     ``tietze_eliminate``.  It stops when no such relator is left, or before
-    an elimination could take the relators past twice the input's letters
-    (counted before free reduction, so before any word is built): each
-    elimination can double what it substitutes into, so an unbounded chain
-    of them grows exponentially.  It also stops before the letters it has
-    read pass ``MAX_TIETZE_LETTERS``.  ``words`` maps each eliminated
-    generator, in elimination order, to its word in the reduced generators;
-    substituted back, each turns its defining relator into the identity.
+    an elimination could take the relators, or the words, past twice the
+    input's letters (counted before free reduction, so before anything is
+    built): each elimination can double what it substitutes into, relators
+    and earlier words alike, so an unbounded chain of them grows
+    exponentially.  It also stops before the letters it has read and built
+    pass ``MAX_TIETZE_LETTERS``.  ``words`` maps each eliminated generator,
+    in elimination order, to its word in the reduced generators, a conjugate
+    u h^+-1 u^-1 of one of them; substituted back, each turns its defining
+    relator into the identity.
 
     >>> p = Presentation("p", ("a", "b", "c"), (parse_word("c^-1 b a b^-1", "abc"),
     ...                                          parse_word("c a c^-1 a^-1", "abc")))
@@ -215,7 +218,7 @@ def eliminate_conjugates(p):
     (('a', 'b'), ['b a b^-1 a b a^-1 b^-1 a^-1'], {'c': 'b a b^-1'})
     """
     letters = sum(map(len, p.relators))
-    limit, read = 2 * letters, letters
+    limit, read, spelled = 2 * letters, letters, 0
     words = {}
     while True:
         found = next(
@@ -224,13 +227,17 @@ def eliminate_conjugates(p):
         if found is None:
             return p, words
         j, (gen, solution) = found
-        # the defining relator goes, and each other run of gen gains w and w^-1
-        runs = sum(g == gen for r in p.relators for g, _ in r.runs) - 1
-        grown = letters - len(p.relators[j]) + runs * (len(solution) - 1)
-        if grown > limit or read + grown > MAX_TIETZE_LETTERS:
+        # the defining relator goes, and each other run of gen, in a relator
+        # or in a word, gains w and w^-1
+        in_relators = sum(g == gen for r in p.relators for g, _ in r.runs) - 1
+        grown = letters - len(p.relators[j]) + in_relators * (len(solution) - 1)
+        in_words = sum(g == gen for w in words.values() for g, _ in w.runs)
+        spells = spelled + in_words * (len(solution) - 1) + len(solution)
+        if max(grown, spells) > limit or read + grown + spells > MAX_TIETZE_LETTERS:
             return p, words
         p = tietze_eliminate(p, gen, j)
-        letters = sum(map(len, p.relators))
-        read += letters
         words = {g: w.substitute(gen, solution) for g, w in words.items()}
         words[gen] = solution
+        letters = sum(map(len, p.relators))
+        spelled = sum(map(len, words.values()))
+        read += letters + spelled

@@ -173,7 +173,7 @@ def _check_factorization(inputs):
 
 
 def _check_rhs(inputs):
-    job = reduce_job(inputs.job)
+    job = reduce_job(inputs.job, max(RHS_LEVELS))
     p = job["presentation"]
     spec = FillingSpec(job["fill"])
     for n in RHS_LEVELS:

@@ -453,18 +453,23 @@ def test_cover_commands_reduce_their_base_once(capsys, monkeypatch, argv):
     assert calls == ["n-final"]
     calls.clear()
     # and the body is that of the unreduced job, kept as reduce_job keeps one
-    monkeypatch.setattr(cli, "reduce_job", lambda job: {**job, "words": {}})
-    monkeypatch.setattr(verify, "reduce_job", lambda job: {**job, "words": {}})
+    monkeypatch.setattr(cli, "reduce_job", lambda job, top: {**job, "words": {}})
+    monkeypatch.setattr(verify, "reduce_job", lambda job, top: {**job, "words": {}})
     assert run(capsys, *argv, "--format", "json") == (0, out, "")
     assert calls == []
 
 
-def test_conjugate_chain_job_is_reduced_within_its_bound(capsys, tmp_path):
-    # x_(i+1) = x_i a x_i^-1 doubles at every elimination; the bound stops it
+@pytest.mark.parametrize("chain", ("forward", "reversed"))
+def test_conjugate_chain_job_is_reduced_within_its_bound(capsys, tmp_path, chain):
+    # x_(i+1) = x_i a x_i^-1 doubles the relators at every elimination, and
+    # x_i = x_(i+1) a x_(i+1)^-1 the word of x_0; the bound stops either
     # after a few steps, and the cover is that of the unreduced chain
-    k = 30
+    k = 40
     gens = ["a", *(f"x{i}" for i in range(k + 1))]
-    relators = [f"x{i + 1}^-1 x{i} a x{i}^-1" for i in range(k)] + [f"x{k} a x{k}^-1 a^-1"]
+    if chain == "forward":
+        relators = [f"x{i + 1}^-1 x{i} a x{i}^-1" for i in range(k)] + [f"x{k} a x{k}^-1 a^-1"]
+    else:
+        relators = [f"x{i}^-1 x{i + 1} a x{i + 1}^-1" for i in range(k)]
     (tmp_path / "chain.json").write_text(
         json.dumps({"name": "chain", "generators": gens, "relators": relators}))
     path = tmp_path / "chain-job.json"
@@ -476,6 +481,26 @@ def test_conjugate_chain_job_is_reduced_within_its_bound(capsys, tmp_path):
         p, covers.CyclicQuotientMap(p, 3, dict.fromkeys(gens, 1))))
     assert json.loads(out)["results"] == [
         {"n": 3, "rank": group.rank, "torsion": list(group.torsion)}]
+
+
+@pytest.mark.parametrize("mode", ("cover", "fill"))
+def test_job_the_reduction_would_take_past_the_letter_cap_keeps_its_base(
+        capsys, monkeypatch, tmp_path, mode):
+    # c = b a b^-1 doubles (c a)^50000: 3 * 100 004 letters fit the cap at
+    # n = 3, the reduced 3 * 200 004 would not, so the job keeps its base;
+    # fill carries the long word in its slope and cover in its relators
+    gens = ["a", "b", "c"]
+    long = "c a " * 50000
+    relators = ["c^-1 b a b^-1"] + ([long] if mode == "cover" else [])
+    (tmp_path / "long.json").write_text(
+        json.dumps({"name": "long", "generators": gens, "relators": relators}))
+    path = tmp_path / "long-job.json"
+    path.write_text(json.dumps({"presentation": "long.json", "degrees": {"a": 0, "b": 1, "c": 0},
+                                "fill": [long + "b^3"]}))
+    code, out, err = run(capsys, mode, str(path), "--n", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "reduce_job", lambda job, top: {**job, "words": {}})
+    assert run(capsys, mode, str(path), "--n", "3", "--format", "json") == (0, out, "")
 
 
 def _torus_job(tmp_path, relator="a b a^-1 b^-1", degrees=None, fill=()):

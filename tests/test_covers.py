@@ -726,7 +726,7 @@ def cover_groups(job, n):
 
 
 def test_reduce_job_eliminates_m1_and_m2(cover_job):
-    job = reduce_job(cover_job)
+    job = reduce_job(cover_job, 500)
     assert job["presentation"].generators == ("m", "s", "t", "u")
     assert list(job["words"]) == ["m1", "m2"]
     assert job["degrees"] == {"m": 2, "s": 1, "t": 1, "u": 0}
@@ -738,7 +738,7 @@ def test_reduce_job_eliminates_m1_and_m2(cover_job):
 
 
 def test_reduced_job_matches_the_unreduced_job(cover_job):
-    job = reduce_job(cover_job)
+    job = reduce_job(cover_job, 41)
     for n in range(1, 42):
         assert cover_groups(job, n) == cover_groups(cover_job, n), n
 
@@ -746,7 +746,7 @@ def test_reduced_job_matches_the_unreduced_job(cover_job):
 def test_fox_route_agrees_on_the_reduced_base(cover_job, fox_cover_group):
     # the Fox route never sees a transversal, so this checks the reduction
     # apart from the Reidemeister-Schreier rewrite
-    job = reduce_job(cover_job)
+    job = reduce_job(cover_job, 41)
     p, degrees, slopes = job["presentation"], job["degrees"], job["fill"]
     sakuma = sakuma_transfers(p, job["words"])
     base = cover_job["presentation"], cover_job["degrees"]
@@ -764,7 +764,7 @@ def test_eliminated_sakuma_generators_are_read_through_their_words(fox_cover_gro
     p = Presentation("conj", gens, tuple(parse_word(r, gens) for r in (
         "m^-1 s t s^-1", "s t s^-1 t^-1 s^-1 t")))
     degrees = {"m": 1, "s": 1, "t": 1}
-    job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1})
+    job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1}, 12)
     assert job["presentation"].generators == ("s", "t")
     assert {g: str(w) for g, w in job["words"].items()} == {"m": "s t s^-1"}
     with pytest.raises(ValueError, match="no base generator named 'm'"):
@@ -792,10 +792,24 @@ def test_reduce_job_keeps_a_job_its_levels_would_treat_differently(change):
     p = Presentation("keep", gens, tuple(parse_word(r, gens) for r in relators))
     job = {"presentation": p, "degrees": degrees, "n": 1,
            "fill": tuple(parse_word(w, gens) for w in fill)}
-    assert reduce_job(job) == {**job, "words": {}}
+    assert reduce_job(job, 1) == {**job, "words": {}}
     if change == "relator degree":  # without it, the job reduces
         plain = Presentation("keep", gens, p.relators[:2])
-        assert reduce_job({**job, "presentation": plain})["words"]
+        assert reduce_job({**job, "presentation": plain}, 1)["words"]
+
+
+def test_reduce_job_keeps_a_base_its_top_level_could_not_rewrite(monkeypatch, cover_job):
+    # the reduced n-final holds 102 relator letters, the input 62: at a cap
+    # of 407, level 4 takes the input's 248 letters but not the reduced 408
+    monkeypatch.setattr(covers_module, "MAX_COVER_LETTERS", 4 * 102 - 1)
+    assert reduce_job(cover_job, 4) == {**cover_job, "words": {}}
+    assert list(reduce_job(cover_job, 3)["words"]) == ["m1", "m2"]
+    # so does a slope that m1's word (9 letters) would take past the cap,
+    # here 3 * 140 letters in place of 3 * 28
+    slope = Word([("m1", 1), ("s", 1)]) ** 14
+    job = {**cover_job, "fill": (slope,)}
+    assert reduce_job(job, 3) == {**job, "words": {}}
+    assert len(reduce_job(job, 2)["fill"][0]) == 14 * 10
 
 
 def test_planted_conjugates_keep_every_cover_group():
@@ -819,7 +833,7 @@ def test_planted_conjugates_keep_every_cover_group():
         p = Presentation(f"planted{draw}", tuple(gens), tuple(relators))
         slopes = (random_graded_word(rng, gens, degrees),)
         job = {"presentation": p, "degrees": degrees, "fill": slopes, "n": 1}
-        reduced = reduce_job(job)
+        reduced = reduce_job(job, 12)
         eliminated += len(reduced["words"])
         levels = [n for n in range(1, 13) if gcd(n, *degrees.values()) == 1]
         for n in rng.sample(levels, min(3, len(levels))):

@@ -67,7 +67,7 @@ def test_braid_presentation_has_the_table_polynomial(knot_job, name):
 @pytest.mark.parametrize("name", sorted(KNOTS))
 def test_knot_covers_match_the_order_oracle(knot_job, cover_order, name):
     _, _, delta, cyclotomic = KNOTS[name]
-    job = reduce_job(knot_job(name))
+    job = reduce_job(knot_job(name), max(LEVELS))
     assert job["words"]  # the reduction has work to do on every knot
     for n in LEVELS:
         group, order = level_group(job, n), cover_order(delta, n)
@@ -81,7 +81,7 @@ def test_knot_covers_match_the_order_oracle(knot_job, cover_order, name):
 
 def test_torus_knot_ranks_where_the_product_vanishes(knot_job, cover_order):
     # Phi_6 and Phi_12 divide the T(3,4) polynomial
-    job = reduce_job(knot_job("T(3,4)"))
+    job = reduce_job(knot_job("T(3,4)"), 12)
     assert cover_order(KNOTS["T(3,4)"][2], 6) == cover_order(KNOTS["T(3,4)"][2], 12) == 0
     assert level_group(job, 6).rank == 3
     assert level_group(job, 12).rank == 7
@@ -90,7 +90,7 @@ def test_torus_knot_ranks_where_the_product_vanishes(knot_job, cover_order):
 @pytest.mark.parametrize("name", sorted(KNOTS))
 def test_reduced_knot_covers_match_the_unreduced(knot_job, name):
     job = knot_job(name)
-    reduced = reduce_job(job)
+    reduced = reduce_job(job, 41)
     for n in range(1, 42):
         assert level_group(reduced, n) == level_group(job, n), n
 
@@ -124,7 +124,7 @@ def test_random_braid_closures_match_the_fox_route(braid_knot, fox_cover_group):
         word = [rng.choice((1, -1)) * rng.randrange(1, strands) for _ in range(rng.randrange(1, 9))]
         p = braid_knot(word, strands)
         degrees = dict.fromkeys(p.generators, 1)
-        job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1})
+        job = reduce_job({"presentation": p, "degrees": degrees, "fill": (), "n": 1}, 6)
         eliminated += len(job["words"])
         for n in (1, 2, 3, 5, 6):
             assert level_group(job, n) == fox_cover_group(p, degrees, n), (word, strands, n)

@@ -1,6 +1,5 @@
 import json
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -272,6 +271,12 @@ def conjugate_chain(k):
     return P(f"chain{k}", gens, *relators)
 
 
+def reversed_chain(k):
+    """x_i = x_(i+1) a x_(i+1)^-1 for i < k: the relators shrink, the words double."""
+    gens = ("a", *(f"x{i}" for i in range(k + 1)))
+    return P(f"reversed{k}", gens, *(f"x{i}^-1 x{i + 1} a x{i + 1}^-1" for i in range(k)))
+
+
 def test_eliminate_conjugates_on_n_final(n_final):
     # m1 by relator 0, then m2 by relator 1 (relator 2 of the input)
     q, words = presentations.eliminate_conjugates(n_final)
@@ -288,11 +293,24 @@ def test_conjugate_chain_stops_before_twice_its_letters():
     # k = 8, 16 384 at k = 12, and k = 16 does not finish in a minute
     for k in (8, 12, 16, 30):
         p = conjugate_chain(k)
-        start = time.perf_counter()
         q, words = presentations.eliminate_conjugates(p)
-        assert time.perf_counter() - start < 0.5, k
         assert letters(q) <= 2 * letters(p), k
+        assert 0 < len(words) < k
         # the bound stopped it: a conjugate definition is left
+        assert any(presentations._conjugate_definition(r) for r in q.relators), k
+        check_words(p, q, words)
+        assert abelianize(q) == abelianize(p)
+
+
+def test_reversed_chain_stops_before_its_words_pass_twice_its_letters():
+    # each elimination removes a relator, but x_0's word doubles: unbounded,
+    # it would reach 2^(k+1) - 1 letters, about 2 * 10^12 at k = 40
+    for k in (8, 30, 40):
+        p = reversed_chain(k)
+        q, words = presentations.eliminate_conjugates(p)
+        assert letters(q) <= letters(p), k
+        assert sum(map(len, words.values())) <= 2 * letters(p), k
+        assert 0 < len(words) < k
         assert any(presentations._conjugate_definition(r) for r in q.relators), k
         check_words(p, q, words)
         assert abelianize(q) == abelianize(p)

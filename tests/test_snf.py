@@ -314,7 +314,7 @@ def test_sparse_matches_dense_on_cover_matrices(monkeypatch, cover_job):
 
 def test_sparse_matches_dense_on_reduced_cover_matrices(monkeypatch, cover_job):
     # the cover commands reduce the matrices of the job's reduced base
-    forms = cover_smith_forms(monkeypatch, covers.reduce_job(cover_job), range(1, 16))
+    forms = cover_smith_forms(monkeypatch, covers.reduce_job(cover_job, 15), range(1, 16))
     assert len(forms) == 15 * 4
     for m, divisors in forms:
         assert divisors == dense_smith_divisors(m)
