@@ -288,29 +288,19 @@ def test_eliminate_conjugates_on_n_final(n_final):
     assert abelianize(q) == abelianize(n_final)
 
 
-def test_conjugate_chain_stops_before_twice_its_letters():
-    # unbounded, the chain doubles at each elimination: 1 024 letters at
-    # k = 8, 16 384 at k = 12, and k = 16 does not finish in a minute
-    for k in (8, 12, 16, 30):
-        p = conjugate_chain(k)
+@pytest.mark.parametrize("chain", (conjugate_chain, reversed_chain))
+def test_conjugate_chain_stops_before_twice_its_letters(chain):
+    # unbounded, the chain doubles at each elimination: the forward one in
+    # its relators (1 024 letters at k = 8, 16 384 at k = 12, and k = 16 does
+    # not finish in a minute), the reversed one in the word of x_0 (2^(k+1)
+    # - 1 letters, about 2 * 10^12 at k = 40)
+    for k in (8, 12, 16, 30, 40):
+        p = chain(k)
         q, words = presentations.eliminate_conjugates(p)
         assert letters(q) <= 2 * letters(p), k
-        assert 0 < len(words) < k
-        # the bound stopped it: a conjugate definition is left
-        assert any(presentations._conjugate_definition(r) for r in q.relators), k
-        check_words(p, q, words)
-        assert abelianize(q) == abelianize(p)
-
-
-def test_reversed_chain_stops_before_its_words_pass_twice_its_letters():
-    # each elimination removes a relator, but x_0's word doubles: unbounded,
-    # it would reach 2^(k+1) - 1 letters, about 2 * 10^12 at k = 40
-    for k in (8, 30, 40):
-        p = reversed_chain(k)
-        q, words = presentations.eliminate_conjugates(p)
-        assert letters(q) <= letters(p), k
         assert sum(map(len, words.values())) <= 2 * letters(p), k
         assert 0 < len(words) < k
+        # the bound stopped it: a conjugate definition is left
         assert any(presentations._conjugate_definition(r) for r in q.relators), k
         check_words(p, q, words)
         assert abelianize(q) == abelianize(p)
