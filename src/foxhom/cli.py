@@ -206,7 +206,7 @@ def _cover_level(task):
     p = job["presentation"]
     cover = reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"]))
     if mode == "sakuma":
-        sak, hn = transfer_quotients(cover, job.get("words"))
+        sak, hn = transfer_quotients(cover, job["words"])
         entry = {"n": n, "sakuma": _group_fields(sak), "hn": _group_fields(hn)}
         if sak.is_finite and hn.is_finite:
             entry["order_ratio"] = sak.order // hn.order

@@ -270,21 +270,13 @@ def filled_relators(cover, spec):
     spec = spec if isinstance(spec, FillingSpec) else FillingSpec(spec)
     n, q, p = cover.n, cover.quotient, cover.presentation
     _check_letters(n, spec.slopes, "slopes")
-    # {(g, offset): summed e} per slope, walked before any degree is read, so
-    # that the walk and not word_degree meets a letter outside the base
-    walks = []
-    for w in spec.slopes:
-        sums = {}
-        for g, e, offset in _lifted_runs(q, w):
-            sums[g, offset] = sums.get((g, offset), 0) + e
-        walks.append(sums)
     orbits = [gcd(n, q.word_degree(w)) for w in spec.slopes]
     check_cells(len(p.generators), len(p.relators) + sum(orbits))
     first = {g: i * n for i, g in enumerate(cover.base.generators)}
     out = []
-    for sums, o in zip(walks, orbits):
-        steps = {}
-        for (g, offset), e in sums.items():
+    for w, o in zip(spec.slopes, orbits):
+        steps = {}  # {(g, offset mod o): summed e}
+        for g, e, offset in _lifted_runs(q, w):
             steps[g, offset % o] = steps.get((g, offset % o), 0) + e
         for c in range(o):
             column = [0] * len(p.generators)
@@ -377,10 +369,10 @@ def reduce_job(job, top):
     degree, every relator has integer degree 0, and no slope rewrites to the
     empty word.  Then an eliminated g has the degree of its word's letter h,
     up to sign, and every level meets the same quotient map checks, in the
-    same order, as the job it came from.  It also stays when ``top`` times
-    the reduced relator or slope letters would pass ``MAX_COVER_LETTERS``:
-    the reduction may lengthen them, and must not refuse a level that the
-    job as it was can take.
+    same order, as the job it came from.  It also stays when
+    ``_check_letters`` refuses at level ``top`` its reduced relators or its
+    slopes as rewritten before free reduction: the reduction may lengthen
+    them, and must not refuse a level that the job as it was can take.
     """
     p, degrees = job["presentation"], job["degrees"]
     unchanged = {**job, "words": {}}
@@ -389,12 +381,13 @@ def reduce_job(job, top):
     ):
         return unchanged
     reduced, words = eliminate_conjugates(p)
-    # a word u h^+-1 u^-1 to the power e has |e| + 2 |u| letters
-    slope_letters = sum(
-        abs(e) + len(words[g]) - 1 if g in words else abs(e)
-        for w in job["fill"] for g, e in w.runs
-    )
-    if top * max(sum(map(len, reduced.relators)), slope_letters) > MAX_COVER_LETTERS:
+    # the slopes run by run as substitute_all spells them, one conjugate per
+    # run of an eliminated g (Word.__pow__): none is built past the cap
+    spelled = (words.get(g, _letter(g)) ** e for w in job["fill"] for g, e in w.runs)
+    try:
+        _check_letters(top, reduced.relators, "relators")
+        _check_letters(top, spelled, "slopes")
+    except ValueError:
         return unchanged
     slopes = tuple(w.substitute_all(words) for w in job["fill"])
     if not all(slopes):

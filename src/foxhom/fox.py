@@ -94,6 +94,8 @@ class AbelianizationMap:
 def fox_derivative(word, gen, phi):
     """The image of d(word)/d(gen) under the abelianization map.
 
+    ``ValueError`` names a gen or a word letter that the map has no image for.
+
     >>> from .words import parse_word
     >>> phi = AbelianizationMap(("a",), ("x",), {"a": (1, (1,))})
     >>> print(fox_derivative(parse_word("a^-1", ["a"]), "a", phi))
@@ -101,6 +103,9 @@ def fox_derivative(word, gen, phi):
     """
     if gen not in phi.images:
         raise ValueError(f"unknown generator {gen!r}")
+    stray = next((g for g, _ in word.runs if g not in phi.images), None)
+    if stray is not None:
+        raise ValueError(f"letter {stray!r} has no image under the map")
     terms = {}
     sign, exp = 1, tuple([0] * len(phi.vars))
 

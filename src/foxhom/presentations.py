@@ -148,12 +148,14 @@ def _solve(runs, i):
 def tietze_eliminate(p, gen, rel_index):
     """Remove ``gen`` by solving relator ``rel_index`` for it.
 
-    The chosen relator must contain ``gen`` exactly once, with exponent +-1.
-    Every other occurrence of ``gen`` is replaced by the solved word and
-    freely reduced.
+    The chosen relator must contain ``gen`` exactly once, with exponent +-1,
+    and 0 <= rel_index < len(p.relators).  Every other occurrence of ``gen``
+    is replaced by the solved word and freely reduced.
     """
     if gen not in p.generators:
         raise ValueError(f"no generator named {gen!r}")
+    if not 0 <= rel_index < len(p.relators):
+        raise ValueError(f"no relator {rel_index} among {len(p.relators)}")
     runs = p.relators[rel_index].runs
     hits = [i for i, (g, _) in enumerate(runs) if g == gen]
     if len(hits) != 1 or abs(runs[hits[0]][1]) != 1:

@@ -531,7 +531,8 @@ def test_letter_outside_the_base_is_a_value_error():
     outside = parse_word("a b^2 x^-3 a", ("a", "b", "x"))
     with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
         cover.rewrite(outside, 2)
-    # the second slope is walked before the degree of either is read
+    # every slope's degree is read before any column is built, so the second
+    # slope's letter is named while the first is still unwalked
     with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
         fill(cover, FillingSpec((parse_word("a b", ("a", "b")), outside)))
     with pytest.raises(ValueError, match="letter 'x' is not a generator of torus"):
@@ -810,6 +811,26 @@ def test_reduce_job_keeps_a_base_its_top_level_could_not_rewrite(monkeypatch, co
     job = {**cover_job, "fill": (slope,)}
     assert reduce_job(job, 3) == {**job, "words": {}}
     assert len(reduce_job(job, 2)["fill"][0]) == 14 * 10
+
+
+def test_reduce_job_builds_no_slope_past_the_cap():
+    # x = u a u^-1 with |u| = 200: the slope (x b)^2000 has 4 000 letters and
+    # would rewrite to 2000 * 402, past the cap at level 1
+    u = Word([("a", 1), ("b", 1)]) ** 100
+    p = Presentation("long", ("a", "b", "x"), (Word([("x", -1)]) * u * Word([("a", 1)]) * ~u,))
+    job = {"presentation": p, "degrees": {"a": 1, "b": 0, "x": 1}, "n": 1,
+           "fill": (Word([("x", 1), ("b", 1)]) ** 2000,)}
+    tracemalloc.start()
+    try:
+        kept = reduce_job(job, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == {**job, "words": {}}
+    assert peak < 1_000_000  # building the rewritten slope peaks at some 20 MB
+    # half the slope fits, and is rewritten
+    half = reduce_job({**job, "fill": (Word([("x", 1), ("b", 1)]) ** 1000,)}, 1)
+    assert len(half["fill"][0]) == 1000 * 402
 
 
 def test_planted_conjugates_keep_every_cover_group():

@@ -109,6 +109,15 @@ def test_unknown_generator():
         fox_derivative(parse_word("a", "ab"), "z", phi)
 
 
+def test_word_letter_without_an_image_is_a_value_error():
+    phi = AbelianizationMap(("a",), ("x",), {"a": (1, (1,))})
+    with pytest.raises(ValueError, match="letter 'b' has no image under the map"):
+        fox_derivative(parse_word("a b", "ab"), "a", phi)
+    # a letter after the one taken is named too, before any term is summed
+    with pytest.raises(ValueError, match="letter 'b' has no image under the map"):
+        fox_derivative(parse_word("a^-1 b^3 a", "ab"), "a", phi)
+
+
 # ---- the bundled matrix -------------------------------------------------
 
 

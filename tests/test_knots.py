@@ -3,7 +3,8 @@
 The n-fold cyclic cover X_n of a knot complement has H_1 = Z + T_n, and
 when the product is nonzero |T_n| = |prod over zeta^n = 1 of delta(zeta)|,
 which for a monic Alexander polynomial is |det(C^n - I)| with C its
-companion matrix (the ``cover_order`` fixture).  That takes no Smith form, so
+companion matrix (the ``cover_order`` fixture), and for any delta is
+|Res(delta, t^n - 1)|, which sympy gives.  That takes no Smith form, so
 it checks the cover route where the Smith form changes fastest.  When some
 root of delta is an n-th root of unity the product is zero, and the rank is
 1 + the sum of phi(d) over d | n, d > 1, with Phi_d dividing delta.
@@ -31,6 +32,13 @@ KNOTS = {
     "5_1": ((1,) * 5, 2, (1, -1, 1, -1, 1), (10,)),
     "T(3,4)": ((1, 2) * 4, 3, (1, -1, 0, 1, 0, -1, 1), (6, 12)),
 }
+# name -> (braid word, strands, delta from the constant term up) for knots
+# whose delta is not monic, so that cover_order does not serve them
+NON_MONIC = {
+    "5_2": ((1, 1, 1, 2, -1, 2), 3, (2, -3, 2)),
+    "6_1": ((1, 1, 2, -1, -3, 2, -3), 4, (2, -5, 2)),
+    "7_2": ((1, 1, 1, 2, -1, 2, 3, -2, 3), 4, (3, -5, 3)),
+}
 LEVELS = (*range(1, 62), 301, 499)
 
 
@@ -43,7 +51,7 @@ def knot_job(braid_knot):
     """name -> the cover job of the knot: its meridians all of degree 1."""
 
     def job(name):
-        word, strands, _, _ = KNOTS[name]
+        word, strands = {**KNOTS, **NON_MONIC}[name][:2]
         p = braid_knot(word, strands)
         return {"presentation": p, "degrees": dict.fromkeys(p.generators, 1), "fill": (), "n": 1}
 
@@ -55,10 +63,10 @@ def level_group(job, n):
     return h1_cover(reidemeister_schreier(p, CyclicQuotientMap(p, n, job["degrees"])))
 
 
-@pytest.mark.parametrize("name", sorted(KNOTS))
+@pytest.mark.parametrize("name", sorted(KNOTS) + sorted(NON_MONIC))
 def test_braid_presentation_has_the_table_polynomial(knot_job, name):
     job = knot_job(name)
-    p, (_, _, delta, _) = job["presentation"], KNOTS[name]
+    p, delta = job["presentation"], {**KNOTS, **NON_MONIC}[name][2]
     phi = AbelianizationMap(p.generators, ("t",), {g: (1, (1,)) for g in p.generators})
     table = LaurentPoly(("t",), {(i,): c for i, c in enumerate(delta) if c})
     assert alexander_poly(p, phi).unit_equivalent(table)
@@ -77,6 +85,20 @@ def test_knot_covers_match_the_order_oracle(knot_job, cover_order, name):
             assert (group.rank, prod(group.torsion)) == (1, order), n
         else:
             assert group.rank == rank, n
+
+
+@pytest.mark.parametrize("name", sorted(NON_MONIC))
+def test_non_monic_knot_covers_match_the_resultant(knot_job, name):
+    # a root of unity is an algebraic integer, and no root of these delta
+    # is one (6_1's is (2t - 1)(t - 2)), so every level has rank 1 and
+    # |T_n| = |Res(delta, t^n - 1)|, by sympy
+    t = sp.symbols("t")
+    poly = sum(c * t**i for i, c in enumerate(NON_MONIC[name][2]))
+    job = reduce_job(knot_job(name), 61)
+    assert job["words"]
+    for n in range(1, 62):
+        group, order = level_group(job, n), abs(sp.resultant(poly, t**n - 1, t))
+        assert (group.rank, prod(group.torsion)) == (1, order), n
 
 
 def test_torus_knot_ranks_where_the_product_vanishes(knot_job, cover_order):

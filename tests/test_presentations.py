@@ -123,6 +123,18 @@ def test_eliminate_rejects_bad_relator():
         tietze_eliminate(p, "c", 0)
 
 
+@pytest.mark.parametrize("rel_index", (-1, -2, 2, 3))
+def test_eliminate_rejects_an_index_outside_the_relators(rel_index):
+    # relator -2 is relator 0 counted from the end: it holds c once, and was
+    # once solved for c and then kept, substituted, as an empty relator
+    p = P("p", "abc", "c^-1 b a b^-1", "c a c^-1 a^-1")
+    with pytest.raises(ValueError, match=f"no relator {rel_index} among 2"):
+        tietze_eliminate(p, "c", rel_index)
+    assert [str(r) for r in tietze_eliminate(p, "c", 0).relators] == [
+        "b a b^-1 a b a^-1 b^-1 a^-1"
+    ]
+
+
 def test_add_generator():
     p = P("p", "ab", "a b")
     q = tietze_add_generator(p, "c", parse_word("a b^-1", "ab"))

@@ -298,9 +298,11 @@ def cover_smith_forms(monkeypatch, cover_job, levels):
         return form
 
     monkeypatch.setattr(abelian, "smith_normal_form", record)
+    # the job as loaded, with the empty words of a job reduce_job keeps
+    job = {**cover_job, "words": {}}
     for n in levels:
         for mode in ("h1", "fill", "sakuma"):
-            cli._cover_level((cover_job, n, mode))
+            cli._cover_level((job, n, mode))
     return seen
 
 
