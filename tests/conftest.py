@@ -4,6 +4,7 @@ import pytest
 
 from foxhom import datasets
 from foxhom.abelian import AbelianGroup, cokernel
+from foxhom.covers import CoverPresentation, reidemeister_schreier
 from foxhom.fox import AbelianizationMap, alexander_matrix
 from foxhom.polymat import LaurentMatrix, determinant
 from foxhom.presentations import Presentation
@@ -158,6 +159,36 @@ def braid_knot():
         return Presentation(f"braid{list(word)}", tuple(gens), tuple(relators))
 
     return knot
+
+
+@pytest.fixture(scope="session")
+def base_order_cover():
+    """The cover of ``reidemeister_schreier`` with its tree grown in base order.
+
+    ``base_order_cover(p, q)`` keeps the rewritten relators and trivializes
+    the tree that a stable sort of the generators by gcd(deg g, n) alone
+    grows: with a generator of coprime degree, the powers of the first one.
+    It is the transversal rule that the relator-letter order replaced, so a
+    differential against it checks that the choice of tree changes no group
+    (any Schreier transversal presents the kernel).
+    """
+
+    def build(p, q):
+        n = q.n
+        kernel = reidemeister_schreier(p, q).presentation
+        rewritten = kernel.relators[: n * len(p.relators)]
+        reached, seen, trivial = [0], {0}, []
+        for g in sorted(p.generators, key=lambda g: gcd(q.degrees[g], n)):
+            for c in reached:
+                e = (c + q.degrees[g]) % n
+                if e not in seen:
+                    seen.add(e)
+                    reached.append(e)
+                    trivial.append(Word([(f"{g}@{c}", 1)]))
+        tree = Presentation(kernel.name, kernel.generators, rewritten + tuple(trivial))
+        return CoverPresentation(q, tree)
+
+    return build
 
 
 @pytest.fixture(scope="session")

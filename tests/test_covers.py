@@ -109,11 +109,17 @@ def test_grading_without_coprime_generator_after_tietze_move(n):
 def section_rule_presentation(p, q):
     """The kernel presentation with the powers of one generator as transversal.
 
-    The generator is the first of degree d coprime to n; its symbols at
-    cosets 0, d, ..., (n - 2)d are trivialized after the rewritten relators.
+    The generator is, among those of degree d coprime to n, the one with the
+    most relator letters, the first in base order on a tie: its tree rows
+    are the ones the Smith form's lone-unit pass deletes, with every entry of
+    theirs.  Its symbols at cosets 0, d, ..., (n - 2)d are trivialized after
+    the rewritten relators.
     """
     n = q.n
-    section = next(g for g in p.generators if gcd(q.degrees[g], n) == 1)
+    letters = {g: sum(h == g for r in p.relators for h, _ in r.single_letters())
+               for g in p.generators}
+    coprime = [g for g in p.generators if gcd(q.degrees[g], n) == 1]
+    section = max(coprime, key=letters.get)
     d = q.degrees[section]
     cover = reidemeister_schreier(p, q)
     relators = tuple(cover.rewrite(r, c) for r in p.relators for c in range(n))
@@ -130,19 +136,46 @@ def test_tree_matches_section_rule_on_bundled_job(cover_job, n):
 
 
 def test_tree_matches_section_rule_on_random_gradings():
+    # random commutators [w, h] as relators, of degree 0 at every grading:
+    # the generators' letter counts differ, so the section is often not the
+    # first coprime generator
     rng = random.Random(11)
-    compared = 0
+    compared = moved = 0
     for _ in range(400):
         gens = tuple(f"g{i}" for i in range(rng.randrange(1, 4)))
         n = rng.randrange(1, 13)
         degrees = {g: rng.randrange(-12, 13) for g in gens}
-        if not any(gcd(d, n) == 1 for d in degrees.values()):
+        coprime = [g for g in gens if gcd(degrees[g], n) == 1]
+        if not coprime:
             continue
-        p = free_presentation(*gens)
+        words = [Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randrange(1, 5)))
+                 for _ in range(rng.randrange(0, 4))]
+        commutators = (w * Word([(h, 1)]) * ~w * Word([(h, -1)])
+                       for w, h in zip(words, map(rng.choice, [gens] * len(words))))
+        p = Presentation("random", gens, tuple(filter(None, commutators)))
         q = CyclicQuotientMap(p, n, degrees)
-        assert reidemeister_schreier(p, q).presentation == section_rule_presentation(p, q)
+        section = section_rule_presentation(p, q)
+        assert reidemeister_schreier(p, q).presentation == section
         compared += 1
-    assert compared > 200
+        moved += n > 1 and section.relators[-1].runs[0][0].rsplit("@", 1)[0] != coprime[0]
+    assert compared > 200 and moved > 20, (compared, moved)
+
+
+def test_trees_give_the_same_groups_on_the_bundled_job(cover_job, base_order_cover):
+    # H1, the filled cokernel and both transfer quotients through the tree
+    # of the most relator letters (t) and through the base-order one (m at
+    # odd levels, s at even), on the unreduced and the reduced base
+    moved = 0
+    for job in (cover_job, reduce_job(cover_job, 41)):
+        p, slopes = job["presentation"], FillingSpec(job["fill"])
+        for n in range(1, 42):
+            q = CyclicQuotientMap(p, n, job["degrees"])
+            covers = reidemeister_schreier(p, q), base_order_cover(p, q)
+            moved += covers[0].presentation != covers[1].presentation
+            groups = [(h1_cover(c), fill(c, slopes), transfer_quotients(c, job.get("words")))
+                      for c in covers]
+            assert groups[0] == groups[1], (p.generators, n)
+    assert moved == 2 * 40
 
 
 def _transversal_word(cover, coset):
@@ -831,6 +864,28 @@ def test_reduce_job_builds_no_slope_past_the_cap():
     # half the slope fits, and is rewritten
     half = reduce_job({**job, "fill": (Word([("x", 1), ("b", 1)]) ** 1000,)}, 1)
     assert len(half["fill"][0]) == 1000 * 402
+
+
+def test_reduce_job_counts_slope_letters_once_per_word(monkeypatch):
+    # x = u a u^-1 with |u| = 500: each run of x in the slope (x b)^20000
+    # spells 1001 letters, which are counted from the length of x's word, not
+    # by spelling x's conjugate at every run (20 000 conjugated_run scans)
+    u = Word([("a", 1), ("b", 1)]) ** 250
+    p = Presentation("long", ("a", "b", "x"), (Word([("x", -1)]) * u * Word([("a", 1)]) * ~u,))
+    job = {"presentation": p, "degrees": {"a": 1, "b": 0, "x": 1}, "n": 1,
+           "fill": (Word([("x", 1), ("b", 1)]) ** 20000,)}
+    scans = []
+    conjugated_run = Word.conjugated_run
+    monkeypatch.setattr(Word, "conjugated_run", lambda w: scans.append(w) or conjugated_run(w))
+    assert reduce_job(job, 1) == {**job, "words": {}}  # 20 000 * 1002 letters
+    assert len(scans) < 10, len(scans)
+    # the count is the slope's length as substitute_all spells it: x^3 and
+    # x^-2 spell u a^3 u^-1 and u a^-2 u^-1, 1003 and 1002 letters
+    small = {**job, "fill": (Word([("x", 3), ("b", 1), ("x", -2), ("b", 1)]) ** 10,)}
+    monkeypatch.setattr(covers_module, "MAX_COVER_LETTERS", 10 * 2007)
+    assert len(reduce_job(small, 1)["fill"][0]) == 10 * 2007
+    monkeypatch.setattr(covers_module, "MAX_COVER_LETTERS", 10 * 2007 - 1)
+    assert reduce_job(small, 1) == {**small, "words": {}}
 
 
 def test_planted_conjugates_keep_every_cover_group():

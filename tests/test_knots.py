@@ -20,9 +20,18 @@ from math import gcd, prod
 import pytest
 import sympy as sp
 
-from foxhom.covers import CyclicQuotientMap, h1_cover, reduce_job, reidemeister_schreier
+from foxhom.covers import (
+    CyclicQuotientMap,
+    fill,
+    h1_cover,
+    reduce_job,
+    reidemeister_schreier,
+    transfer_quotients,
+)
 from foxhom.fox import AbelianizationMap, alexander_poly
 from foxhom.laurent import LaurentPoly
+from foxhom.presentations import Presentation
+from foxhom.words import Word
 
 # name -> (braid word, strands, delta from the constant term up, the d with
 # Phi_d dividing delta), delta from Rolfsen's table
@@ -115,6 +124,30 @@ def test_reduced_knot_covers_match_the_unreduced(knot_job, name):
     reduced = reduce_job(job, 41)
     for n in range(1, 42):
         assert level_group(reduced, n) == level_group(job, n), n
+
+
+@pytest.mark.parametrize("name", sorted(KNOTS) + sorted(NON_MONIC))
+def test_trees_give_the_same_knot_groups(knot_job, base_order_cover, name):
+    # H1, the meridian filled (the branched cover) and both transfer
+    # quotients, with m, s and t read as meridians, through the tree of the
+    # most relator letters and through the base-order one.  x1 often has the
+    # most letters, so each base is also taken in reversed generator order,
+    # where the base order starts from the last arc
+    job = knot_job(name)
+    moved = 0
+    for p in (job["presentation"], reduce_job(job, 21)["presentation"]):
+        for gens in (p.generators, p.generators[::-1]):
+            base = Presentation(p.name, gens, p.relators)
+            first, last = (Word([(g, 1)]) for g in (gens[0], gens[-1]))
+            words = {"m": first, "s": last, "t": first * last}
+            for n in range(1, 22):
+                q = CyclicQuotientMap(base, n, job["degrees"])
+                covers = reidemeister_schreier(base, q), base_order_cover(base, q)
+                moved += covers[0].presentation != covers[1].presentation
+                groups = [(h1_cover(c), fill(c, (first,)), transfer_quotients(c, words))
+                          for c in covers]
+                assert groups[0] == groups[1], (gens, n)
+    assert moved >= 20, moved
 
 
 def test_cover_order_oracle(cover_order):
