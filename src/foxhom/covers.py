@@ -40,7 +40,6 @@ library functions here take the base they are given and do not reduce it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -224,7 +223,7 @@ def reidemeister_schreier(p, q):
     # coset 0 one generator at a time in a stable sort by (gcd(deg, n),
     # -letters): a first generator of coprime degree d spans it alone, at
     # cosets 0, d, ..., (n - 2)d
-    letters = Counter()
+    letters = dict.fromkeys(p.generators, 0)
     for r in p.relators:
         for g, e in r.runs:
             letters[g] += abs(e)
