@@ -48,8 +48,8 @@ MAX_CELLS = 20_000
 # the highest cover level: the kernel relator matrix with its filling and
 # transfer columns is dense, about (4n)^2 entries for the bundled job once
 # reduce_job has eliminated m1 and m2 (rhs-sweep at n = 499, with the
-# transversal tree on t: 55 MB peak RSS, 0.33 s in 3 fresh processes on a
-# 2-CPU host, Python 3.11.7; with the tree on m it took 72 MB and 1.1-1.4 s);
+# transversal tree on t: 55 MB peak RSS, 0.30-0.33 s in 6 fresh processes on
+# a 2-CPU host, Python 3.11.7; with the tree on m it took 72 MB and 0.9-1.4 s);
 # a wider job meets MAX_MATRIX_CELLS first
 MAX_COVER_LEVEL = 500
 

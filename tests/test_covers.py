@@ -110,10 +110,10 @@ def section_rule_presentation(p, q):
     """The kernel presentation with the powers of one generator as transversal.
 
     The generator is, among those of degree d coprime to n, the one with the
-    most relator letters, the first in base order on a tie: its tree rows
-    are the ones the Smith form's lone-unit pass deletes, with every entry of
-    theirs.  Its symbols at cosets 0, d, ..., (n - 2)d are trivialized after
-    the rewritten relators.
+    most relator letters, the first in base order on a tie: the Smith form
+    deletes the tree rows, with every entry in them, before any arithmetic.
+    Its symbols at cosets 0, d, ..., (n - 2)d are trivialized after the
+    rewritten relators.
     """
     n = q.n
     letters = {g: sum(h == g for r in p.relators for h, _ in r.single_letters())
@@ -148,11 +148,12 @@ def test_tree_matches_section_rule_on_random_gradings():
         coprime = [g for g in gens if gcd(degrees[g], n) == 1]
         if not coprime:
             continue
-        words = [Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randrange(1, 5)))
-                 for _ in range(rng.randrange(0, 4))]
-        commutators = (w * Word([(h, 1)]) * ~w * Word([(h, -1)])
-                       for w, h in zip(words, map(rng.choice, [gens] * len(words))))
-        p = Presentation("random", gens, tuple(filter(None, commutators)))
+        relators = []
+        for _ in range(rng.randrange(0, 4)):
+            w = Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randrange(1, 5)))
+            h = Word([(rng.choice(gens), 1)])
+            relators.append(w * h * ~w * ~h)
+        p = Presentation("random", gens, tuple(filter(None, relators)))
         q = CyclicQuotientMap(p, n, degrees)
         section = section_rule_presentation(p, q)
         assert reidemeister_schreier(p, q).presentation == section
