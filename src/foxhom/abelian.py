@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._record import Record
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Z^rank + Z/d1 + ... + Z/dk with d1 | d2 | ... and every di >= 2.
 
     >>> print(AbelianGroup(3, (2,)))
@@ -18,13 +17,13 @@ class AbelianGroup:
     1
     """
 
-    rank: int
-    torsion: tuple = ()
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        object.__setattr__(self, "rank", rank)
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+        object.__setattr__(self, "torsion", tuple(torsion))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion divisors must be >= 2")

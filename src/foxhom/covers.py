@@ -40,10 +40,10 @@ library functions here take the base they are given and do not reduce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+from ._record import Record
 from .abelian import cokernel, cokernel_chain
 from .laurent import substitute_monomial
 from .polygcd import shared_root_count
@@ -65,8 +65,7 @@ MAX_COVER_LETTERS = 500_000
 SAKUMA_TRANSFERS = (("m", 1), ("s", 2), ("t", 2))
 
 
-@dataclass(frozen=True)
-class CyclicQuotientMap:
+class CyclicQuotientMap(Record):
     """A surjection of the presented group onto Z/n via generator degrees.
 
     ``degrees`` assigns each generator an integer grading; it must reduce to
@@ -74,18 +73,18 @@ class CyclicQuotientMap:
     total degree 0 mod n.
     """
 
-    base: Presentation
-    n: int
-    degrees: dict
+    _fields = ("base", "n", "degrees")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, base, n, degrees):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "n", n)
+        if n < 1:
             raise ValueError("modulus must be at least 1")
         degs = {}
-        for g in self.base.generators:
-            if g not in self.degrees:
+        for g in base.generators:
+            if g not in degrees:
                 raise ValueError(f"no degree for generator {g!r}")
-            degs[g] = self.degrees[g] % self.n
+            degs[g] = degrees[g] % n
         object.__setattr__(self, "degrees", degs)
         span = gcd(self.n, *degs.values()) if degs else self.n
         if span != 1:
@@ -117,8 +116,7 @@ class CyclicQuotientMap:
         return sum(e * self.degree(g) for g, e in word.runs) % self.n
 
 
-@dataclass(frozen=True)
-class CoverPresentation:
+class CoverPresentation(Record):
     """An n-fold cyclic cover and its kernel presentation.
 
     ``presentation`` presents the cover's group: one generator per (base
@@ -127,8 +125,11 @@ class CoverPresentation:
     the tree was grown.
     """
 
-    quotient: CyclicQuotientMap
-    presentation: Presentation
+    _fields = ("quotient", "presentation")
+
+    def __init__(self, quotient, presentation):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "presentation", presentation)
 
     @property
     def base(self):
@@ -263,14 +264,13 @@ def transfer(cover, word):
     return [total for total in vec for _ in range(cover.n)]
 
 
-@dataclass(frozen=True)
-class FillingSpec:
+class FillingSpec(Record):
     """Boundary slopes to fill, as words in the base generators."""
 
-    slopes: tuple
+    _fields = ("slopes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(self.slopes))
+    def __init__(self, slopes):
+        object.__setattr__(self, "slopes", tuple(slopes))
         if not self.slopes:
             raise ValueError("no slopes to fill")
         if not all(self.slopes):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from .fox import AbelianizationMap, MissingImages
@@ -32,8 +31,13 @@ PRESENTATIONS = ("rst", "nb", "amalgam", "n-final")
 
 @cache
 def data_dir():
-    """Directory holding the bundled data files, resolved once per process."""
-    return Path(resources.files("foxhom") / "data")
+    """Directory holding the bundled data files, resolved once per process.
+
+    The data ships inside the package, beside this module, so the path is
+    read from ``__file__``: the import machinery's resource reader gives the
+    same path and costs every process an import.
+    """
+    return Path(__file__).parent / "data"
 
 
 def data_path(name, dir=None):

@@ -18,10 +18,10 @@ exact division; see there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import Record
 from .laurent import LaurentPoly, json_int, json_ints, json_vars
 from .polygcd import laurent_divexact, laurent_gcd
 from .polymat import LaurentMatrix, determinant
@@ -47,35 +47,32 @@ class MissingImages(ValueError):
     """A map applied to generators that it has no image for."""
 
 
-@dataclass(frozen=True)
-class AbelianizationMap:
+class AbelianizationMap(Record):
     """A homomorphism sending each generator to a signed monomial unit.
 
     ``images`` maps generator -> (sign, exponent vector over ``vars``).
     """
 
-    source: tuple
-    vars: tuple
-    images: dict
+    _fields = ("source", "vars", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "vars", tuple(self.vars))
-        images = {}
+    def __init__(self, source, vars, images):
+        object.__setattr__(self, "source", tuple(source))
+        object.__setattr__(self, "vars", tuple(vars))
+        checked = {}
         for g in self.source:
-            if g not in self.images:
+            if g not in images:
                 continue
-            sign, exp = self.images[g]
+            sign, exp = images[g]
             if sign not in (1, -1):
                 raise ValueError("images must be units: sign +-1")
-            images[g] = (sign, tuple(exp))
-            if len(images[g][1]) != len(self.vars):
+            checked[g] = (sign, tuple(exp))
+            if len(checked[g][1]) != len(self.vars):
                 raise ValueError("image exponent length does not match variables")
-        missing = [repr(g) for g in self.source if g not in images]
+        missing = [repr(g) for g in self.source if g not in checked]
         if missing:
             noun = "generator" if len(missing) == 1 else "generators"
             raise MissingImages(f"no image for {noun} {', '.join(missing)}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", checked)
 
     def image_monomial(self, gen, power=1):
         sign, exp = self.images[gen]

@@ -11,31 +11,25 @@ nothing, and an n x n matrix makes (n - 2)^2 + ... + 1 exact divisions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .laurent import LaurentPoly, json_list, json_vars
 from .polygcd import poly_divexact
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(Record):
     """A rectangular grid of Laurent polynomials over the ring ``vars``.
 
     Every entry must lie in that ring; a grid with no entries keeps it too.
+    ``entries`` is a tuple of row tuples of LaurentPoly.
     """
 
-    vars: tuple
-    row_labels: tuple
-    col_labels: tuple
-    entries: tuple  # tuple of row tuples of LaurentPoly
+    _fields = ("vars", "row_labels", "col_labels", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
+    def __init__(self, vars, row_labels, col_labels, entries):
+        object.__setattr__(self, "vars", tuple(vars))
+        object.__setattr__(self, "row_labels", tuple(row_labels))
+        object.__setattr__(self, "col_labels", tuple(col_labels))
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
         for row in self.entries:

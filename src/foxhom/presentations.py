@@ -10,8 +10,7 @@ is carried through for bundled datasets and otherwise ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .abelian import cokernel
 from .laurent import json_list
 from .words import Word, parse_word
@@ -41,8 +40,7 @@ def _check_name(name):
         raise ValueError(f"invalid generator name {name!r}")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """An ordered generator list and a list of relator words.
 
     >>> p = Presentation("rst", ("r", "s", "t"), (parse_word("r s t", "rst"),))
@@ -50,13 +48,12 @@ class Presentation:
     Z^2
     """
 
-    name: str
-    generators: tuple
-    relators: tuple
+    _fields = ("name", "generators", "relators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(self.relators))
+    def __init__(self, name, generators, relators):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "relators", tuple(relators))
         seen = set()
         for g in self.generators:
             _check_name(g)
@@ -72,7 +69,7 @@ class Presentation:
     def _of(cls, name, generators, relators):
         """A presentation from tuples whose names and relator letters are known good.
 
-        Skips the checks of ``__post_init__``, for a presentation built from
+        Skips the checks of ``__init__``, for a presentation built from
         names it formatted itself and words over them.
         """
         self = object.__new__(cls)

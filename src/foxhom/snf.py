@@ -64,14 +64,14 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 from math import gcd
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class SmithForm:
+
+class SmithForm(Record):
     """Divisor chain d1 | d2 | ... of a matrix.
 
     ``divisors`` lists the nonzero diagonal entries (1s included), so the
@@ -80,10 +80,13 @@ class SmithForm:
     [matrix | B1 | ... | Bj] for j = 1..k, and is empty without them.
     """
 
-    rows: int
-    cols: int
-    divisors: tuple
-    extended: tuple = ()
+    _fields = ("rows", "cols", "divisors", "extended")
+
+    def __init__(self, rows, cols, divisors, extended=()):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "extended", extended)
 
     @property
     def cokernel_rank(self):
@@ -205,6 +208,24 @@ def _unit_step(columns, in_row, units, c, parked):
     return written
 
 
+def _divisor_chain(pivots):
+    """The positive pivots as a divisor chain d1 | d2 | ..., a tuple.
+
+    Sorted pivots that already divide one another are their own chain, and
+    one pass checks it; on a cover matrix they take two values, 2 and 2n.
+    Otherwise each pair (a, b), a before b, becomes (gcd, lcm), which keeps
+    the product of the diagonal and makes a divisor of every later entry.
+    """
+    chain = sorted(pivots)
+    if all(b % a == 0 for a, b in zip(chain, chain[1:])):
+        return tuple(chain)
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] * chain[b] // g
+    return tuple(chain)
+
+
 def smith_normal_form(matrix, passive=()):
     """Divisor chain of an integer matrix under unimodular row/column operations.
 
@@ -297,12 +318,7 @@ def smith_normal_form(matrix, passive=()):
                 in_row[r].clear()
         # a remainder of +-1 is taken by the next unit step
         _refresh(keys, units, columns, written)
-    chain = sorted(pivots.values())
-    for a in range(len(chain)):
-        for b in range(a + 1, len(chain)):
-            g = gcd(chain[a], chain[b])
-            chain[a], chain[b] = g, chain[a] * chain[b] // g
-    divisors = (1,) * ones + tuple(chain)
+    divisors = (1,) * ones + _divisor_chain(pivots.values())
     if not passive:
         return SmithForm(rows, cols, divisors)
     # the leftover's rows: those no unit pivot took, less the empty ones,

@@ -687,6 +687,20 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
+def test_start_up_imports_no_dataclasses_inspect_or_resources():
+    # every process pays for what foxhom.cli imports; without site, so that no
+    # .pth file loads any of them first, none of the three may be imported
+    src = str(Path(foxhom.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import foxhom.cli; "
+        "from foxhom import datasets; datasets.standard_cover_job(); "
+        "print([m for m in ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("command", (("rhs-sweep",), ("branched", "delta_L", "--n", "5")))
 def test_jobs_below_one_is_exit_2(capsys, command):
     code, out, err = run(capsys, *command, "--jobs", "0")

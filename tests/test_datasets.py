@@ -1,9 +1,11 @@
 import json
 import pickle
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from foxhom import datasets
+from foxhom import abelian, covers, datasets, snf
 from foxhom.laurent import parse_poly
 from foxhom.words import exponent_vector, parse_word
 
@@ -33,22 +35,19 @@ def test_load_by_path(tmp_path):
     assert p.name == "rst"
 
 
-def test_data_dir_is_resolved_once(monkeypatch):
-    calls = []
-    files = datasets.resources.files
-
-    def spy(package):
-        calls.append(package)
-        return files(package)
-
-    monkeypatch.setattr(datasets.resources, "files", spy)
+def test_data_dir_is_resolved_once():
     datasets.data_dir.cache_clear()
     try:
         for name in ("rst", "nb", "cover-job"):
             assert datasets.data_path(name).parent == datasets.data_dir()
+        assert datasets.data_dir.cache_info().misses == 1
+        assert datasets.data_dir() is datasets.data_dir()
     finally:
         datasets.data_dir.cache_clear()
-    assert calls == ["foxhom"]
+    # the package's own directory, as the import machinery's resource reader
+    # names it, so report paths are unchanged
+    assert datasets.data_dir() == Path(datasets.__file__).parent / "data"
+    assert str(datasets.data_dir()) == str(resources.files("foxhom") / "data")
 
 
 def test_digest_is_stable():
@@ -105,8 +104,43 @@ def test_job_with_relative_presentation_path(tmp_path):
 def test_pickle_round_trip_keeps_values_and_hashes(cover_job):
     word = parse_word("s t^-2 s^-1 t", ["s", "t"])
     poly = parse_poly("2*x^2*y^-1 - x + 1", ("x", "y"))
-    for value in (word, poly, cover_job["presentation"], cover_job["fill"]):
+    group = abelian.AbelianGroup(2, (2, 6))
+    form = snf.smith_normal_form([[2, 0], [0, 2]], [[[1, 1]]])
+    assert form.extended
+    spec = covers.FillingSpec(cover_job["fill"])
+    records = [
+        (cover_job["presentation"], "name"),
+        (group, "rank"),
+        (form, "extended"),
+        (spec, "slopes"),
+    ]
+    for value in (word, poly, cover_job["fill"], *(r for r, _ in records)):
         again = pickle.loads(pickle.dumps(value))
         assert again == value
         assert hash(again) == hash(value)
+        assert repr(again) == repr(value)
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
     assert pickle.loads(pickle.dumps(cover_job)) == cover_job
+
+
+def test_records_compare_within_one_class(cover_job):
+    group = abelian.AbelianGroup(1, (2,))
+    assert repr(group) == "AbelianGroup(rank=1, torsion=(2,))"
+    assert group == abelian.AbelianGroup(rank=1, torsion=[2])
+    assert hash(group) == hash((1, (2,)))
+
+    class Other(abelian.AbelianGroup):
+        pass
+
+    assert Other(1, (2,)) != group and group != (1, (2,))
+    # a record holding a dict is unhashable, and pickles with its cached letters
+    q = covers.CyclicQuotientMap(cover_job["presentation"], 5, cover_job["degrees"])
+    with pytest.raises(TypeError):
+        hash(q)
+    letters = q.letters
+    again = pickle.loads(pickle.dumps(q))
+    assert again == q and "letters" in vars(again) and again.letters == letters

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -167,6 +166,11 @@ def single_loop_smith_divisors(matrix):
             pivots.append(p)
             del columns[c]
             in_row[r].clear()
+    return pairwise_sweep(pivots)
+
+
+def pairwise_sweep(pivots):
+    """Sorted pivots made a divisor chain by (gcd, lcm) on every pair, always."""
     chain = sorted(pivots)
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
@@ -237,6 +241,34 @@ def test_snf_chain_condition():
         divisors = smith_normal_form(m).divisors
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
+
+
+def test_divisor_chain_matches_the_pairwise_sweep():
+    # the one-pass check skips the sweep only where the sweep changes nothing
+    rng = random.Random(97)
+    chains = others = 0
+    for _ in range(3000):
+        size = rng.randrange(0, 9)
+        kind = rng.randrange(3)
+        if kind == 0:  # a chain, shuffled
+            values = [rng.randrange(1, 6)]
+            while len(values) < size:
+                values.append(values[-1] * rng.choice((1, 1, 2, 3, 5)))
+            values = values[:size]
+            rng.shuffle(values)
+        elif kind == 1:  # two values, 2 and 2n or not, as on a cover matrix
+            n = rng.randrange(2, 60)
+            values = [rng.choice((2, 2 * n, n)) for _ in range(size)]
+        else:
+            values = [rng.randrange(1, 40) for _ in range(size)]
+        pivots = dict(enumerate(values))
+        assert snf._divisor_chain(pivots.values()) == pairwise_sweep(values), values
+        ordered = sorted(values)
+        if all(b % a == 0 for a, b in zip(ordered, ordered[1:])):
+            chains += 1
+        else:
+            others += 1
+    assert chains > 1500 and others > 800
 
 
 def test_snf_matches_determinantal_divisor_oracle():
@@ -474,7 +506,9 @@ def test_passive_blocks_match_dense_on_appended_columns():
     for m, blocks in passive_cases(rng, 300):
         form = smith_normal_form(m, blocks)
         assert form.rows == len(m) and form.cols == len(m[0])
-        assert replace(form, extended=()) == smith_normal_form(m) == smith_normal_form(m, []), m
+        plain = smith_normal_form(m)
+        assert (form.rows, form.cols, form.divisors) == (plain.rows, plain.cols, plain.divisors), m
+        assert plain.extended == () and plain == smith_normal_form(m, []), m
         assert form.divisors == dense_smith_divisors(m), m
         assert [f.cols for f in form.extended] == [
             len(appended(m, blocks[:j])[0]) for j in range(1, len(blocks) + 1)]
