@@ -20,10 +20,9 @@ class AbelianGroup(Record):
     _fields = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
-        object.__setattr__(self, "rank", rank)
+        super().__init__(rank, tuple(torsion))
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(torsion))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion divisors must be >= 2")

@@ -26,8 +26,9 @@ Lifts need no free reduction.  A lift is built run by run: a run of degree
 new coset at each letter, and adjacent runs of a reduced base word name
 distinct generators.  So the rewrite of a freely reduced word is freely
 reduced (Magnus, Karrass and Solitar), and the rewrite builds its words
-and its kernel presentation with the trusted ``Word._of`` and
-``Presentation._of``; ``Word`` and ``Presentation`` check outside input.
+and its kernel presentation with the trusted ``_of`` constructors, which
+``Word`` keeps and ``Presentation`` inherits from ``Record``; their checked
+constructors serve outside input.
 The filling columns read the same run pattern, summed per shift orbit.
 
 The cover commands (``cover``, ``fill``, ``sakuma``, ``rhs-sweep`` and
@@ -76,8 +77,6 @@ class CyclicQuotientMap(Record):
     _fields = ("base", "n", "degrees")
 
     def __init__(self, base, n, degrees):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "n", n)
         if n < 1:
             raise ValueError("modulus must be at least 1")
         degs = {}
@@ -85,7 +84,7 @@ class CyclicQuotientMap(Record):
             if g not in degrees:
                 raise ValueError(f"no degree for generator {g!r}")
             degs[g] = degrees[g] % n
-        object.__setattr__(self, "degrees", degs)
+        super().__init__(base, n, degs)
         span = gcd(self.n, *degs.values()) if degs else self.n
         if span != 1:
             raise ValueError(f"degrees do not generate Z/{self.n}")
@@ -128,8 +127,7 @@ class CoverPresentation(Record):
     _fields = ("quotient", "presentation")
 
     def __init__(self, quotient, presentation):
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "presentation", presentation)
+        super().__init__(quotient, presentation)
 
     @property
     def base(self):
@@ -270,7 +268,7 @@ class FillingSpec(Record):
     _fields = ("slopes",)
 
     def __init__(self, slopes):
-        object.__setattr__(self, "slopes", tuple(slopes))
+        super().__init__(tuple(slopes))
         if not self.slopes:
             raise ValueError("no slopes to fill")
         if not all(self.slopes):

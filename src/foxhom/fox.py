@@ -56,23 +56,22 @@ class AbelianizationMap(Record):
     _fields = ("source", "vars", "images")
 
     def __init__(self, source, vars, images):
-        object.__setattr__(self, "source", tuple(source))
-        object.__setattr__(self, "vars", tuple(vars))
+        source, vars = tuple(source), tuple(vars)
         checked = {}
-        for g in self.source:
+        for g in source:
             if g not in images:
                 continue
             sign, exp = images[g]
             if sign not in (1, -1):
                 raise ValueError("images must be units: sign +-1")
             checked[g] = (sign, tuple(exp))
-            if len(checked[g][1]) != len(self.vars):
+            if len(checked[g][1]) != len(vars):
                 raise ValueError("image exponent length does not match variables")
-        missing = [repr(g) for g in self.source if g not in checked]
+        missing = [repr(g) for g in source if g not in checked]
         if missing:
             noun = "generator" if len(missing) == 1 else "generators"
             raise MissingImages(f"no image for {noun} {', '.join(missing)}")
-        object.__setattr__(self, "images", checked)
+        super().__init__(source, vars, checked)
 
     def image_monomial(self, gen, power=1):
         sign, exp = self.images[gen]
@@ -202,7 +201,8 @@ def codim_one_minors(grid, phi):
 
 
 def _minor(grid, rows, cols):
-    return LaurentMatrix(
+    # a minor of a checked grid is rectangular and over its ring
+    return LaurentMatrix._of(
         grid.vars,
         tuple(grid.row_labels[i] for i in rows),
         tuple(grid.col_labels[j] for j in cols),

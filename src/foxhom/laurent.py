@@ -17,12 +17,14 @@ from __future__ import annotations
 import re
 from operator import add, neg
 
+from ._record import Record
+
 
 def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-class LaurentPoly:
+class LaurentPoly(Record):
     """An exact Laurent polynomial over a fixed ordered variable list.
 
     The constructor trusts its input: exponents are tuples of ``len(vars)``
@@ -35,14 +37,11 @@ class LaurentPoly:
     x + y
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = _fields = ("vars", "terms")
 
     def __init__(self, vars, terms=None):
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "terms", {e: c for e, c in (terms or {}).items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
         return LaurentPoly, (self.vars, self.terms)
@@ -104,7 +103,15 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # a constant equals its int, so it hashes as that int
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            (exp, coef), = terms.items()
+            if not any(exp):
+                return hash(coef)
+        return hash((self.vars, frozenset(terms.items())))
 
     def _check_same_ring(self, other):
         if self.vars != other.vars:

@@ -26,10 +26,12 @@ class LaurentMatrix(Record):
     _fields = ("vars", "row_labels", "col_labels", "entries")
 
     def __init__(self, vars, row_labels, col_labels, entries):
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "row_labels", tuple(row_labels))
-        object.__setattr__(self, "col_labels", tuple(col_labels))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
+        super().__init__(
+            tuple(vars),
+            tuple(row_labels),
+            tuple(col_labels),
+            tuple(tuple(row) for row in entries),
+        )
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
         for row in self.entries:

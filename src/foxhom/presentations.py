@@ -51,9 +51,7 @@ class Presentation(Record):
     _fields = ("name", "generators", "relators")
 
     def __init__(self, name, generators, relators):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "relators", tuple(relators))
+        super().__init__(name, tuple(generators), tuple(relators))
         seen = set()
         for g in self.generators:
             _check_name(g)
@@ -64,19 +62,6 @@ class Presentation(Record):
             stray = r.generators_used() - seen
             if stray:
                 raise ValueError(f"relator uses unknown generators {sorted(stray)}")
-
-    @classmethod
-    def _of(cls, name, generators, relators):
-        """A presentation from tuples whose names and relator letters are known good.
-
-        Skips the checks of ``__init__``, for a presentation built from
-        names it formatted itself and words over them.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-        return self
 
     def relator_matrix(self, columns=()):
         """Exponent-sum matrix, generators as rows and relators as columns.

@@ -83,10 +83,7 @@ class SmithForm(Record):
     _fields = ("rows", "cols", "divisors", "extended")
 
     def __init__(self, rows, cols, divisors, extended=()):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "extended", extended)
+        super().__init__(rows, cols, divisors, extended)
 
     @property
     def cokernel_rank(self):
@@ -177,13 +174,7 @@ def _drop_row(columns, in_row, r, parked, units=None):
         elif units is not None:
             heappush(units, (len(col), j))
     if parked:
-        cols, rows = parked
-        for k in rows[r]:
-            col = cols[k]
-            del col[r]
-            if not col:
-                del cols[k]
-        rows[r] = set()
+        _drop_row(*parked, r, None)
     return written
 
 

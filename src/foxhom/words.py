@@ -8,6 +8,7 @@ reduced from the moment it exists.
 
 from __future__ import annotations
 
+from ._record import Record
 from .laurent import text_int
 
 
@@ -37,7 +38,7 @@ def _reduce(runs):
     return tuple(stack)
 
 
-class Word:
+class Word(Record):
     """A freely reduced word.
 
     >>> w = Word([("s", 1), ("t", 1), ("s", -1), ("t", 1)])
@@ -49,13 +50,10 @@ class Word:
     (('m', 1),)
     """
 
-    __slots__ = ("runs",)
+    __slots__ = _fields = ("runs",)
 
     def __init__(self, runs=()):
         object.__setattr__(self, "runs", _reduce(runs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def _of(cls, runs):
@@ -70,12 +68,6 @@ class Word:
 
     def __reduce__(self):
         return Word, (self.runs,)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.runs == other.runs
-
-    def __hash__(self):
-        return hash(self.runs)
 
     def __bool__(self):
         return bool(self.runs)

@@ -263,6 +263,17 @@ def test_protocol_edges():
     assert repr(x - 1) == "LaurentPoly(('x', 'y'), 'x - 1')"
     with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
         x.terms = {}
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+        del x.terms
+    assert x == poly("x")
+
+
+@pytest.mark.parametrize("c", (0, 1, -3))
+def test_constant_hashes_as_its_int(c):
+    # a constant polynomial equals its int, so dicts and sets must agree too
+    p = parse_poly(str(c), ("x",))
+    assert p == c and hash(p) == hash(c)
+    assert {c: "a"}[p] == "a" and p in {c}
 
 
 def test_json_roundtrip():

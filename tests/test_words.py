@@ -65,6 +65,8 @@ def test_words_are_immutable():
     w = Word([("a", 1)])
     with pytest.raises(AttributeError, match="Word is immutable"):
         w.runs = ()
+    with pytest.raises(AttributeError, match="Word is immutable"):
+        del w.runs
     assert w.runs == (("a", 1),)
 
 
