@@ -8,8 +8,9 @@ The command writes to this script's stdout unchanged, for a sha256sum of its
 report.  Its peak resident set size is read from
 ``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss`` (kilobytes on Linux) and
 printed to stderr.  The exit status is the command's, or non-zero when the
-peak is above MEGABYTES: a second dense copy of a large relator matrix must
-fail here even when the report is right.
+peak is above MEGABYTES: a dense grid of a large relator matrix, where the
+Smith form takes sparse columns, must fail here even when the report is
+right.
 """
 
 import resource

@@ -55,7 +55,8 @@ def cokernel(matrix):
     """Cokernel of an integer matrix viewed as a map Z^cols -> Z^rows.
 
     The matrix is a list of rows, so a matrix with no columns still has
-    ``len(matrix)`` rows.
+    ``len(matrix)`` rows, or a ``snf.SparseMatrix``, as the cover commands
+    pass it.
 
     >>> print(cokernel([[1, 1, 1]]))
     0

@@ -45,13 +45,14 @@ MAX_RANGE = 10_000
 # 19 947 cells, 4.7 s (median of 3 fresh processes) and 36 MB peak RSS at
 # --jobs 1 as a table, 46 MB as json, on a 2-CPU host, Python 3.11.7
 MAX_CELLS = 20_000
-# the highest cover level: the kernel relator matrix with its filling and
-# transfer columns is dense, about (4n)^2 entries for the bundled job once
-# reduce_job has eliminated m1 and m2 (rhs-sweep at n = 499, with the
-# transversal tree on t: 55 MB peak RSS, 0.30-0.33 s in 6 fresh processes on
-# a 2-CPU host, Python 3.11.7; with the tree on m it took 72 MB and 0.9-1.4 s);
-# a wider job meets MAX_MATRIX_CELLS first
-MAX_COVER_LEVEL = 500
+# the highest cover level.  The kernel relator matrix reaches the Smith form
+# as sparse columns, about 127n nonzeros on 4n rows for the bundled job once
+# reduce_job has eliminated m1 and m2, and its time grows about as n^2.  At
+# level 4000, in a fresh process on a 2-CPU host with Python 3.11.7: sakuma
+# 3.3 s and 69 MB peak RSS, fill 2.9 s and 69 MB, cover 1.5 s and 60 MB, and
+# rhs-sweep 2.1 s and 63 MB at the odd level 3999.  A wider job meets the
+# letter cap or presentations.MAX_MATRIX_ENTRIES first
+MAX_COVER_LEVEL = 4000
 
 
 class InputError(Exception):

@@ -15,8 +15,10 @@ Cover generators are named ``g@c`` for base generator g at coset c.  The
 kernel presentation has the n * (base relators) rewritten relators, then
 n - 1 one-letter relators that trivialize the tree edges; their exponent
 sums are the columns of the relator matrix M.  Every cover group here is
-the cokernel of one ``relator_matrix(columns)``: filled slopes and transfers
-are vectors appended to M inside its cell check.  The transfer quotient
+the cokernel of one ``relator_matrix(columns, sparse=True)``: filled slopes
+and transfers are vectors appended to M, counted by
+``check_relator_matrix`` before they are built, and M reaches the Smith form
+as sparse columns.  The transfer quotient
 appends the paper's tr(m), 2 tr(s) and 2 tr(t) (``SAKUMA_TRANSFERS``), the
 transfer module every tr(g); ``transfer_quotients`` lets the transfers ride
 along as passive columns (see ``snf``), so one Smith form gives both.
@@ -48,7 +50,13 @@ from ._record import Record
 from .abelian import cokernel, cokernel_chain
 from .laurent import substitute_monomial
 from .polygcd import shared_root_count
-from .presentations import Presentation, abelianize, check_cells, eliminate_conjugates
+from .presentations import (
+    Presentation,
+    abelianize,
+    check_entries,
+    check_relator_matrix,
+    eliminate_conjugates,
+)
 from .words import Word, exponent_vector
 
 # Cap on n times the letters of the words rewritten into an n-fold cover,
@@ -59,7 +67,8 @@ from .words import Word, exponent_vector
 # letters 1.1-1.5 s and 127 MB (fresh process, 2-CPU host, Python 3.11.7;
 # foxhom.cli alone peaks at 20 MB).  The cover commands count the relators and
 # slopes of `reduce_job`'s base, which keeps the job as it was when the
-# reduced one would pass the cap: the bundled job needs 499 · (102 + 9).
+# reduced one would pass the cap: at the level cap of 4000 the bundled job
+# needs 4000 · 102 relator and 4000 · 9 slope letters.
 MAX_COVER_LETTERS = 500_000
 
 # the paper's sakuma columns k tr(g) as (g, k): tr(m), 2 tr(s) and 2 tr(t)
@@ -191,8 +200,9 @@ def reidemeister_schreier(p, q):
     generators and n*r + n - 1 relators: the rewritten base relators, then
     the symbols of the n - 1 tree edges, which the transversal trivializes.
     The transversal representative of coset c + deg g is that of c times g
-    along a tree edge (g, c).  Raises ``ValueError`` when n times the
-    relator letters passes ``MAX_COVER_LETTERS``.
+    along a tree edge (g, c).  Raises ``ValueError`` before anything is
+    built when n times the relator letters passes ``MAX_COVER_LETTERS``, or
+    ``check_entries`` refuses the n*g rows with a nonzero per letter.
 
     The tree takes the generators in a stable sort by (gcd(deg g, n),
     -letters(g)), letters(g) being the sum of |e| over g's runs in the base
@@ -214,7 +224,13 @@ def reidemeister_schreier(p, q):
     if q.base is not p and q.base != p:
         raise ValueError("quotient map built from a different presentation")
     n = q.n
-    _check_letters(n, map(len, p.relators), "relators")
+    letters = dict.fromkeys(p.generators, 0)  # each generator's relator letters
+    for r in p.relators:
+        for g, e in r.runs:
+            letters[g] += abs(e)
+    total = sum(letters.values())
+    _check_letters(n, (total,), "relators")
+    check_entries(n * len(p.generators), n * len(p.relators) + n - 1, n * total + n - 1)
     gens = tuple(name for g in p.generators for name, _ in q.letters[g, 1])
     relators = tuple(lift for r in p.relators for lift in _lifts(q, r, range(n)))
 
@@ -222,10 +238,6 @@ def reidemeister_schreier(p, q):
     # coset 0 one generator at a time in a stable sort by (gcd(deg, n),
     # -letters): a first generator of coprime degree d spans it alone, at
     # cosets 0, d, ..., (n - 2)d
-    letters = dict.fromkeys(p.generators, 0)
-    for r in p.relators:
-        for g, e in r.runs:
-            letters[g] += abs(e)
     reached, seen, trivial = [0], {0}, []
     for g in sorted(p.generators, key=lambda g: (gcd(q.degrees[g], n), -letters[g])):
         for c in reached:  # grows in the loop, so g is followed from new cosets too
@@ -283,13 +295,13 @@ def filled_relators(cover, spec):
     (g, e, offset) of w at g@x for every x = c + offset (mod o): a partial
     transfer (Fox).  ``ValueError`` before any column is built when n times
     the slope letters passes ``MAX_COVER_LETTERS``, a slope letter is not a
-    base generator, or [M | columns] passes ``MAX_MATRIX_CELLS``.
+    base generator, or ``check_relator_matrix`` refuses [M | columns].
     """
     spec = spec if isinstance(spec, FillingSpec) else FillingSpec(spec)
     n, q, p = cover.n, cover.quotient, cover.presentation
     _check_letters(n, map(len, spec.slopes), "slopes")
     orbits = [gcd(n, q.word_degree(w)) for w in spec.slopes]
-    check_cells(len(p.generators), len(p.relators) + sum(orbits))
+    check_relator_matrix(p, sum(orbits))
     first = {g: i * n for i, g in enumerate(cover.base.generators)}
     out = []
     for w, o in zip(spec.slopes, orbits):
@@ -306,7 +318,7 @@ def filled_relators(cover, spec):
 
 def fill(cover, spec):
     """Homology after filling the given slopes in the cover."""
-    return cokernel(cover.presentation.relator_matrix(filled_relators(cover, spec)))
+    return cokernel(cover.presentation.relator_matrix(filled_relators(cover, spec), sparse=True))
 
 
 def _letter(g):
@@ -331,13 +343,14 @@ def sakuma_transfers(base, words=None):
 def _transfer_chain(cover, *blocks):
     """Cokernels of [M | B1], [M | B1 | B2], ... for blocks of (word, k) as k tr(word).
 
-    [M | every block] passes the cell check before any column is built.
+    ``check_relator_matrix`` passes [M | every block] before any column is
+    built.
     """
     p = cover.presentation
-    check_cells(len(p.generators), len(p.relators) + sum(map(len, blocks)))
+    check_relator_matrix(p, sum(map(len, blocks)))
     first, *rest = [[[k * v for v in transfer(cover, w)] for w, k in block]
                     for block in blocks]
-    return cokernel_chain(p.relator_matrix(first), rest)
+    return cokernel_chain(p.relator_matrix(first, sparse=True), rest)
 
 
 def sakuma_quotient(cover):

@@ -10,16 +10,28 @@ is carried through for bundled datasets and otherwise ignored.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ._record import Record
 from .abelian import cokernel
 from .laurent import json_list
+from .snf import SparseMatrix
 from .words import Word, parse_word
 
-# the most cells a relator matrix may hold, appended columns included; it is
-# dense, and the bundled cover job peaks at 4 010 000 (sakuma at level 500 on
-# the reduced base: 2000 rows by 1999 relators, 3 transfer columns and 3
-# passive ones; the unreduced base would need 3000 by 3007)
-MAX_MATRIX_CELLS = 10_000_000
+# the most entries a relator matrix may take, counted before anything is
+# built: each nonzero, at most one per relator run and one per generator in
+# each appended column (the cover commands build a filling or transfer column
+# as a vector over the generators), and ROW_ENTRIES per row: a row takes
+# about the memory of four or five nonzeros, for a cover generator's name and
+# lifted letters in the rewrite and the Smith form's set of the row's columns.  The bundled cover
+# job takes 4 * 4n + 102n + (n - 1) + 6 * 4n at level n (sakuma on the
+# reduced base), about 572 000 at level 4000.  Just under the cap (fresh
+# process, 2-CPU host, Python 3.11.7), cover on 61 generators of degree 1 at
+# level 4000 (244 000 rows) took 0.41 s and 144 MB peak RSS, sakuma on 42 of
+# them at level 494 (1 031 columns) 0.18 s and 50 MB, and fill along a slope
+# of degree 0 on two generators at level 704 (704 columns) 0.09 s and 27 MB
+MAX_MATRIX_ENTRIES = 1_000_000
+ROW_ENTRIES = 4
 
 
 # the most letters eliminate_conjugates reads and builds in all: every
@@ -29,10 +41,21 @@ MAX_MATRIX_CELLS = 10_000_000
 MAX_TIETZE_LETTERS = 1_000_000
 
 
-def check_cells(rows, cols):
-    """Raise ValueError when a rows x cols matrix passes MAX_MATRIX_CELLS."""
-    if rows * cols > MAX_MATRIX_CELLS:
-        raise ValueError(f"relator matrix of {rows} x {cols} exceeds {MAX_MATRIX_CELLS} cells")
+def check_entries(rows, cols, nonzeros):
+    """Raise ValueError when a rows x cols relator matrix with up to
+    ``nonzeros`` nonzeros passes MAX_MATRIX_ENTRIES."""
+    entries = ROW_ENTRIES * rows + nonzeros
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"relator matrix of {rows} x {cols} with up to {nonzeros} nonzeros "
+                         f"takes {entries} entries, more than {MAX_MATRIX_ENTRIES}")
+
+
+def check_relator_matrix(p, appended=0):
+    """``check_entries`` on p's relator matrix with ``appended`` columns: a
+    nonzero per relator run, and one per generator in each appended column."""
+    rows = len(p.generators)
+    runs = sum(len(r.runs) for r in p.relators)
+    check_entries(rows, len(p.relators) + appended, runs + appended * rows)
 
 
 def _check_name(name):
@@ -63,24 +86,41 @@ class Presentation(Record):
             if stray:
                 raise ValueError(f"relator uses unknown generators {sorted(stray)}")
 
-    def relator_matrix(self, columns=()):
+    def relator_matrix(self, columns=(), sparse=False):
         """Exponent-sum matrix, generators as rows and relators as columns.
 
         Each of ``columns``, a vector over the generators, is appended after
-        the relators.  Raises ValueError before it allocates when the matrix
-        would hold more than MAX_MATRIX_CELLS cells.
+        the relators.  The matrix is a list of rows, or with ``sparse`` a
+        ``snf.SparseMatrix``, built column by column with no dense grid:
+        the form the cover commands hand to the Smith form.  Raises
+        ValueError before it allocates when ``check_relator_matrix``
+        refuses it.
+
+        >>> p = Presentation("t", ("a", "b"), (parse_word("a b a^-1 b^2", "ab"),))
+        >>> p.relator_matrix([[1, 0]])
+        [[0, 1], [3, 0]]
+        >>> p.relator_matrix([[1, 0]], sparse=True).columns
+        {0: {1: 3}, 1: {0: 1}}
         """
         rows, cols = len(self.generators), len(self.relators)
-        check_cells(rows, cols + len(columns))
+        check_relator_matrix(self, len(columns))
         index = {g: i for i, g in enumerate(self.generators)}
-        matrix = [[0] * (cols + len(columns)) for _ in range(rows)]
+        entries = {}
         for j, r in enumerate(self.relators):
+            sums = {}
             for g, e in r.runs:
-                matrix[index[g]][j] += e
+                sums[g] = sums.get(g, 0) + e
+            if column := {index[g]: v for g, v in sums.items() if v}:
+                entries[j] = column
+        indices = range(rows)
         for j, column in enumerate(columns, cols):
-            for row, v in zip(matrix, column, strict=True):
-                row[j] = v
-        return matrix
+            if len(column) != rows:
+                raise ValueError(
+                    f"appended column {j - cols} has {len(column)} entries, not {rows}")
+            if nonzero := {i: column[i] for i in compress(indices, column)}:
+                entries[j] = nonzero
+        matrix = SparseMatrix._of(rows, cols + len(columns), entries)
+        return matrix if sparse else [list(row) for row in matrix]
 
     def to_json(self):
         return {
@@ -101,7 +141,7 @@ def abelianize(p):
 
     A presentation with no relators abelianizes to Z^(number of generators).
     """
-    return cokernel(p.relator_matrix())
+    return cokernel(p.relator_matrix(sparse=True))
 
 
 def tietze_add_generator(p, name, definition):

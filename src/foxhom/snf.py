@@ -1,17 +1,23 @@
 """Exact integer Smith normal form.
 
-Matrices are plain lists of lists of Python ints, viewed as maps
-Z^cols -> Z^rows.  Arbitrary precision comes for free.
+A matrix is a list of rows of Python ints, or a ``SparseMatrix`` of
+``{row: value}`` columns, viewed as a map Z^cols -> Z^rows.  Arbitrary
+precision comes for free.  The cover commands hand their relator matrices
+over as a ``SparseMatrix``, so no dense grid of a cover matrix is ever
+built or read.
 
 The Smith form is computed sparsely, because cover relator matrices are
 large, very sparse and full of +-1 entries.  The matrix is stored once as
 columns of ``{row: value}`` dicts plus, per row, the set of its nonzero
-columns.  Each step pivots on an entry of smallest absolute value, which
-keeps entry growth tame.  Finished pivots are dropped with their row and
-column; the divisor chain is built from them afterwards.  Only the divisors
-are computed, no transforms.  See Havas, Holt and Rees, "Recognizing badly
-presented Z-modules" (1993), and Dumas, Saunders and Villard, "On efficient
-sparse integer matrix Smith normal form computations" (2001).
+columns: a ``SparseMatrix``'s columns are copied, in O(nnz), since the
+elimination empties the dicts it works in and must leave its argument as it
+was; a list of rows is read once.  Each step pivots on an entry of smallest
+absolute value, which keeps entry growth tame.  Finished pivots are dropped
+with their row and column; the divisor chain is built from them afterwards.
+Only the divisors are computed, no transforms.  See Havas, Holt and Rees,
+"Recognizing badly presented Z-modules" (1993), and Dumas, Saunders and
+Villard, "On efficient sparse integer matrix Smith normal form
+computations" (2001).
 
 A column that is a lone +-1 needs no row operation: its row goes, every
 other entry of that row with it, and a divisor 1 is recorded.  Every
@@ -54,12 +60,12 @@ them and so leaves every coker[A | B1 | ... | Bj] unchanged.  On a unit
 pivot row the pivot column is +-e_r, so they lose their entry there.  They
 never pivot and are kept in their own row index, so A's pivots are those
 of a call without them.  Afterwards coker[A | B1 | ... | Bj] is that of a
-small leftover matrix on the rows no unit pivot took: the nonunit pivots
-as diagonal columns, then the residue of B1 restricted to those rows.  One
-more call of this function reduces it, with the residues of B2, ..., Bk as
-its passive blocks, and the unit pivots are added back as divisors 1.  This
-is how a cover's transfer quotient and transfer module come from one
-elimination.
+small leftover ``SparseMatrix`` on the rows no unit pivot took: the
+nonunit pivots as diagonal columns, then the residue of B1 restricted to
+those rows.  One more call of this function reduces it, with the residues
+of B2, ..., Bk as its passive blocks, and the unit pivots are added back as
+divisors 1.  This is how a cover's transfer quotient and transfer module
+come from one elimination.
 """
 
 from __future__ import annotations
@@ -69,6 +75,48 @@ from itertools import accumulate, compress
 from math import gcd
 
 from ._record import Record
+
+
+class SparseMatrix(Record):
+    """A rows x cols integer matrix held as its nonzero columns.
+
+    ``columns`` maps a column index in range(cols) to that column's
+    ``{row: value}`` entries, every value a nonzero int; a zero column has
+    no key.  It iterates as dense rows, each a tuple, for reading and
+    counting; it cannot be indexed, so no one appends to a row that is not
+    there.
+
+    >>> m = SparseMatrix(2, 3, {0: {0: 2}, 2: {0: -1, 1: 4}})
+    >>> list(m)
+    [(2, 0, -1), (0, 0, 4)]
+    >>> smith_normal_form(m).divisors
+    (1, 8)
+    """
+
+    _fields = ("rows", "cols", "columns")
+
+    def __init__(self, rows, cols, columns):
+        super().__init__(rows, cols, columns)
+        for j, col in columns.items():
+            if not 0 <= j < cols:
+                raise ValueError(f"column {j} outside range({cols})")
+            if not col:
+                raise ValueError(f"column {j} is stored empty")
+            for i, v in col.items():
+                if not 0 <= i < rows or not v:
+                    raise ValueError(f"column {j} holds {v!r} at row {i} of {rows}")
+
+    def __iter__(self):
+        # one dense row at a time, so reading takes O(nnz + cols) memory
+        entries = [[] for _ in range(self.rows)]
+        for j, col in self.columns.items():
+            for i, v in col.items():
+                entries[i].append((j, v))
+        for row in entries:
+            dense = [0] * self.cols
+            for j, v in row:
+                dense[j] = v
+            yield tuple(dense)
 
 
 class SmithForm(Record):
@@ -217,25 +265,19 @@ def _divisor_chain(pivots):
     return tuple(chain)
 
 
-def smith_normal_form(matrix, passive=()):
-    """Divisor chain of an integer matrix under unimodular row/column operations.
+def _working_copy(matrix):
+    """(rows, cols, columns, in_row) of a matrix, in dicts and sets of its own.
 
-    ``passive`` is a sequence of column blocks B1, ..., Bk, each a list of
-    columns of the matrix's height; ``extended`` then holds the forms of
-    [matrix | B1 | ... | Bj], from the same elimination (see the module
-    docstring).  Raises ``ValueError`` when a row's length is not that of
-    row 0, or a passive column's length is not the number of rows.
-
-    >>> smith_normal_form([[1, 0], [0, 2]]).divisors
-    (1, 2)
-    >>> smith_normal_form([[2, 4], [6, 8]]).divisors
-    (2, 4)
-    >>> f = smith_normal_form([[0, 0, 0], [0, 0, 0]])
-    >>> f.divisors, f.cokernel_rank
-    ((), 2)
-    >>> [g.divisors for g in smith_normal_form([[2, 0], [0, 2]], [[[1, 1]]]).extended]
-    [(1, 2)]
+    A ``SparseMatrix``'s columns are copied: the elimination empties the
+    dicts it works in, and the caller's matrix must read the same after.
     """
+    if isinstance(matrix, SparseMatrix):
+        columns = {j: col.copy() for j, col in matrix.columns.items()}
+        in_row = [set() for _ in range(matrix.rows)]
+        for j, col in columns.items():
+            for i in col:
+                in_row[i].add(j)
+        return matrix.rows, matrix.cols, columns, in_row
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     columns = {}
@@ -248,6 +290,30 @@ def smith_normal_form(matrix, passive=()):
         in_row.append(set(nonzero))
         for j in nonzero:
             columns.setdefault(j, {})[i] = row[j]
+    return rows, cols, columns, in_row
+
+
+def smith_normal_form(matrix, passive=()):
+    """Divisor chain of an integer matrix under unimodular row/column operations.
+
+    ``matrix`` is a list of rows or a ``SparseMatrix``, which is left as it
+    was.  ``passive`` is a sequence of column blocks B1, ..., Bk, each a
+    list of columns of the matrix's height; ``extended`` then holds the
+    forms of [matrix | B1 | ... | Bj], from the same elimination (see the
+    module docstring).  Raises ``ValueError`` when a row's length is not that of
+    row 0, or a passive column's length is not the number of rows.
+
+    >>> smith_normal_form([[1, 0], [0, 2]]).divisors
+    (1, 2)
+    >>> smith_normal_form([[2, 4], [6, 8]]).divisors
+    (2, 4)
+    >>> f = smith_normal_form([[0, 0, 0], [0, 0, 0]])
+    >>> f.divisors, f.cokernel_rank
+    ((), 2)
+    >>> [g.divisors for g in smith_normal_form([[2, 0], [0, 2]], [[[1, 1]]]).extended]
+    [(1, 2)]
+    """
+    rows, cols, columns, in_row = _working_copy(matrix)
     parked = None  # the passive columns and their own row index
     if passive:
         vectors = [v for block in passive for v in block]
@@ -315,14 +381,19 @@ def smith_normal_form(matrix, passive=()):
     # the leftover's rows: those no unit pivot took, less the empty ones,
     # which add to the rank alike with and without the blocks
     kept = sorted(pivots.keys() | {i for i, ks in enumerate(parked_in_row) if ks})
-    residues = [[parked_cols.get(k, {}).get(i, 0) for i in kept] for k in range(len(vectors))]
+    position = {i: x for x, i in enumerate(kept)}
     ends = list(accumulate(map(len, passive)))
-    diagonal = sorted(pivots)
-    leftover = [
-        [pivots[i] if i == d else 0 for d in diagonal] + [v[x] for v in residues[:ends[0]]]
-        for x, i in enumerate(kept)
-    ]
-    inner = smith_normal_form(leftover, [residues[a:b] for a, b in zip(ends, ends[1:])])
+    leftover = {d: {position[i]: pivots[i]} for d, i in enumerate(sorted(pivots))}
+    for k in range(ends[0]):
+        if col := parked_cols.get(k):
+            leftover[len(pivots) + k] = {position[i]: v for i, v in col.items()}
+    # the later blocks stay passive: their residues as columns on the kept rows
+    first = ends[0]
+    residues = [[parked_cols.get(k, {}).get(i, 0) for i in kept] for k in range(first, ends[-1])]
+    inner = smith_normal_form(
+        SparseMatrix._of(len(kept), len(pivots) + first, leftover),
+        [residues[a - first:b - first] for a, b in zip(ends, ends[1:])],
+    )
     extended = tuple(
         SmithForm(rows, cols + w, (1,) * ones + f.divisors)
         for w, f in zip(ends, (inner, *inner.extended))

@@ -819,7 +819,9 @@ def _old_parse_sweep_levels(text):
 
 def _old_levels(name, text):
     parse = _old_parse_sweep_levels if name == "rhs-sweep" else _old_parse_int_values
-    return _old_cap_levels(parse(text), _OLD_MAX_RANGE if name == "branched" else 500)
+    # the cover commands' level cap, 500 when these parsers were in use
+    cap = _OLD_MAX_RANGE if name == "branched" else cli.MAX_COVER_LEVEL
+    return _old_cap_levels(parse(text), cap)
 
 
 _LEVEL_COMMANDS = {
@@ -831,7 +833,8 @@ _LEVEL_COMMANDS = {
 }
 
 _LEVEL_TEXTS = (
-    "5", " 3 , 5 ", "3..9", "3,5,7", "1..500", "499..501", "2,4..8", "4..4", "0..3", "-1",
+    "5", " 3 , 5 ", "3..9", "3,5,7", "1..500", "499..501", "1..4000", "3999..4001", "2,4..8",
+    "4..4", "0..3", "-1",
     "3..", "..3", "9..3", "9..3,5", "a", "3,,5", "1..10000", "5..10005", "1..1000000000000",
 )
 
@@ -940,19 +943,24 @@ def test_cover_job_default_level_is_capped(capsys, monkeypatch, tmp_path):
     assert f"level 20000000 exceeds {cli.MAX_COVER_LEVEL}" in err
 
 
-def test_wide_cover_job_is_refused_before_its_matrix(capsys, tmp_path):
-    # 30 generators of degree 1: within both cover caps at level 500, but
-    # the kernel relator matrix would be 15000 x 14999, some 2 GB
-    gens = [f"a{i}" for i in range(30)]
-    relators = [f"a{i} a{i + 1} a{i}^-1 a{i + 1}^-1" for i in range(29)]
+def test_wide_cover_job_is_refused_before_its_matrix(capsys, monkeypatch, tmp_path):
+    # 300 generators of degree 1 and one commutator: 16 000 letters at the
+    # level cap, within the letter cap, but 1 200 000 rows, each with its
+    # names in the rewrite and its set in the Smith form; it must exit 2
+    # before any relator is rewritten
+    gens = [f"a{i}" for i in range(300)]
     (tmp_path / "wide.json").write_text(
-        json.dumps({"name": "wide", "generators": gens, "relators": relators})
+        json.dumps({"name": "wide", "generators": gens, "relators": ["a0 a1 a0^-1 a1^-1"]})
     )
     path = tmp_path / "wide-job.json"
     path.write_text(json.dumps({"presentation": "wide.json", "degrees": dict.fromkeys(gens, 1)}))
-    code, out, err = run(capsys, "cover", str(path), "--n", "500")
+    lifted = []
+    monkeypatch.setattr(covers, "_lifts", lambda *args: lifted.append(args))
+    code, out, err = run(capsys, "cover", str(path), "--n", str(cli.MAX_COVER_LEVEL))
     assert code == 2 and out == ""
-    assert "relator matrix of 15000 x 14999 exceeds 10000000 cells" in err
+    assert ("relator matrix of 1200000 x 7999 with up to 19999 nonzeros takes 4819999 entries, "
+            "more than 1000000") in err
+    assert lifted == []
 
 
 def test_fill_job_without_slopes_builds_no_cover(capsys, monkeypatch, tmp_path):
@@ -973,9 +981,9 @@ def test_fill_job_without_slopes_builds_no_cover(capsys, monkeypatch, tmp_path):
 
 
 def test_sakuma_transfers_are_capped_before_they_are_built(capsys, monkeypatch, tmp_path):
-    # 43 generators at level 30: M is 1290 x 59 and fits the cap, and so
-    # does [M | S] with its 3 sakuma columns, but not with the 42 passive
-    # transfers that ride along
+    # 43 generators at level 30: M is 1290 x 59 with 149 relator runs and
+    # fits the cap, and so does [M | S] with its 3 sakuma columns of 1290
+    # entries each, but not with the 42 passive transfers that ride along
     gens = ["m", "s", "t", *(f"a{i}" for i in range(40))]
     (tmp_path / "wide.json").write_text(json.dumps(
         {"name": "wide", "generators": gens, "relators": ["m s m^-1 s^-1"]}))
@@ -983,10 +991,13 @@ def test_sakuma_transfers_are_capped_before_they_are_built(capsys, monkeypatch, 
     path.write_text(json.dumps({"presentation": "wide.json", "degrees": dict.fromkeys(gens, 1)}))
     calls = []
     monkeypatch.setattr(covers, "transfer", lambda *args: calls.append(args))
-    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 1290 * (59 + 3))
+    cap = 4 * 1290 + 149 + 3 * 1290
+    monkeypatch.setattr(presentations, "MAX_MATRIX_ENTRIES", cap)
     code, out, err = run(capsys, "sakuma", str(path), "--n", "30")
     assert (code, out) == (2, "")
-    assert err == f"error: relator matrix of 1290 x 104 exceeds {1290 * 62} cells\n"
+    nonzeros = 149 + 45 * 1290
+    assert err == (f"error: relator matrix of 1290 x 104 with up to {nonzeros} nonzeros "
+                   f"takes {4 * 1290 + nonzeros} entries, more than {cap}\n")
     assert calls == []
 
 

@@ -25,7 +25,7 @@ from foxhom.covers import (
 )
 from foxhom.laurent import LaurentPoly, parse_poly
 from foxhom.presentations import Presentation, abelianize
-from foxhom.snf import smith_normal_form
+from foxhom.snf import SparseMatrix, smith_normal_form
 from foxhom.words import Word, exponent_vector, parse_word
 
 
@@ -937,11 +937,13 @@ def test_transfer_columns_match_relator_word_route(monkeypatch, cover_job):
     # The Smith form must receive the matrix of the relator-word route, entry
     # for entry and in the same column order, so that its pivot sequence is
     # that route's.  dense_quotient appends columns the way the library does,
-    # and a reordered column leaves every group unchanged
+    # and a reordered column leaves every group unchanged.  The matrix comes
+    # as a SparseMatrix, read here as rows
     seen = []
 
     def record(matrix, passive=()):
-        seen.append((matrix, passive))
+        assert isinstance(matrix, SparseMatrix)
+        seen.append(([list(row) for row in matrix], passive))
         return smith_normal_form(matrix, passive)
 
     monkeypatch.setattr(abelian, "smith_normal_form", record)
@@ -968,11 +970,13 @@ def test_transfer_columns_match_relator_word_route(monkeypatch, cover_job):
 def test_fill_columns_match_relator_word_route(monkeypatch, cover_job):
     # fill's Smith form must receive the augmented presentation's matrix:
     # the relators, then the letter-by-letter rewrite of w^(n/o) from each
-    # orbit representative, entry for entry and in the same column order
+    # orbit representative, entry for entry and in the same column order;
+    # the matrix comes as a SparseMatrix, read here as rows
     seen = []
 
     def record(matrix, passive=()):
-        seen.append(matrix)
+        assert isinstance(matrix, SparseMatrix)
+        seen.append([list(row) for row in matrix])
         return smith_normal_form(matrix, passive)
 
     monkeypatch.setattr(abelian, "smith_normal_form", record)
@@ -1001,16 +1005,17 @@ def test_fill_columns_match_relator_word_route(monkeypatch, cover_job):
     assert check(torus, {"a": 2, "b": 3}, 6, slopes) == 2 + 3 + 1 + 6
 
 
-def test_filling_columns_are_capped_before_they_are_built(monkeypatch):
-    # u has degree 0, so its slope has one orbit per coset: 500 columns of
-    # 1000 entries, some 4 MB, next to a relator matrix M that fits the cap
+def test_filling_columns_are_capped_before_they_are_built():
+    # u has degree 0, so its slope has one orbit per coset: 1000 columns of
+    # 2000 entries, some 16 MB, next to a relator matrix M that fits the cap
     p = free_presentation("a", "u")
-    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 500, {"a": 1, "u": 0}))
-    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 1000 * 600)
-    assert len(cover.presentation.relator_matrix()[0]) == 499
+    cover = reidemeister_schreier(p, CyclicQuotientMap(p, 1000, {"a": 1, "u": 0}))
+    assert cover.presentation.relator_matrix(sparse=True).cols == 999
+    assert 4 * 2000 + 999 + 1000 * 2000 > presentations.MAX_MATRIX_ENTRIES
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="relator matrix of 1000 x 999 exceeds 600000 cells"):
+        with pytest.raises(ValueError, match="relator matrix of 2000 x 1999 with up to 2000999 "
+                                             "nonzeros takes 2008999 entries, more than 1000000"):
             fill(cover, FillingSpec((Word([("u", 1)]),)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -14,12 +14,14 @@ relator defines one letter as a conjugate of another: the presentations
 that ``covers.reduce_job`` reduces hardest.
 """
 
+import json
 import random
 from math import gcd, prod
 
 import pytest
 import sympy as sp
 
+from foxhom import cli
 from foxhom.covers import (
     CyclicQuotientMap,
     fill,
@@ -108,6 +110,24 @@ def test_non_monic_knot_covers_match_the_resultant(knot_job, name):
     for n in range(1, 62):
         group, order = level_group(job, n), abs(sp.resultant(poly, t**n - 1, t))
         assert (group.rank, prod(group.torsion)) == (1, order), n
+
+
+def test_figure_eight_cover_at_the_level_cap(capsys, tmp_path, knot_job, cover_order):
+    # above n = 41 only sha256 pins recorded from the program's own output
+    # guard the bundled job; at the highest level the cover command takes,
+    # 4_1's cover must have rank 1 and |T_n| = |det(C^n - I)|, some 5 554
+    # bits, from an oracle with no Smith form
+    n = cli.MAX_COVER_LEVEL
+    p = knot_job("4_1")["presentation"]
+    (tmp_path / "4_1.json").write_text(json.dumps(p.to_json()))
+    job = tmp_path / "4_1-job.json"
+    degrees = dict.fromkeys(p.generators, 1)
+    job.write_text(json.dumps({"presentation": "4_1.json", "degrees": degrees}))
+    assert cli.main(["cover", str(job), "--n", str(n), "--format", "json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["results"]
+    order = cover_order(KNOTS["4_1"][2], n)
+    assert order.bit_length() > 5000
+    assert (entry["n"], entry["rank"], prod(entry["torsion"])) == (n, 1, order)
 
 
 def test_torus_knot_ranks_where_the_product_vanishes(knot_job, cover_order):

@@ -48,38 +48,68 @@ def test_abelianize_bundled(n_final):
 
 
 def test_relator_matrix_is_capped_before_it_allocates():
+    # 1000 appended columns of 1000 entries pass the cap; the columns share
+    # one list, so only the matrix could take memory here
+    gens = tuple(f"g{i}" for i in range(1_000))
+    p = Presentation("wide", gens, ())
+    columns = [[1] * len(gens)] * 1_000
+    assert len(columns) * len(gens) <= presentations.MAX_MATRIX_ENTRIES
+    assert 4 * len(gens) + len(columns) * len(gens) > presentations.MAX_MATRIX_ENTRIES
+    for sparse in (False, True):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="relator matrix of 1000 x 1000 with up to "
+                                                 "1000000 nonzeros takes 1004000 entries"):
+                p.relator_matrix(columns, sparse=sparse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the matrix would take some 100 MB
+
+
+def test_sparse_relator_matrix_builds_no_grid():
+    # 10 001 x 1 000 cells, some 80 MB as rows, but 1 000 nonzeros
     gens = tuple(f"g{i}" for i in range(10_001))
     one_letter = tuple(Word([(g, 1)]) for g in gens[:1_000])
     p = Presentation("wide", gens, one_letter)
-    assert len(gens) * len(one_letter) > presentations.MAX_MATRIX_CELLS
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="relator matrix of 10001 x 1000 exceeds"):
-            p.relator_matrix()
+        matrix = p.relator_matrix(sparse=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100_000  # the matrix would take some 80 MB
+    assert peak < 1_000_000
+    assert (matrix.rows, matrix.cols) == (10_001, 1_000)
+    assert matrix.columns == {j: {j: 1} for j in range(1_000)}
+    assert abelianize(p) == AbelianGroup(9_001)
 
 
 def test_relator_matrix_cap_admits_its_bound(monkeypatch):
+    # 2 rows of 4 entries and 4 + 1 + 1 relator runs
     p = P("t", "ab", "a b a^-1 b^-1", "a^2", "b^3")
-    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 6)
+    monkeypatch.setattr(presentations, "MAX_MATRIX_ENTRIES", 14)
     assert p.relator_matrix() == [[0, 2, 0], [0, 0, 3]]
-    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 5)
-    with pytest.raises(ValueError, match="2 x 3 exceeds 5 cells"):
-        p.relator_matrix()
+    assert list(p.relator_matrix(sparse=True)) == [(0, 2, 0), (0, 0, 3)]
+    monkeypatch.setattr(presentations, "MAX_MATRIX_ENTRIES", 13)
+    for sparse in (False, True):
+        with pytest.raises(ValueError, match="6 nonzeros takes 14 entries, more than 13"):
+            p.relator_matrix(sparse=sparse)
 
 
 def test_relator_matrix_appends_columns_inside_its_cap(monkeypatch):
     p = P("t", "ab", "a b a^-1 b^-1", "a^2", "b^3")
     assert p.relator_matrix([[1, -1], [0, 4]]) == [[0, 2, 0, 1, 0], [0, 0, 3, -1, 4]]
-    monkeypatch.setattr(presentations, "MAX_MATRIX_CELLS", 8)
+    sparse = p.relator_matrix([[1, -1], [0, 4]], sparse=True)
+    assert sparse.columns == {1: {0: 2}, 2: {1: 3}, 3: {0: 1, 1: -1}, 4: {1: 4}}
+    # each appended column counts one nonzero per generator
+    monkeypatch.setattr(presentations, "MAX_MATRIX_ENTRIES", 16)
     assert p.relator_matrix([[5, 6]]) == [[0, 2, 0, 5], [0, 0, 3, 6]]
-    with pytest.raises(ValueError, match="2 x 5 exceeds 8 cells"):
+    assert p.relator_matrix([[0, 6]], sparse=True).columns[3] == {1: 6}
+    with pytest.raises(ValueError, match="2 x 5 with up to 10 nonzeros takes 18 entries"):
         p.relator_matrix([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        p.relator_matrix([[1]])  # one entry short of the two generators
+    for sparse in (False, True):
+        with pytest.raises(ValueError, match="appended column 0 has 1 entries, not 2"):
+            p.relator_matrix([[1]], sparse=sparse)  # one entry short of the two generators
 
 
 def test_abelianize_no_relators():

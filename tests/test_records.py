@@ -22,6 +22,7 @@ def values():
         LaurentPoly: parse_poly("2*x^2*y^-1 - x + 1", ("x", "y")),
         abelian.AbelianGroup: abelian.AbelianGroup(2, (2, 6)),
         snf.SmithForm: snf.smith_normal_form([[2, 0], [0, 2]], [[[1, 1]]]),
+        snf.SparseMatrix: p.relator_matrix(sparse=True),
         covers.CyclicQuotientMap: q,
         covers.CoverPresentation: covers.reidemeister_schreier(p, q),
         covers.FillingSpec: covers.FillingSpec(job["fill"]),
@@ -36,6 +37,7 @@ CLASSES = (
     LaurentPoly,
     abelian.AbelianGroup,
     snf.SmithForm,
+    snf.SparseMatrix,
     covers.CyclicQuotientMap,
     covers.CoverPresentation,
     covers.FillingSpec,

@@ -305,8 +305,9 @@ def test_sparse_matches_dense_on_random_sparse_matrices():
 
 
 def appended(matrix, blocks):
-    """The matrix with the columns of each block appended."""
-    full = [row[:] for row in matrix]
+    """The matrix, a list of rows or a SparseMatrix, as fresh rows with the
+    columns of each block appended."""
+    full = [list(row) for row in matrix]
     for block in blocks:
         for row, extra in zip(full, zip(*block)):
             row.extend(extra)
@@ -535,7 +536,8 @@ def test_passive_residues_are_reduced_mod_their_pivot(monkeypatch):
     for m, blocks in passive_cases(rng, 300):
         leftovers.clear()
         engine(m, blocks)
-        leftover = leftovers[0]
+        assert isinstance(leftovers[0], snf.SparseMatrix)
+        leftover = [list(row) for row in leftovers[0]]
         if not leftover:
             continue
         d = len(leftover[0]) - len(blocks[0])
@@ -589,3 +591,112 @@ def test_row_lattice_equality_from_smith_divisors(same_row_lattice):
     # equal divisors, different lattices: only the union tells them apart
     assert not same_row_lattice([[2, 0]], [[0, 2]])
     assert same_row_lattice([[1, 1], [0, 2]], [[1, -1], [0, 2]])
+
+
+# ---- the sparse input against rows -------------------------------------------
+
+
+def as_sparse(matrix):
+    """A list of rows as a SparseMatrix, through its checked constructor."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    columns = {}
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                columns.setdefault(j, {})[i] = v
+    return snf.SparseMatrix(rows, cols, columns)
+
+
+def nnz(matrix):
+    """Nonzeros of a matrix read as rows, as the benchmark's counter reads them."""
+    return sum(1 for row in matrix for v in row if v)
+
+
+def snapshot(matrix):
+    return list(matrix), {j: dict(col) for j, col in matrix.columns.items()}, nnz(matrix)
+
+
+def rows_and_sparse_cases():
+    """(rows, passive blocks): the examples, the lone-column and passive
+    cases, and random sparse matrices of the dense-oracle tests."""
+    rng = random.Random(101)
+    yield from (([[1, 0], [0, 2]], []), ([[2, 4], [6, 8]], []), ([[0, 0, 0], [0, 0, 0]], []),
+                ([], []), ([[], []], []), ([[2, 0], [0, 2]], [[[1, 1]]]))
+    yield from passive_cases(rng, 300)
+    for _ in range(200):
+        rows, cols = rng.randrange(1, 13), rng.randrange(1, 13)
+        yield sparse_matrix(rng, rows, cols, rng.choice((0.1, 0.25, 0.5))), []
+
+
+def test_sparse_input_matches_rows():
+    # the same form, extended forms included, from either input
+    cases = 0
+    for m, blocks in rows_and_sparse_cases():
+        sparse = as_sparse(m)
+        assert [list(row) for row in sparse] == [list(row) for row in m]
+        assert smith_normal_form(sparse, blocks) == smith_normal_form(m, blocks), (m, blocks)
+        assert abelian.cokernel(sparse) == abelian.cokernel(m)
+        cases += 1
+    assert cases > 500
+
+
+def cover_arguments(monkeypatch, job, levels):
+    """(matrix, passive) of every Smith form the cover commands compute."""
+    seen = []
+
+    def record(matrix, passive=()):
+        seen.append((matrix, passive))
+        return smith_normal_form(matrix, passive)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", record)
+    for n in levels:
+        for mode in ("h1", "fill", "sakuma"):
+            cli._cover_level((job, n, mode))
+    return seen
+
+
+def test_sparse_cover_matrices_match_their_rows(monkeypatch, cover_job):
+    # the matrices of cover, fill and sakuma reach the Smith form sparse;
+    # read as rows they give the same forms
+    args = cover_arguments(monkeypatch, covers.reduce_job(cover_job, 41), range(1, 42))
+    assert len(args) == 41 * 3
+    for matrix, passive in args:
+        assert isinstance(matrix, snf.SparseMatrix)
+        rows = [list(row) for row in matrix]
+        assert smith_normal_form(matrix, passive) == smith_normal_form(rows, passive)
+
+
+def test_smith_form_leaves_its_sparse_argument_unchanged(monkeypatch, cover_job):
+    # it eliminates in dicts of its own: the argument reads the same rows,
+    # columns and nonzero count after it, and so do the passive blocks
+    args = cover_arguments(monkeypatch, covers.reduce_job(cover_job, 15), range(1, 16))
+    args += [(as_sparse(m), blocks) for m, blocks in rows_and_sparse_cases()]
+    for matrix, passive in args:
+        before = snapshot(matrix), [[list(v) for v in block] for block in passive]
+        smith_normal_form(matrix, passive)
+        assert (snapshot(matrix), [[list(v) for v in block] for block in passive]) == before
+        assert before[0][2] == sum(map(len, matrix.columns.values()))
+
+
+def test_sparse_matrix_reads_as_rows_only():
+    m = snf.SparseMatrix(2, 3, {0: {1: 5}, 2: {0: -1}})
+    assert list(m) == [(0, 0, -1), (5, 0, 0)]
+    with pytest.raises(TypeError):
+        m[0]
+    with pytest.raises(TypeError):
+        len(m)
+    assert m == snf.SparseMatrix._of(2, 3, {2: {0: -1}, 0: {1: 5}})
+    assert m != snf.SparseMatrix(2, 3, {0: {1: 5}})
+    assert list(snf.SparseMatrix(0, 4, {})) == [] and list(snf.SparseMatrix(2, 0, {})) == [(), ()]
+
+
+@pytest.mark.parametrize("rows, cols, columns, message", (
+    (2, 2, {2: {0: 1}}, "column 2 outside range\\(2\\)"),
+    (2, 2, {-1: {0: 1}}, "column -1 outside range\\(2\\)"),
+    (2, 2, {0: {}}, "column 0 is stored empty"),
+    (2, 2, {1: {2: 1}}, "column 1 holds 1 at row 2 of 2"),
+    (2, 2, {1: {0: 0}}, "column 1 holds 0 at row 0 of 2"),
+), ids=("column-past", "column-negative", "empty", "row-past", "zero"))
+def test_sparse_matrix_rejects_a_bad_column(rows, cols, columns, message):
+    with pytest.raises(ValueError, match=message):
+        snf.SparseMatrix(rows, cols, columns)
